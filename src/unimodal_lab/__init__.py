@@ -9,143 +9,22 @@ Three layers:
 * certmax: a certified enclosure of the limit-shape constant that
   governs the min_m ~ alpha k^4 growth law.
 
-Grid scans run on a compiled extension when available, with a NumPy
-fallback (see unimodal_lab.kernels).
+Grid scans run on NumPy in unimodal_lab.kernels. The package exports
+the public names of its four layer modules.
 """
 
 __version__ = "0.1.0"
 
-from .certmax import (
-    BracketFailure,
-    CertifiedMax,
-    Interval,
-    PreconditionViolation,
-    ScalingVerdict,
-    bracket_critical,
-    certified_alpha,
-    classify_by_scaling,
-    limit_shape,
-    limit_shape_deriv,
-    shape_deriv_factor,
-    tangent_upper_bound,
-)
-from .envelope import (
-    Inconclusive,
-    MembershipCertificate,
-    ReductionViolation,
-    SandwichReport,
-    ThetaScan,
-    ThresholdMax,
-    VarianceInput,
-    denominator_gap,
-    envelope_defect,
-    log_part,
-    max_threshold,
-    membership_certificate,
-    product_identity_residual,
-    quartic_floor_check,
-    sandwich_check,
-    singular_angles,
-    smooth_part,
-    threshold_value,
-    variance,
-)
-from .exactpoly import (
-    CoeffSeq,
-    FamilyParams,
-    UnimodalReport,
-    binomial,
-    coefficient,
-    expand_family,
-    is_strongly_unimodal,
-    is_unimodal,
-    poly_mul,
-    unimodal_report,
-)
-from .thresholds import (
-    BetaProbe,
-    InequalityProbe,
-    NotFoundError,
-    ThresholdResult,
-    a_of_u,
-    beta_exact,
-    c_minus,
-    c_plus,
-    case_polynomial_probe,
-    central_ratio_even,
-    central_ratio_odd,
-    generic_min_N,
-    inequality_one_probe,
-    minimal_m,
-    predicted_threshold,
-    ratio_vs_coefficients,
-    scan_thresholds,
-    u_range,
-)
+from . import certmax, envelope, exactpoly, thresholds
+from .certmax import *  # noqa: F401,F403
+from .envelope import *  # noqa: F401,F403
+from .exactpoly import *  # noqa: F401,F403
+from .thresholds import *  # noqa: F401,F403
 
 __all__ = [
     "__version__",
-    # exactpoly
-    "CoeffSeq",
-    "FamilyParams",
-    "UnimodalReport",
-    "binomial",
-    "coefficient",
-    "expand_family",
-    "is_strongly_unimodal",
-    "is_unimodal",
-    "poly_mul",
-    "unimodal_report",
-    # thresholds
-    "BetaProbe",
-    "InequalityProbe",
-    "NotFoundError",
-    "ThresholdResult",
-    "a_of_u",
-    "beta_exact",
-    "c_minus",
-    "c_plus",
-    "case_polynomial_probe",
-    "central_ratio_even",
-    "central_ratio_odd",
-    "generic_min_N",
-    "inequality_one_probe",
-    "minimal_m",
-    "predicted_threshold",
-    "ratio_vs_coefficients",
-    "scan_thresholds",
-    "u_range",
-    # envelope
-    "Inconclusive",
-    "MembershipCertificate",
-    "ReductionViolation",
-    "SandwichReport",
-    "ThetaScan",
-    "ThresholdMax",
-    "VarianceInput",
-    "denominator_gap",
-    "envelope_defect",
-    "log_part",
-    "max_threshold",
-    "membership_certificate",
-    "product_identity_residual",
-    "quartic_floor_check",
-    "sandwich_check",
-    "singular_angles",
-    "smooth_part",
-    "threshold_value",
-    "variance",
-    # certmax
-    "BracketFailure",
-    "CertifiedMax",
-    "Interval",
-    "PreconditionViolation",
-    "ScalingVerdict",
-    "bracket_critical",
-    "certified_alpha",
-    "classify_by_scaling",
-    "limit_shape",
-    "limit_shape_deriv",
-    "shape_deriv_factor",
-    "tangent_upper_bound",
+    *exactpoly.__all__,
+    *thresholds.__all__,
+    *envelope.__all__,
+    *certmax.__all__,
 ]

@@ -109,6 +109,21 @@ _LO = 0.5 * math.pi + 1e-6
 _HI = math.pi - 1e-6
 
 
+def _bisect_critical(p: Callable[[float], float], tol: float) -> Interval:
+    a, b = _LO, _HI
+    fa = p(a)
+    fb = p(b)
+    if not (fa < 0.0 < fb):
+        raise BracketFailure(f"no sign change: p({a}) = {fa}, p({b}) = {fb}")
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if p(mid) < 0.0:
+            a = mid
+        else:
+            b = mid
+    return Interval(a, b)
+
+
 def bracket_critical(tol: float = 1e-10) -> Interval:
     """Bisect p to a width-tol bracket of the unique critical point.
 
@@ -117,18 +132,7 @@ def bracket_critical(tol: float = 1e-10) -> Interval:
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    a, b = _LO, _HI
-    fa = shape_deriv_factor(a)
-    fb = shape_deriv_factor(b)
-    if not (fa < 0.0 < fb):
-        raise BracketFailure(f"no sign change: p({a}) = {fa}, p({b}) = {fb}")
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if shape_deriv_factor(mid) < 0.0:
-            a = mid
-        else:
-            b = mid
-    return Interval(a, b)
+    return _bisect_critical(shape_deriv_factor, tol)
 
 
 def tangent_upper_bound(
@@ -201,17 +205,8 @@ def certified_alpha(tol: float = 5e-4) -> CertifiedMax:
         evals += 1
         return shape_deriv_factor(z)
 
-    a, b = _LO, _HI
-    fa = fp(a)
-    fb = fp(b)
-    if not (fa < 0.0 < fb):
-        raise BracketFailure(f"no sign change: p({a}) = {fa}, p({b}) = {fb}")
-    while b - a > 1e-10:
-        mid = 0.5 * (a + b)
-        if fp(mid) < 0.0:
-            a = mid
-        else:
-            b = mid
+    bracket = _bisect_critical(fp, 1e-10)
+    a, b = bracket.lo, bracket.hi
     samples = [a + (b - a) * (j / 64.0) for j in range(65)]
     lower = max(f(z) for z in samples) - _SLACK
     upper = (
@@ -225,7 +220,7 @@ def certified_alpha(tol: float = 5e-4) -> CertifiedMax:
         raise BracketFailure(
             f"coarse scan found D({coarse_z}) = {coarse} above certified bound {upper}"
         )
-    return CertifiedMax(Interval(a, b), Interval(lower, upper), evals)
+    return CertifiedMax(bracket, Interval(lower, upper), evals)
 
 
 @dataclass(frozen=True)

@@ -311,8 +311,7 @@ def cmd_scan_eclass(cfg: RunConfig) -> tuple[int, str]:
 
     def one(k: int):
         peak = envelope.max_threshold(envelope.ThetaScan(k, grid_points=grid, refine_tol=tol))
-        lo_b = a_lo / (1.0 + 8.0 / (k * k)) - 1e-9
-        hi_b = a_hi + 1e-9
+        lo_b, hi_b = envelope.sandwich_bounds(k, a_lo, a_hi)
         return peak, lo_b, hi_b, lo_b <= peak.ratio_k4 <= hi_b
 
     results = _map_rows(one, list(range(k_min, k_max + 1)), cfg.threads)

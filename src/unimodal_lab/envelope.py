@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from . import kernels
-from .certmax import limit_shape
 
 __all__ = [
     "ReductionViolation",
@@ -50,6 +51,7 @@ __all__ = [
     "max_threshold",
     "membership_certificate",
     "quartic_floor_check",
+    "sandwich_bounds",
     "sandwich_check",
 ]
 
@@ -491,6 +493,18 @@ class SandwichReport:
     max_in_enclosure: bool
 
 
+def sandwich_bounds(k: int, alpha_lo: float, alpha_hi: float) -> tuple[float, float]:
+    """Max-level sandwich on max(L)/k^4 from a limit-shape enclosure.
+
+    Returns (alpha_lo/(1 + 8/k^2) - 1e-9, alpha_hi + 1e-9).
+    """
+    return alpha_lo / (1.0 + 8.0 / (k * k)) - 1e-9, alpha_hi + 1e-9
+
+
+def _first_rows(keep: int, *cols: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    return tuple(zip(*(c[:keep].tolist() for c in cols)))
+
+
 def sandwich_check(
     k: int,
     alpha_lo: float,
@@ -502,42 +516,24 @@ def sandwich_check(
 
     alpha_lo/alpha_hi is a certified enclosure of the limit-shape
     maximum. Pointwise slack is 1e-9 absolute on the ratio scale; the
-    max-level check asks alpha_lo/(1+8/k^2) - 1e-9 <= max(L)/k^4 <=
-    alpha_hi + 1e-9.
+    max-level check is sandwich_bounds(k, alpha_lo, alpha_hi) on
+    max(L)/k^4. At most `keep` violations of each kind are kept, in
+    grid order.
     """
     scan = ThetaScan(k, grid_points=max(grid_points, 1000))
     _warn_small_k(k)
-    eps = scan.effective_eps
-    lo = math.pi / k
-    hi = 2.0 * math.pi / k
     n = scan.grid_points
-    k4 = float(k) ** 4
-    slack = 1.0 + 8.0 / (k * k)
-    up_bad: list[tuple[float, float, float]] = []
-    dn_bad: list[tuple[float, float, float]] = []
-    n_up = 0
-    n_dn = 0
-    for i in range(1, n + 1):
-        theta = lo + (hi - lo) * (i / n)
-        u = theta * k / math.pi
-        o = 2.0 * math.floor((u - 1.0) / 2.0 + 0.5) + 1.0
-        if abs(u - o) * (math.pi / k) < eps:
-            continue
-        ratio = threshold_value(k, theta) / k4
-        d = limit_shape(0.5 * k * theta)
-        if ratio > d + 1e-9:
-            n_up += 1
-            if len(up_bad) < keep:
-                up_bad.append((theta, ratio, d))
-        lower = d / slack
-        if ratio < lower - 1e-9:
-            n_dn += 1
-            if len(dn_bad) < keep:
-                dn_bad.append((theta, ratio, lower))
+    theta = kernels.theta_grid(math.pi / k, 2.0 * math.pi / k, n)
+    theta = theta[~kernels.guard_mask(theta, k, scan.effective_eps)]
+    ratio = kernels.threshold_values(k, theta) / float(k) ** 4
+    d = kernels.limit_shape_values(0.5 * k * theta)
+    lower = d / (1.0 + 8.0 / (k * k))
+    up = ratio > d + 1e-9
+    dn = ratio < lower - 1e-9
+    n_up = int(np.count_nonzero(up))
+    n_dn = int(np.count_nonzero(dn))
     peak = max_threshold(ThetaScan(k, grid_points=max(n, 10_000)))
-    lo_bound = alpha_lo / slack - 1e-9
-    hi_bound = alpha_hi + 1e-9
-    in_enc = lo_bound <= peak.ratio_k4 <= hi_bound
+    lo_bound, hi_bound = sandwich_bounds(k, alpha_lo, alpha_hi)
     return SandwichReport(
         k=k,
         grid_points=n,
@@ -545,10 +541,10 @@ def sandwich_check(
         lower_ok=n_dn == 0,
         n_upper_violations=n_up,
         n_lower_violations=n_dn,
-        upper_violations=tuple(up_bad),
-        lower_violations=tuple(dn_bad),
+        upper_violations=_first_rows(keep, theta[up], ratio[up], d[up]),
+        lower_violations=_first_rows(keep, theta[dn], ratio[dn], lower[dn]),
         max_ratio=peak.ratio_k4,
         enclosure_lo=lo_bound,
         enclosure_hi=hi_bound,
-        max_in_enclosure=in_enc,
+        max_in_enclosure=lo_bound <= peak.ratio_k4 <= hi_bound,
     )

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from unimodal_lab.certmax import certified_alpha
+from unimodal_lab.certmax import certified_alpha, limit_shape
 from unimodal_lab.envelope import (
     Inconclusive,
     MembershipCertificate,
@@ -21,6 +21,7 @@ from unimodal_lab.envelope import (
     poly_eval_circle,
     product_identity_residual,
     quartic_floor_check,
+    sandwich_bounds,
     sandwich_check,
     singular_angles,
     smooth_part,
@@ -327,3 +328,45 @@ class TestSandwich:
         rep = sandwich_check(16, alpha[0], alpha[1])
         assert rep.upper_ok
         assert rep.max_in_enclosure
+
+    def test_bounds_are_the_max_level_sandwich(self, alpha):
+        rep = sandwich_check(12, alpha[0], alpha[1])
+        assert (rep.enclosure_lo, rep.enclosure_hi) == sandwich_bounds(12, alpha[0], alpha[1])
+        assert rep.enclosure_lo == alpha[0] / (1.0 + 8.0 / 144) - 1e-9
+        assert rep.enclosure_hi == alpha[1] + 1e-9
+
+    @pytest.mark.parametrize("k", [9, 12, 16, 30])
+    def test_matches_pointwise_reference(self, alpha, k):
+        # the per-point loop sandwich_check replaced, kept as the reference
+        n, keep = 10_000, 20
+        eps = 1e-8 * math.pi / k
+        lo, hi = math.pi / k, 2.0 * math.pi / k
+        k4 = float(k) ** 4
+        slack = 1.0 + 8.0 / (k * k)
+        up_bad, dn_bad = [], []
+        n_up = n_dn = 0
+        for i in range(1, n + 1):
+            theta = lo + (hi - lo) * (i / n)
+            u = theta * k / math.pi
+            o = 2.0 * math.floor((u - 1.0) / 2.0 + 0.5) + 1.0
+            if abs(u - o) * (math.pi / k) < eps:
+                continue
+            ratio = threshold_value(k, theta) / k4
+            d = limit_shape(0.5 * k * theta)
+            if ratio > d + 1e-9:
+                n_up += 1
+                if len(up_bad) < keep:
+                    up_bad.append((theta, ratio, d))
+            lower = d / slack
+            if ratio < lower - 1e-9:
+                n_dn += 1
+                if len(dn_bad) < keep:
+                    dn_bad.append((theta, ratio, lower))
+        rep = sandwich_check(k, alpha[0], alpha[1], grid_points=n, keep=keep)
+        assert rep.n_upper_violations == n_up
+        assert rep.n_lower_violations == n_dn
+        # NumPy's log1p is not libm's, so kept values agree to a few ulps
+        for got, want in ((rep.upper_violations, up_bad), (rep.lower_violations, dn_bad)):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g == pytest.approx(w, rel=1e-12)

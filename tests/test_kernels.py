@@ -1,103 +1,40 @@
 import math
-import os
 
+import numpy as np
 import pytest
 
-from unimodal_lab import _kernels_py
 from unimodal_lab import kernels
+from unimodal_lab.certmax import limit_shape
 from unimodal_lab.envelope import threshold_value
-
-_compiled = pytest.importorskip(
-    "unimodal_lab._kernels", reason="compiled kernels not built"
-)
 
 PI = math.pi
 
 
-def _grid_step(lo, hi, n):
-    return (hi - lo) / n
+def _guarded(theta, k, guard):
+    # pointwise form of the singular-angle guard, the reference for guard_mask
+    u = theta * k / PI
+    o = 2.0 * math.floor((u - 1.0) / 2.0 + 0.5) + 1.0
+    return abs(u - o) * (PI / k) < guard
 
 
-class TestBackendSelection:
-    def test_compiled_is_default(self):
-        if os.environ.get("UNIMODAL_LAB_PURE", "") not in ("", "0"):
-            pytest.skip("pure lane forced via environment")
-        assert kernels.backend() == "compiled"
-
-    def test_exports_match(self):
-        for name in (
-            "grid_max_threshold",
-            "grid_min_margin",
-            "count_nonneg_threshold",
-            "grid_max_limit_shape",
-        ):
-            assert callable(getattr(kernels, name))
-            assert callable(getattr(_kernels_py, name))
-            assert callable(getattr(_compiled, name))
+def _grid(lo, hi, n):
+    return [lo + (hi - lo) * (i / n) for i in range(1, n + 1)]
 
 
-class TestLaneEquivalence:
-    CASES = [
-        (9, PI / 9, 2 * PI / 9, 10_000),
-        (9, 1e-6, PI - 1e-6, 25_000),
-        (16, PI / 16, 2 * PI / 16, 10_000),
-        (24, 1e-6, PI - 1e-6, 25_000),
-    ]
-
-    @pytest.mark.parametrize("k,lo,hi,n", CASES)
-    def test_grid_max_threshold(self, k, lo, hi, n):
-        guard = 1e-8 * PI / k
-        vc, tc = _compiled.grid_max_threshold(k, lo, hi, n, guard)
-        vp, tp = _kernels_py.grid_max_threshold(k, lo, hi, n, guard)
-        assert vc == pytest.approx(vp, rel=1e-12)
-        assert abs(tc - tp) <= _grid_step(lo, hi, n) + 1e-15
-
-    @pytest.mark.parametrize("k,lo,hi,n", CASES)
-    def test_grid_min_margin(self, k, lo, hi, n):
-        guard = 1e-8 * PI / k
-        m = float(k * k * k * k // 3)
-        vc, tc = _compiled.grid_min_margin(m, k, lo, hi, n, guard)
-        vp, tp = _kernels_py.grid_min_margin(m, k, lo, hi, n, guard)
-        # the margin is a difference of curve-scale quantities, so lane
-        # agreement is judged relative to that scale, not to the margin
-        assert abs(vc - vp) <= 1e-12 * max(1.0, abs(m))
-        assert abs(tc - tp) <= _grid_step(lo, hi, n) + 1e-15
-
-    @pytest.mark.parametrize("k", [9, 16, 24])
-    def test_count_nonneg(self, k):
-        guard = 1e-8 * PI / k
-        lo, hi, n = PI / k, 2 * PI / k, 20_000
-        cc = _compiled.count_nonneg_threshold(k, lo, hi, n, guard)
-        cp = _kernels_py.count_nonneg_threshold(k, lo, hi, n, guard)
-        assert cc > 0
-        assert abs(cc - cp) <= 2
-
-    @pytest.mark.parametrize("k", [9, 16, 24])
-    def test_count_zero_before_first_singularity(self, k):
-        lo, hi = 1e-9, (PI / k) * (1.0 - 1e-9)
-        for fn in (_compiled.count_nonneg_threshold, _kernels_py.count_nonneg_threshold):
-            assert fn(k, lo, hi, 20_000, 0.0) == 0
-
-    def test_grid_max_limit_shape(self):
-        lo, hi, n = PI / 2 + 1e-6, PI - 1e-6, 50_000
-        vc, zc = _compiled.grid_max_limit_shape(lo, hi, n)
-        vp, zp = _kernels_py.grid_max_limit_shape(lo, hi, n)
-        assert vc == pytest.approx(vp, rel=1e-12)
-        assert abs(zc - zp) <= _grid_step(lo, hi, n) + 1e-15
-        assert vc == pytest.approx(0.3229, abs=5e-4)
+def test_backend_is_pure():
+    assert kernels.backend() == "pure"
 
 
 class TestAgainstScalarReference:
-    def test_pure_max_matches_pointwise_evaluation(self):
-        k, lo, hi, n = 9, PI / 9, 2 * PI / 9, 5_000
-        guard = 1e-8 * PI / k
-        got_v, got_t = _kernels_py.grid_max_threshold(k, lo, hi, n, guard)
+    @pytest.mark.parametrize(
+        "k,guard", [(9, 1e-8 * PI / 9), (12, 0.0), (16, 1e-3), (24, 1e-8 * PI / 24)]
+    )
+    def test_max_matches_pointwise_evaluation(self, k, guard):
+        lo, hi, n = PI / k, 2 * PI / k, 5_000
+        got_v, got_t = kernels.grid_max_threshold(k, lo, hi, n, guard)
         best_v, best_t = float("-inf"), float("nan")
-        for i in range(1, n + 1):
-            theta = lo + (hi - lo) * (i / n)
-            u = theta * k / PI
-            o = 2.0 * math.floor((u - 1.0) / 2.0 + 0.5) + 1.0
-            if abs(u - o) * (PI / k) < guard:
+        for theta in _grid(lo, hi, n):
+            if _guarded(theta, k, guard):
                 continue
             v = threshold_value(k, theta)
             if v > best_v:
@@ -105,14 +42,68 @@ class TestAgainstScalarReference:
         assert got_v == pytest.approx(best_v, rel=1e-12)
         assert got_t == pytest.approx(best_t, abs=1e-12)
 
-    def test_compiled_max_matches_pointwise_evaluation(self):
-        k, lo, hi, n = 12, PI / 12, 2 * PI / 12, 5_000
-        got_v, got_t = _compiled.grid_max_threshold(k, lo, hi, n, 0.0)
-        best_v = max(
-            threshold_value(k, lo + (hi - lo) * (i / n)) for i in range(1, n + 1)
+    @pytest.mark.parametrize("k", [9, 24])
+    def test_min_margin_matches_pointwise_evaluation(self, k):
+        lo, hi, n = 1e-6, PI - 1e-6, 20_000
+        guard = 1e-8 * PI / k
+        m = float(k**4 // 3)
+        got_v, got_t = kernels.grid_min_margin(m, k, lo, hi, n, guard)
+        best_v, best_t = float("inf"), float("nan")
+        for theta in _grid(lo, hi, n):
+            if _guarded(theta, k, guard):
+                continue
+            v = m - threshold_value(k, theta)
+            if v < best_v:
+                best_v, best_t = v, theta
+        # the margin is a difference of curve-scale quantities, so it is
+        # judged relative to that scale, not to the margin itself
+        assert abs(got_v - best_v) <= 1e-12 * max(1.0, m)
+        assert got_t == pytest.approx(best_t, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [9, 16, 24])
+    def test_count_nonneg_matches_pointwise_evaluation(self, k):
+        lo, hi, n = PI / k, 2 * PI / k, 20_000
+        guard = 1e-8 * PI / k
+        got = kernels.count_nonneg_threshold(k, lo, hi, n, guard)
+        want = sum(
+            1
+            for theta in _grid(lo, hi, n)
+            if not _guarded(theta, k, guard) and threshold_value(k, theta) >= 0.0
         )
+        assert got > 0
+        assert abs(got - want) <= 2
+
+    def test_threshold_values_match_scalar_branches(self):
+        k = 9
+        theta = np.array([1e-7, 1e-3, 0.3, PI / k, 3 * PI / k, 2.5, PI - 1e-7, PI])
+        got = kernels.threshold_values(k, theta)
+        for g, t in zip(got, theta):
+            want = threshold_value(k, float(t))
+            if math.isinf(want):
+                assert g == want
+            else:
+                assert g == pytest.approx(want, rel=1e-12)
+
+    def test_guard_mask_matches_pointwise_rule(self):
+        k, guard = 9, 1e-3
+        theta = np.array([PI / k, PI / k + 5e-4, PI / k + 2e-3, 3 * PI / k - 1e-4, 0.5])
+        got = kernels.guard_mask(theta, k, guard).tolist()
+        assert got == [_guarded(float(t), k, guard) for t in theta]
+        assert got == [True, True, False, True, False]
+
+    def test_grid_max_limit_shape_matches_scalar(self):
+        lo, hi, n = PI / 2 + 1e-6, PI - 1e-6, 50_000
+        got_v, got_z = kernels.grid_max_limit_shape(lo, hi, n)
+        best_v, best_z = max((limit_shape(z), z) for z in _grid(lo, hi, n))
         assert got_v == pytest.approx(best_v, rel=1e-12)
-        assert lo < got_t <= hi
+        assert abs(got_z - best_z) <= (hi - lo) / n + 1e-15
+        assert got_v == pytest.approx(0.3229, abs=5e-4)
+
+    def test_limit_shape_values_match_scalar(self):
+        z = np.array([0.5, 1.0, PI / 2 + 1e-6, 2.2, PI - 1e-6, 4.0])
+        got = kernels.limit_shape_values(z)
+        for g, t in zip(got, z):
+            assert g == pytest.approx(limit_shape(float(t)), rel=1e-12)
 
 
 class TestEdgeContracts:
@@ -120,32 +111,33 @@ class TestEdgeContracts:
         # a guard radius wider than the window masks every point
         k = 9
         lo, hi = PI / k * 0.999, PI / k * 1.001
-        for fn in (_compiled.grid_max_threshold, _kernels_py.grid_max_threshold):
-            v, t = fn(k, lo, hi, 100, 1.0)
-            assert v == float("-inf")
-            assert math.isnan(t)
-        for fn in (_compiled.grid_min_margin, _kernels_py.grid_min_margin):
-            v, t = fn(100.0, k, lo, hi, 100, 1.0)
-            assert v == float("inf")
-            assert math.isnan(t)
-        for fn in (_compiled.count_nonneg_threshold, _kernels_py.count_nonneg_threshold):
-            assert fn(k, lo, hi, 100, 1.0) == 0
+        v, t = kernels.grid_max_threshold(k, lo, hi, 100, 1.0)
+        assert v == float("-inf")
+        assert math.isnan(t)
+        v, t = kernels.grid_min_margin(100.0, k, lo, hi, 100, 1.0)
+        assert v == float("inf")
+        assert math.isnan(t)
+        assert kernels.count_nonneg_threshold(k, lo, hi, 100, 1.0) == 0
 
     def test_zero_guard_keeps_all_points(self):
         k, n = 9, 1_000
         lo, hi = PI / k, 2 * PI / k
-        vc, _ = _compiled.grid_max_threshold(k, lo, hi, n, 0.0)
-        vp, _ = _kernels_py.grid_max_threshold(k, lo, hi, n, 0.0)
-        assert math.isfinite(vc) and math.isfinite(vp)
-        assert vc == pytest.approx(vp, rel=1e-12)
+        theta = kernels.theta_grid(lo, hi, n)
+        assert not kernels.guard_mask(theta, k, 0.0).any()
+        v, _ = kernels.grid_max_threshold(k, lo, hi, n, 0.0)
+        assert math.isfinite(v)
+        assert v == pytest.approx(max(threshold_value(k, t) for t in _grid(lo, hi, n)), rel=1e-12)
 
     def test_right_closed_grid_includes_endpoint(self):
         # a one-point grid evaluates exactly at hi
         k = 9
         theta = 0.5
-        v, t = _kernels_py.grid_max_threshold(k, 0.4, theta, 1, 0.0)
+        v, t = kernels.grid_max_threshold(k, 0.4, theta, 1, 0.0)
         assert t == theta
         assert v == pytest.approx(threshold_value(k, theta), rel=1e-12)
-        vc, tc = _compiled.grid_max_threshold(k, 0.4, theta, 1, 0.0)
-        assert tc == theta
-        assert vc == pytest.approx(v, rel=1e-12)
+        assert kernels.theta_grid(0.4, theta, 7)[-1] == theta
+
+    @pytest.mark.parametrize("k", [9, 16, 24])
+    def test_count_zero_before_first_singularity(self, k):
+        lo, hi = 1e-9, (PI / k) * (1.0 - 1e-9)
+        assert kernels.count_nonneg_threshold(k, lo, hi, 20_000, 0.0) == 0
