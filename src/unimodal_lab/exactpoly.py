@@ -1,14 +1,17 @@
 """Exact coefficient sequences and unimodality predicates.
 
-Everything in this module is integer arithmetic: coefficients are Python
-ints, verdicts come from integer comparisons, and no floating point enters
-any decision. Sequences are indexed by degree, so ``seq[u]`` is the
-coefficient of x^u.
+Coefficients are Python ints and every verdict is exact. The one place
+floating point appears is the filter in ``is_strongly_unimodal``: it
+decides an index only when a derived rounding bound proves the integer
+comparison would give the same answer, and hands every other index to
+that integer comparison. Sequences are indexed by degree, so ``seq[u]``
+is the coefficient of x^u.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -143,6 +146,13 @@ def is_unimodal(seq: Sequence[int]) -> tuple[bool, Optional[tuple[int, int]]]:
     return True, None
 
 
+# Bounds of the float filter in is_strongly_unimodal; the docstring there
+# derives them.
+_NORMAL_MIN = sys.float_info.min  # 2^-1022
+_NORMAL_MAX = sys.float_info.max
+_FILTER_S = 1.0 + 2.0**-49
+
+
 def is_strongly_unimodal(
     seq: Sequence[int],
 ) -> tuple[bool, Optional[int], Optional[str]]:
@@ -158,19 +168,64 @@ def is_strongly_unimodal(
 
     Returns (ok, witness_index, reason). An all-zero sequence passes
     vacuously.
+
+    The second check runs behind a float filter that is proven never to
+    change a verdict. With x = a[i]/a[i-1] and y = a[i+1]/a[i], the test
+    at i is x >= y whenever both ratios are positive (then a[i-1] a[i] > 0,
+    and multiplying by it gives a[i]^2 >= a[i-1] a[i+1]). Python's int / int
+    is correctly rounded, so a result x^ in the normal range
+    [2^-1022, max float] satisfies |x - x^| <= u x^ with u = 2^-53, and
+    likewise y^; an x that would round past max float raises
+    OverflowError instead. A float product p = x^ s is normal when finite
+    (p >= x^), so fl(p) >= p (1 - u). With s = 1 + 2^-49:
+
+    * "holds" when x^ >= fl(y^ s): x >= x^ (1 - u) >= y^ s (1 - u)^2
+      >= y s (1 - u)^2 / (1 + u) >= y;
+    * "fails" when fl(x^ s) < y^: x <= x^ (1 + u) < y^ (1 + u) / (s (1 - u))
+      <= y (1 + u) / (s (1 - u)^2) < y;
+
+    both because s (1 - u)^2 = 1 + 2^-49 - 2^-52 + O(2^-101) > 1 + u. A
+    product that overflows to inf decides nothing. Every other index (a
+    ratio that overflows, is subnormal, zero or negative, or a pair the
+    two tests leave open, such as an exact tie) is decided by the integer
+    comparison, so the verdict, the witness and the reason are those of
+    the integer loop alone. Each y is reused as the next x, so an index
+    costs one big-integer division.
     """
     a = list(seq)
     support = [i for i, c in enumerate(a) if c != 0]
     if not support:
         return True, None, None
     lo, hi = support[0], support[-1]
+    if hi - lo < 2:
+        return True, None, None
     for i in range(lo + 1, hi):
         if a[i] == 0:
             return False, i - 1, "internal-zero"
+    x = _ratio(a, lo + 1)
     for i in range(lo + 1, hi):
+        y = _ratio(a, i + 1)
+        if _NORMAL_MIN <= x <= _NORMAL_MAX and _NORMAL_MIN <= y <= _NORMAL_MAX:
+            if x >= y * _FILTER_S:
+                x = y
+                continue
+            if x * _FILTER_S < y:
+                return False, i, "log-concavity"
         if a[i] * a[i] < a[i - 1] * a[i + 1]:
             return False, i, "log-concavity"
+        x = y
     return True, None, None
+
+
+def _ratio(a: list[int], i: int) -> float:
+    """a[i] / a[i-1], correctly rounded; inf (never normal) when it overflows.
+
+    a[i-1] is nonzero: callers stay inside a support with no internal zero.
+    """
+    try:
+        return a[i] / a[i - 1]
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

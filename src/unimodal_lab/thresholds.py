@@ -262,9 +262,20 @@ def _passes(m: int, k: int, mode: str) -> bool:
 def minimal_m(k: int, mode: str = "strong", cap: Optional[int] = None) -> int:
     """Smallest m >= 1 whose coefficient sequence passes the given predicate.
 
-    mode is "strong" or "unimodal". The predicate is monotone in m, so a
-    binary search suffices; the result is verified at m and m - 1 and a
-    linear scan takes over if that verification ever failed.
+    mode is "strong" or "unimodal". Both predicates are monotone in m,
+    because the sequence for m + 1 is the sequence for m convolved with
+    (1, 1), which is log-concave:
+
+    * a log-concave sequence with no internal zeros stays so when
+      multiplied by 1 + x (the product of log-concave sequences without
+      internal zeros is log-concave);
+    * a unimodal sequence convolved with a log-concave one stays
+      unimodal (Ibragimov 1956; Keilson and Gerber 1971).
+
+    So p = predicted_threshold(k) is the answer exactly when p passes and
+    p - 1 does not (or p == 1): two predicate calls prove it. When p is
+    above the cap, or the prediction fails, a binary search on the same
+    monotonicity finds the answer.
 
     Raises NotFoundError when no m <= cap passes (cap defaults to k*k).
     """
@@ -275,6 +286,9 @@ def minimal_m(k: int, mode: str = "strong", cap: Optional[int] = None) -> int:
         cap = k * k
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
+    p = predicted_threshold(k)
+    if p <= cap and _passes(p, k, mode) and (p == 1 or not _passes(p - 1, k, mode)):
+        return p
     if not _passes(cap, k, mode):
         raise NotFoundError(f"no m <= {cap} passes mode={mode!r} for k={k}")
     lo, hi = 0, cap
@@ -285,12 +299,7 @@ def minimal_m(k: int, mode: str = "strong", cap: Optional[int] = None) -> int:
             hi = mid
         else:
             lo = mid
-    if _passes(hi, k, mode) and (hi == 1 or not _passes(hi - 1, k, mode)):
-        return hi
-    for m in range(1, cap + 1):  # pragma: no cover - monotonicity fallback
-        if _passes(m, k, mode):
-            return m
-    raise NotFoundError(f"no m <= {cap} passes mode={mode!r} for k={k}")  # pragma: no cover
+    return hi
 
 
 def scan_thresholds(k: int, cap: Optional[int] = None) -> ThresholdResult:

@@ -74,6 +74,20 @@ class TestCheck:
         assert doc["central_ratio"] == "1/1"
         assert doc["unimodal_witness"] is None
 
+    def test_stress_pair_k88(self, capsys):
+        code, out, err = run(capsys, "check", "--m", str(88 * 88 - 3), "--k", "88", "--format", "json")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["unimodal"] and doc["strongly_unimodal"] and doc["agree"]
+        code, out, err = run(capsys, "check", "--m", str(88 * 88 - 4), "--k", "88", "--format", "json")
+        doc = json.loads(out)
+        assert code == 0
+        assert not doc["unimodal"] and not doc["strongly_unimodal"] and doc["agree"]
+        # the witness the pure-integer loop reports (see test_exactpoly)
+        assert doc["strong_witness"] == 3914
+        assert doc["strong_reason"] == "log-concavity"
+        assert doc["unimodal_witness"] == [3914, 3915]
+
     def test_json_stable_roundtrip(self, capsys):
         code, out, err = run(capsys, "check", "--m", "5", "--k", "3", "--format", "json")
         doc = json.loads(out)

@@ -17,6 +17,33 @@ from unimodal_lab.exactpoly import (
 )
 
 
+def reference_strongly_unimodal(seq):
+    """The pure-integer loop the float filter must reproduce exactly."""
+    a = list(seq)
+    support = [i for i, c in enumerate(a) if c != 0]
+    if not support:
+        return True, None, None
+    lo, hi = support[0], support[-1]
+    for i in range(lo + 1, hi):
+        if a[i] == 0:
+            return False, i - 1, "internal-zero"
+    for i in range(lo + 1, hi):
+        if a[i] * a[i] < a[i - 1] * a[i + 1]:
+            return False, i, "log-concavity"
+    return True, None, None
+
+
+def near_tie(t, j, e, d=0):
+    """(P, A, Q) with A^2 / (P Q) = 1 + e / 2^60 exactly.
+
+    Both ratios A/P and Q/A carry the factor 10^d, so d around +-310 pushes
+    them past the float range or into subnormals.
+    """
+    n = 2**60
+    up, down = 10 ** max(d, 0), 10 ** max(-d, 0)
+    return [(n + e) * t * 2**j * down**2, (n + e) * t * up * down, t * 2 ** (60 - j) * up**2]
+
+
 class TestBinomial:
     def test_row_five(self):
         assert [binomial(5, r) for r in range(6)] == [1, 5, 10, 10, 5, 1]
@@ -191,6 +218,86 @@ class TestIsStronglyUnimodal:
     def test_strong_implies_unimodal(self, seq):
         if is_strongly_unimodal(seq)[0]:
             assert is_unimodal(seq)[0]
+
+
+class TestFloatFilterMatchesReference:
+    """is_strongly_unimodal gives the reference loop's (ok, witness, reason)."""
+
+    @given(st.lists(st.one_of(st.just(0), st.integers(0, 10**2000)), min_size=1, max_size=12))
+    def test_huge_entries(self, seq):
+        assert is_strongly_unimodal(seq) == reference_strongly_unimodal(seq)
+
+    @given(
+        st.integers(1, 10**300),
+        st.integers(1, 10**300),
+        st.integers(1, 10**300),
+        st.integers(3, 12),
+        st.lists(st.integers(0, 10**50), max_size=3),
+    )
+    def test_geometric_ties(self, c, r, q, n, tail):
+        seq = [c * r**i * q ** (n - i) for i in range(n)] + tail
+        assert is_strongly_unimodal(seq) == reference_strongly_unimodal(seq)
+
+    @given(st.integers(1, 10**1000), st.integers(1, 8), st.integers(0, 3))
+    def test_plateaus(self, c, width, edge):
+        seq = [edge, c // 2 + 1] + [c] * width + [c // 2 + 1, edge]
+        assert is_strongly_unimodal(seq) == reference_strongly_unimodal(seq)
+
+    @pytest.mark.parametrize("k", range(3, 14))
+    def test_threshold_centre_plateau(self, k):
+        for m in (k * k - 4, k * k - 3):
+            seq = expand_family(m, k)
+            assert is_strongly_unimodal(seq) == reference_strongly_unimodal(seq)
+
+    @given(
+        st.integers(1, 10**400),
+        st.integers(0, 60),
+        st.integers(-(2**16), 2**16),
+        st.one_of(st.just(0), st.integers(-330, 330)),
+        st.lists(st.integers(1, 10**40), max_size=2),
+        st.lists(st.integers(1, 10**40), max_size=2),
+    )
+    def test_near_ties(self, t, j, e, d, head, tail):
+        seq = head + near_tie(t, j, e, d) + tail
+        assert is_strongly_unimodal(seq) == reference_strongly_unimodal(seq)
+
+    @pytest.mark.parametrize("d", [0, -300, -309, -315, 309, 318])
+    @pytest.mark.parametrize("e", [-1, 1, -(2**10), 2**10, -(2**12), 2**12])
+    def test_near_tie_examples(self, e, d):
+        # 1 + e/2^60 sits inside the filter's undecided band up to |e| ~ 2^11
+        seq = near_tie(3**500, 30, e, d)
+        assert is_strongly_unimodal(seq) == (e >= 0, None if e >= 0 else 1,
+                                             None if e >= 0 else "log-concavity")
+
+    @given(st.lists(st.one_of(st.integers(0, 3), st.integers(280, 420).map(lambda d: 10**d)),
+                    min_size=1, max_size=10))
+    def test_overflow_and_subnormal_ratios(self, seq):
+        assert is_strongly_unimodal(seq) == reference_strongly_unimodal(seq)
+
+    @pytest.mark.parametrize("seq", [
+        [1, 10**400, 10**400],
+        [10**400, 1, 1],
+        [10**310, 1, 1],
+        [1, 1, 10**310],
+        [10**400, 10**400, 1],
+        [0, 0, 10**400, 1, 0, 0],
+        [2, 0, 0, 10**400, 1],
+        [5, 7, 0],
+        [0, 7],
+    ])
+    def test_extreme_examples(self, seq):
+        assert is_strongly_unimodal(seq) == reference_strongly_unimodal(seq)
+
+    @given(st.lists(st.integers(-(10**50), 10**50), min_size=1, max_size=10))
+    def test_signed_entries(self, seq):
+        assert is_strongly_unimodal(seq) == reference_strongly_unimodal(seq)
+
+    def test_k88_stress_pair(self):
+        member = expand_family(88 * 88 - 3, 88)
+        non_member = expand_family(88 * 88 - 4, 88)
+        assert is_strongly_unimodal(member) == reference_strongly_unimodal(member) == (True, None, None)
+        expect = (False, 3914, "log-concavity")
+        assert is_strongly_unimodal(non_member) == reference_strongly_unimodal(non_member) == expect
 
 
 class TestUnimodalReport:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from unimodal_lab import thresholds
 from unimodal_lab.exactpoly import binomial, expand_family, is_strongly_unimodal, is_unimodal
 from unimodal_lab.thresholds import (
     BetaProbe,
@@ -206,7 +207,8 @@ class TestMinimalM:
         assert minimal_m(3, "unimodal") == 6
 
     def test_matches_linear_search(self):
-        for k in range(2, 9):
+        # the linear scan assumes no monotonicity in m
+        for k in range(2, 10):
             for mode in ("strong", "unimodal"):
                 got = minimal_m(k, mode)
                 check = is_strongly_unimodal if mode == "strong" else is_unimodal
@@ -226,6 +228,45 @@ class TestMinimalM:
     def test_cap_exhausted(self):
         with pytest.raises(NotFoundError):
             minimal_m(4, "strong", cap=5)
+
+    @pytest.mark.parametrize("mode", ["strong", "unimodal"])
+    def test_passes_is_monotone_in_m(self, mode):
+        for k in range(2, 8):
+            verdicts = [thresholds._passes(m, k, mode) for m in range(1, k * k + 1)]
+            first = verdicts.index(True)
+            assert all(verdicts[first:])
+
+    @pytest.mark.parametrize("mode", ["strong", "unimodal"])
+    def test_cap_at_and_below_prediction(self, mode):
+        for k in range(3, 9):
+            p = predicted_threshold(k)
+            assert minimal_m(k, mode, cap=p) == p
+            with pytest.raises(NotFoundError):
+                minimal_m(k, mode, cap=p - 1)
+
+    @pytest.mark.parametrize("mode", ["strong", "unimodal"])
+    def test_two_predicate_calls(self, monkeypatch, mode):
+        calls = []
+
+        def counting(fn):
+            def wrapped(seq):
+                calls.append(fn.__name__)
+                return fn(seq)
+            return wrapped
+
+        monkeypatch.setattr(thresholds, "is_strongly_unimodal", counting(is_strongly_unimodal))
+        monkeypatch.setattr(thresholds, "is_unimodal", counting(is_unimodal))
+        for k in (3, 7, 20):
+            calls.clear()
+            assert minimal_m(k, mode) == predicted_threshold(k)
+            want = "is_strongly_unimodal" if mode == "strong" else "is_unimodal"
+            assert calls == [want, want]
+
+    @pytest.mark.parametrize("k", [60, 80, 120])
+    def test_square_law_at_stress_sizes(self, k):
+        row = scan_thresholds(k)
+        assert row.min_m_strong == row.min_m_unimodal == k * k - 3
+        assert row.match
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
