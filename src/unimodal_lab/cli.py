@@ -13,10 +13,12 @@ Subcommands:
 Exit codes: 0 success, 1 usage or input error, 2 verdict mismatch,
 3 numeric certification failure, 4 nothing found below the cap.
 
-Output goes to stdout or --out. Formats: text (key=value lines), csv
-(floats at 17 significant digits), json (schema "unimodal-lab/1",
-stable key order). Rows are sorted by (k, u). UNIMODAL_LAB_THREADS
-caps scan parallelism.
+Each subcommand returns one Result, and render() writes it in one of
+three formats: json (the record, schema "unimodal-lab/1", stable key
+order), csv (the header and rows, floats at 17 significant digits) and
+text (key=value lines, one line per row for the scans). Output goes to
+stdout or --out. Rows are sorted by (k, u). UNIMODAL_LAB_THREADS caps
+scan parallelism.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, NoReturn, Optional
 
@@ -60,15 +62,20 @@ def _threads() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-@dataclass
-class RunConfig:
-    """Parsed CLI options for one invocation."""
+@dataclass(frozen=True)
+class Result:
+    """One subcommand's outcome, ready for render().
 
-    subcommand: str
-    fmt: str
-    out: Optional[str]
-    threads: int
-    params: dict = field(default_factory=dict)
+    `record` is the JSON body, `header`/`rows` the CSV table, and `pairs`
+    the key=value lines of a single-record command (text falls back to
+    one line per row when it is None).
+    """
+
+    code: int
+    record: dict
+    header: list[str]
+    rows: list[list]
+    pairs: Optional[list[tuple[str, object]]] = None
 
 
 def _fmt_scalar(v) -> str:
@@ -79,13 +86,6 @@ def _fmt_scalar(v) -> str:
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
     return str(v)
-
-
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt_scalar(v) for v in row))
-    return "\n".join(lines) + "\n"
 
 
 def _jsonable(v):
@@ -102,20 +102,19 @@ def _jsonable(v):
     return v
 
 
-def _json(payload: dict) -> str:
-    body = {"schema": SCHEMA, **payload}
-    return json.dumps(_jsonable(body), indent=2, sort_keys=True) + "\n"
-
-
-def _text(pairs: list[tuple[str, object]]) -> str:
-    return "".join(f"{k}={_fmt_scalar(v)}\n" for k, v in pairs)
-
-
-def _text_rows(header: list[str], rows: list[list]) -> str:
-    out = []
-    for row in rows:
-        out.append(" ".join(f"{h}={_fmt_scalar(v)}" for h, v in zip(header, row)))
-    return "\n".join(out) + "\n"
+def render(result: Result, fmt: str) -> str:
+    """The only place that knows the three output formats."""
+    if fmt == "json":
+        body = {"schema": SCHEMA, **result.record}
+        return json.dumps(_jsonable(body), indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        lines = [result.header, *result.rows]
+        return "".join(",".join(_fmt_scalar(v) for v in line) + "\n" for line in lines)
+    if result.pairs is not None:
+        return "".join(f"{k}={_fmt_scalar(v)}\n" for k, v in result.pairs)
+    lines = [" ".join(f"{h}={_fmt_scalar(v)}" for h, v in zip(result.header, row))
+             for row in result.rows]
+    return "\n".join(lines) + "\n"
 
 
 def _map_rows(fn: Callable, items: list, threads: int) -> list:
@@ -125,8 +124,14 @@ def _map_rows(fn: Callable, items: list, threads: int) -> list:
     return [fn(x) for x in items]
 
 
-def cmd_check(cfg: RunConfig) -> tuple[int, str]:
-    m, k = cfg.params["m"], cfg.params["k"]
+def _k_range(args: argparse.Namespace) -> list[int]:
+    if args.k_min < 2 or args.k_max < args.k_min:
+        raise ValueError(f"need 2 <= k-min <= k-max, got {args.k_min}, {args.k_max}")
+    return list(range(args.k_min, args.k_max + 1))
+
+
+def cmd_check(args: argparse.Namespace) -> Result:
+    m, k = args.m, args.k
     report = unimodal_report(expand_family(m, k))
     predicted = m >= thresholds.predicted_threshold(k)
     try:
@@ -137,27 +142,22 @@ def cmd_check(cfg: RunConfig) -> tuple[int, str]:
         ratio = None
         ratio_ok = None
     agree = report.unimodal == report.strongly_unimodal == predicted and ratio_ok is not False
-    code = _EXIT_OK if agree else _EXIT_MISMATCH
-    if cfg.fmt == "csv":
-        header = ["m", "k", "unimodal", "strongly_unimodal", "predicted_member", "agree", "central_ratio"]
-        row = [m, k, report.unimodal, report.strongly_unimodal, predicted, agree,
-               ratio if ratio is not None else ""]
-        return code, _csv(header, [row])
-    if cfg.fmt == "json":
-        return code, _json({
-            "command": "check",
-            "m": m,
-            "k": k,
-            "unimodal": report.unimodal,
-            "unimodal_witness": report.unimodal_witness,
-            "strongly_unimodal": report.strongly_unimodal,
-            "strong_witness": report.strong_witness,
-            "strong_reason": report.strong_reason,
-            "central_ratio": ratio,
-            "central_ratio_matches": ratio_ok,
-            "predicted_member": predicted,
-            "agree": agree,
-        })
+    record = {
+        "command": "check",
+        "m": m,
+        "k": k,
+        "unimodal": report.unimodal,
+        "unimodal_witness": report.unimodal_witness,
+        "strongly_unimodal": report.strongly_unimodal,
+        "strong_witness": report.strong_witness,
+        "strong_reason": report.strong_reason,
+        "central_ratio": ratio,
+        "central_ratio_matches": ratio_ok,
+        "predicted_member": predicted,
+        "agree": agree,
+    }
+    header = ["m", "k", "unimodal", "strongly_unimodal", "predicted_member", "agree", "central_ratio"]
+    row = [record[key] for key in header[:-1]] + [ratio if ratio is not None else ""]
     pairs = [
         ("m", m), ("k", k),
         ("unimodal", report.unimodal),
@@ -171,113 +171,63 @@ def cmd_check(cfg: RunConfig) -> tuple[int, str]:
         pairs.insert(3, ("unimodal_witness", f"{report.unimodal_witness[0]},{report.unimodal_witness[1]}"))
     if report.strong_witness is not None:
         pairs.insert(4, ("strong_witness", f"{report.strong_witness} ({report.strong_reason})"))
-    return code, _text(pairs)
+    return Result(_EXIT_OK if agree else _EXIT_MISMATCH, record, header, [row], pairs)
 
 
-def cmd_scan_theorem1(cfg: RunConfig) -> tuple[int, str]:
-    k_min, k_max, cap = cfg.params["k_min"], cfg.params["k_max"], cfg.params["cap"]
-    if k_min < 2 or k_max < k_min:
-        raise ValueError(f"need 2 <= k-min <= k-max, got {k_min}, {k_max}")
-    ks = list(range(k_min, k_max + 1))
-    rows_r = _map_rows(lambda k: thresholds.scan_thresholds(k, cap), ks, cfg.threads)
-    rows = [[r.k, r.min_m_strong, r.min_m_unimodal, r.predicted, r.match] for r in rows_r]
-    code = _EXIT_OK if all(r.match for r in rows_r) else _EXIT_MISMATCH
+def cmd_scan_theorem1(args: argparse.Namespace) -> Result:
+    ks = _k_range(args)
+    results = _map_rows(lambda k: thresholds.scan_thresholds(k, args.cap), ks, args.threads)
     header = ["k", "min_m_strong", "min_m_unimodal", "predicted", "match"]
-    if cfg.fmt == "json":
-        return code, _json({
-            "command": "scan-theorem1",
-            "rows": [dict(zip(header, row)) for row in rows],
-            "all_match": code == _EXIT_OK,
-        })
-    if cfg.fmt == "text":
-        return code, _text_rows(header, rows)
-    return code, _csv(header, rows)
-
-
-def cmd_probe_inequality(cfg: RunConfig) -> tuple[int, str]:
-    k = cfg.params["k"]
-    probes = [thresholds.inequality_one_probe(k, u) for u in thresholds.u_range(k)]
-    code = _EXIT_OK if all(p.holds for p in probes) else _EXIT_MISMATCH
-    header = ["u", "lhs", "rhs", "holds", "case_bound_holds"]
-    rows = [[p.u, float(p.lhs), float(p.rhs), p.holds, p.case_bound_holds] for p in probes]
-    if cfg.fmt == "json":
-        return code, _json({
-            "command": "probe-inequality",
-            "k": k,
-            "rows": [
-                {
-                    "u": p.u,
-                    "lhs": float(p.lhs),
-                    "rhs": float(p.rhs),
-                    "lhs_exact": p.lhs,
-                    "rhs_exact": p.rhs,
-                    "holds": p.holds,
-                    "case_bound_first": p.case_bound_first,
-                    "case_bound_second": p.case_bound_second,
-                    "case_bound_holds": p.case_bound_holds,
-                }
-                for p in probes
-            ],
-            "all_hold": code == _EXIT_OK,
-        })
-    if cfg.fmt == "text":
-        return code, _text_rows(header, rows)
-    return code, _csv(header, rows)
-
-
-def _certificate_dict(cert: envelope.MembershipCertificate) -> dict:
-    return {
-        "m": cert.m,
-        "k": cert.k,
-        "member": cert.member,
-        "min_margin": cert.min_margin,
-        "witness_theta": cert.witness_theta,
-        "grid_points": cert.grid_points,
+    rows = [[r.k, r.min_m_strong, r.min_m_unimodal, r.predicted, r.match] for r in results]
+    all_match = all(r.match for r in results)
+    record = {
+        "command": "scan-theorem1",
+        "rows": [dict(zip(header, row)) for row in rows],
+        "all_match": all_match,
     }
+    return Result(_EXIT_OK if all_match else _EXIT_MISMATCH, record, header, rows)
 
 
-def cmd_eclass(cfg: RunConfig) -> tuple[int, str]:
-    k = cfg.params["k"]
-    grid = cfg.params["grid"]
-    tol = cfg.params["tol"]
-    scan = envelope.ThetaScan(k, grid_points=grid, refine_tol=tol)
-    peak = envelope.max_threshold(scan)
+def cmd_probe_inequality(args: argparse.Namespace) -> Result:
+    probes = [thresholds.inequality_one_probe(args.k, u) for u in thresholds.u_range(args.k)]
+    all_hold = all(p.holds for p in probes)
+    record = {
+        "command": "probe-inequality",
+        "k": args.k,
+        "rows": [
+            {
+                "u": p.u,
+                "lhs": float(p.lhs),
+                "rhs": float(p.rhs),
+                "lhs_exact": p.lhs,
+                "rhs_exact": p.rhs,
+                "holds": p.holds,
+                "case_bound_first": p.case_bound_first,
+                "case_bound_second": p.case_bound_second,
+                "case_bound_holds": p.case_bound_holds,
+            }
+            for p in probes
+        ],
+        "all_hold": all_hold,
+    }
+    header = ["u", "lhs", "rhs", "holds", "case_bound_holds"]
+    rows = [[r[key] for key in header] for r in record["rows"]]
+    return Result(_EXIT_OK if all_hold else _EXIT_MISMATCH, record, header, rows)
+
+
+def cmd_eclass(args: argparse.Namespace) -> Result:
+    k, grid = args.k, args.grid
+    peak = envelope.max_threshold(envelope.ThetaScan(k, grid_points=grid, refine_tol=args.tol))
     cert_at = envelope.membership_certificate(peak.min_m, k, grid_points=grid)
     cert_below = (
         envelope.membership_certificate(peak.min_m - 1, k, grid_points=grid)
         if peak.min_m > 1
         else None
     )
-    alpha = certmax.certified_alpha()
-    sandwich = envelope.sandwich_check(
-        k, alpha.value_enclosure.lo, alpha.value_enclosure.hi, grid_points=max(1000, grid // 10)
-    )
+    enc = certmax.certified_alpha().value_enclosure
+    sandwich = envelope.sandwich_check(peak, enc.lo, enc.hi, grid_points=max(1000, grid // 10))
     ok = cert_at.member and (cert_below is None or not cert_below.member)
-    code = _EXIT_OK if ok and sandwich.max_in_enclosure else _EXIT_CERTIFICATION
-    if cfg.fmt == "csv":
-        header = ["k", "max_threshold", "argmax_theta", "m_of_k", "ratio_k4", "near_integer"]
-        return code, _csv(header, [[k, peak.max_value, peak.argmax_theta, peak.min_m,
-                                    peak.ratio_k4, peak.near_integer]])
-    if cfg.fmt == "text":
-        pairs = [
-            ("k", k),
-            ("backend", kernels.backend()),
-            ("max_threshold", peak.max_value),
-            ("argmax_theta", peak.argmax_theta),
-            ("m_of_k", peak.min_m),
-            ("ratio_k4", peak.ratio_k4),
-            ("near_integer", peak.near_integer),
-            ("member_at_m_of_k", cert_at.member),
-            ("margin_at_m_of_k", cert_at.min_margin),
-        ]
-        if cert_below is not None:
-            pairs += [
-                ("member_below", cert_below.member),
-                ("margin_below", cert_below.min_margin),
-            ]
-        pairs += [("max_in_enclosure", sandwich.max_in_enclosure)]
-        return code, _text(pairs)
-    return code, _json({
+    record = {
         "command": "eclass",
         "k": k,
         "backend": kernels.backend(),
@@ -286,8 +236,8 @@ def cmd_eclass(cfg: RunConfig) -> tuple[int, str]:
         "m_of_k": peak.min_m,
         "ratio_k4": peak.ratio_k4,
         "near_integer": peak.near_integer,
-        "certificate_at_m_of_k": _certificate_dict(cert_at),
-        "certificate_below": _certificate_dict(cert_below) if cert_below else None,
+        "certificate_at_m_of_k": asdict(cert_at),
+        "certificate_below": asdict(cert_below) if cert_below else None,
         "sandwich": {
             "upper_ok": sandwich.upper_ok,
             "lower_ok": sandwich.lower_ok,
@@ -298,67 +248,57 @@ def cmd_eclass(cfg: RunConfig) -> tuple[int, str]:
             "enclosure_hi": sandwich.enclosure_hi,
             "max_in_enclosure": sandwich.max_in_enclosure,
         },
-    })
+    }
+    header = ["k", "max_threshold", "argmax_theta", "m_of_k", "ratio_k4", "near_integer"]
+    pairs = [(key, record[key]) for key in ["k", "backend", *header[1:]]]
+    pairs += [("member_at_m_of_k", cert_at.member), ("margin_at_m_of_k", cert_at.min_margin)]
+    if cert_below is not None:
+        pairs += [("member_below", cert_below.member), ("margin_below", cert_below.min_margin)]
+    pairs += [("max_in_enclosure", sandwich.max_in_enclosure)]
+    code = _EXIT_OK if ok and sandwich.max_in_enclosure else _EXIT_CERTIFICATION
+    return Result(code, record, header, [[record[key] for key in header]], pairs)
 
 
-def cmd_scan_eclass(cfg: RunConfig) -> tuple[int, str]:
-    k_min, k_max = cfg.params["k_min"], cfg.params["k_max"]
-    grid, tol = cfg.params["grid"], cfg.params["tol"]
-    if k_min < 2 or k_max < k_min:
-        raise ValueError(f"need 2 <= k-min <= k-max, got {k_min}, {k_max}")
-    alpha = certmax.certified_alpha()
-    a_lo, a_hi = alpha.value_enclosure.lo, alpha.value_enclosure.hi
+def cmd_scan_eclass(args: argparse.Namespace) -> Result:
+    ks = _k_range(args)
+    enc = certmax.certified_alpha().value_enclosure
 
-    def one(k: int):
-        peak = envelope.max_threshold(envelope.ThetaScan(k, grid_points=grid, refine_tol=tol))
-        lo_b, hi_b = envelope.sandwich_bounds(k, a_lo, a_hi)
-        return peak, lo_b, hi_b, lo_b <= peak.ratio_k4 <= hi_b
+    def one(k: int) -> list:
+        scan = envelope.ThetaScan(k, grid_points=args.grid, refine_tol=args.tol)
+        p = envelope.max_threshold(scan)
+        lo_b, hi_b = envelope.sandwich_bounds(k, enc.lo, enc.hi)
+        return [p.k, p.max_value, p.argmax_theta, p.min_m, p.ratio_k4,
+                lo_b, hi_b, lo_b <= p.ratio_k4 <= hi_b]
 
-    results = _map_rows(one, list(range(k_min, k_max + 1)), cfg.threads)
+    rows = _map_rows(one, ks, args.threads)
     header = ["k", "max_threshold", "argmax_theta", "m_of_k", "ratio_k4",
               "sandwich_lo", "sandwich_hi", "in_sandwich"]
-    rows = [[p.k, p.max_value, p.argmax_theta, p.min_m, p.ratio_k4, lo_b, hi_b, ok]
-            for p, lo_b, hi_b, ok in results]
-    code = _EXIT_OK if all(r[-1] for r in rows) else _EXIT_CERTIFICATION
-    if cfg.fmt == "json":
-        return code, _json({
-            "command": "scan-eclass",
-            "rows": [dict(zip(header, row)) for row in rows],
-            "all_in_sandwich": code == _EXIT_OK,
-        })
-    if cfg.fmt == "text":
-        return code, _text_rows(header, rows)
-    return code, _csv(header, rows)
+    all_in = all(row[-1] for row in rows)
+    record = {
+        "command": "scan-eclass",
+        "rows": [dict(zip(header, row)) for row in rows],
+        "all_in_sandwich": all_in,
+    }
+    return Result(_EXIT_OK if all_in else _EXIT_CERTIFICATION, record, header, rows)
 
 
-def cmd_certmax(cfg: RunConfig) -> tuple[int, str]:
-    tol = cfg.params["tol"]
-    result = certmax.certified_alpha(tol)
+def cmd_certmax(args: argparse.Namespace) -> Result:
+    result = certmax.certified_alpha(args.tol)
     cb, ve = result.crit_bracket, result.value_enclosure
-    code = _EXIT_OK
-    if cfg.fmt == "csv":
-        header = ["crit_lo", "crit_hi", "value_lo", "value_hi", "width", "evaluations"]
-        return code, _csv(header, [[cb.lo, cb.hi, ve.lo, ve.hi, ve.width, result.evaluations]])
-    if cfg.fmt == "text":
-        return code, _text([
-            ("crit_lo", cb.lo),
-            ("crit_hi", cb.hi),
-            ("value_lo", ve.lo),
-            ("value_hi", ve.hi),
-            ("width", ve.width),
-            ("evaluations", result.evaluations),
-        ])
-    return code, _json({
+    record = {
         "command": "certmax",
-        "tol": tol,
+        "tol": args.tol,
         "crit_bracket": {"lo": cb.lo, "hi": cb.hi, "width": cb.width},
         "value_enclosure": {"lo": ve.lo, "hi": ve.hi, "width": ve.width},
         "evaluations": result.evaluations,
-    })
+    }
+    header = ["crit_lo", "crit_hi", "value_lo", "value_hi", "width", "evaluations"]
+    row = [cb.lo, cb.hi, ve.lo, ve.hi, ve.width, result.evaluations]
+    return Result(_EXIT_OK, record, header, [row], list(zip(header, row)))
 
 
-def cmd_general(cfg: RunConfig) -> tuple[int, str]:
-    path, cap = cfg.params["infile"], cfg.params["cap"]
+def cmd_general(args: argparse.Namespace) -> Result:
+    path = args.infile
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -369,12 +309,9 @@ def cmd_general(cfg: RunConfig) -> tuple[int, str]:
         coeffs = [int(t) for t in tokens]
     except ValueError:
         raise ValueError(f"{path} must contain whitespace- or comma-separated integers")
-    n = thresholds.generic_min_N(coeffs, cap if cap is not None else 64)
-    if cfg.fmt == "csv":
-        return _EXIT_OK, _csv(["min_n"], [[n]])
-    if cfg.fmt == "json":
-        return _EXIT_OK, _json({"command": "general", "coeffs": coeffs, "min_n": n})
-    return _EXIT_OK, _text([("min_n", n)])
+    n = thresholds.generic_min_N(coeffs, args.cap)
+    record = {"command": "general", "coeffs": coeffs, "min_n": n}
+    return Result(_EXIT_OK, record, ["min_n"], [[n]], [("min_n", n)])
 
 
 _DISPATCH = {
@@ -431,26 +368,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("general", help="minimal smoothing exponent for a coefficient file")
     p.add_argument("infile", metavar="FILE")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=64)
     add_common(p, "text")
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    params = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("subcommand", "format", "out")
-    }
-    return RunConfig(args.subcommand, args.format, args.out, _threads(), params)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        code, text = _DISPATCH[cfg.subcommand](cfg)
+        args.threads = _threads()  # a bad UNIMODAL_LAB_THREADS fails every subcommand
+        result = _DISPATCH[args.subcommand](args)
     except thresholds.NotFoundError as e:
         print(f"unimodal-lab: not found: {e}", file=sys.stderr)
         return _EXIT_NOT_FOUND
@@ -465,12 +393,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as e:
         print(f"unimodal-lab: error: {e}", file=sys.stderr)
         return _EXIT_USAGE
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    text = render(result, args.format)
+    if not args.out:
         sys.stdout.write(text)
-    return code
+        return result.code
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        print(f"unimodal-lab: error: cannot write {args.out}: {e}", file=sys.stderr)
+        return _EXIT_USAGE
+    return result.code
 
 
 if __name__ == "__main__":

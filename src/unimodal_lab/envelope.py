@@ -506,7 +506,7 @@ def _first_rows(keep: int, *cols: np.ndarray) -> tuple[tuple[float, ...], ...]:
 
 
 def sandwich_check(
-    k: int,
+    peak: ThresholdMax,
     alpha_lo: float,
     alpha_hi: float,
     grid_points: int = 10_000,
@@ -515,11 +515,13 @@ def sandwich_check(
     """Compare L/k^4 against the limit-shape sandwich on (pi/k, 2 pi/k).
 
     alpha_lo/alpha_hi is a certified enclosure of the limit-shape
-    maximum. Pointwise slack is 1e-9 absolute on the ratio scale; the
-    max-level check is sandwich_bounds(k, alpha_lo, alpha_hi) on
-    max(L)/k^4. At most `keep` violations of each kind are kept, in
-    grid order.
+    maximum. `peak` is max_threshold's result for the k under test;
+    its ratio_k4 is the max(L)/k^4 checked against
+    sandwich_bounds(k, alpha_lo, alpha_hi). Pointwise slack is 1e-9
+    absolute on the ratio scale. At most `keep` violations of each kind
+    are kept, in grid order.
     """
+    k = peak.k
     scan = ThetaScan(k, grid_points=max(grid_points, 1000))
     _warn_small_k(k)
     n = scan.grid_points
@@ -532,7 +534,6 @@ def sandwich_check(
     dn = ratio < lower - 1e-9
     n_up = int(np.count_nonzero(up))
     n_dn = int(np.count_nonzero(dn))
-    peak = max_threshold(ThetaScan(k, grid_points=max(n, 10_000)))
     lo_bound, hi_bound = sandwich_bounds(k, alpha_lo, alpha_hi)
     return SandwichReport(
         k=k,

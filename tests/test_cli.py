@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -176,6 +178,12 @@ class TestEclass:
         assert sw["max_in_enclosure"] is True
         assert sw["upper_ok"] is True
 
+    def test_sandwich_checks_the_reported_peak(self, capsys):
+        code, out, err = run(capsys, "eclass", "--k", "30", "--grid", "20000")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["sandwich"]["max_ratio"] == doc["ratio_k4"]
+
     def test_text_format(self, capsys):
         code, out, err = run(capsys, "eclass", "--k", "9", "--format", "text", "--grid", "20000")
         assert code == 0
@@ -191,6 +199,16 @@ class TestEclass:
         with pytest.warns(UserWarning):
             code, out, err = run(capsys, "eclass", "--k", "5", "--grid", "20000")
         assert code == 0
+
+
+class TestOut:
+    def test_unwritable_out_exits_one(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "check", "--m", "6", "--k", "3", "--out", str(target))
+        assert code == 1
+        assert "cannot write" in err
+        assert out == ""
+        assert not target.exists()
 
 
 class TestScanEclass:
@@ -271,3 +289,69 @@ class TestGeneral:
         f.write_text("1 two 3")
         code, out, err = run(capsys, "general", str(f))
         assert code == 1
+
+
+# Text and csv names that differ from the JSON record's, as dotted JSON paths.
+_ECLASS_KEYS = {
+    "member_at_m_of_k": "certificate_at_m_of_k.member",
+    "margin_at_m_of_k": "certificate_at_m_of_k.min_margin",
+    "member_below": "certificate_below.member",
+    "margin_below": "certificate_below.min_margin",
+    "max_in_enclosure": "sandwich.max_in_enclosure",
+}
+_CERTMAX_KEYS = {
+    "crit_lo": "crit_bracket.lo",
+    "crit_hi": "crit_bracket.hi",
+    "value_lo": "value_enclosure.lo",
+    "value_hi": "value_enclosure.hi",
+    "width": "value_enclosure.width",
+}
+
+
+def _same(shown, value):
+    if isinstance(value, bool):
+        return shown == ("true" if value else "false")
+    if isinstance(value, (int, float)):
+        return float(shown) == value
+    return shown == value
+
+
+_AGREE_CASES = [
+    (["check", "--m", "6", "--k", "3"], {}),
+    (["scan-theorem1", "--k-min", "2", "--k-max", "5"], {}),
+    (["probe-inequality", "--k", "4"], {}),
+    (["eclass", "--k", "9", "--grid", "20000"], _ECLASS_KEYS),
+    (["scan-eclass", "--k-min", "9", "--k-max", "10", "--grid", "20000"], {}),
+    (["certmax"], _CERTMAX_KEYS),
+    (["general", "COEFFS"], {}),
+]
+
+
+@pytest.mark.parametrize("argv, keys", _AGREE_CASES, ids=[argv[0] for argv, _ in _AGREE_CASES])
+def test_formats_agree_with_json(capsys, tmp_path, argv, keys):
+    coeffs = tmp_path / "coeffs.txt"
+    coeffs.write_text("1 0 0 1\n")
+    argv = [str(coeffs) if a == "COEFFS" else a for a in argv]
+    outs = {}
+    for fmt in ("json", "csv", "text"):
+        code, outs[fmt], err = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+    doc = json.loads(outs["json"])
+    csv_rows = list(csv.DictReader(io.StringIO(outs["csv"])))
+    text_rows = [dict(tok.split("=", 1) for tok in line.split()) for line in outs["text"].splitlines()]
+    if "rows" in doc:
+        records = doc["rows"]
+    else:
+        records = [doc]
+        text_rows = [{k: v for row in text_rows for k, v in row.items()}]
+    assert len(csv_rows) == len(text_rows) == len(records) > 0
+
+    def json_value(record, key):
+        for part in keys.get(key, key).split("."):
+            record = record[part]
+        return record
+
+    for record, csv_row, text_row in zip(records, csv_rows, text_rows):
+        for shown_row in (csv_row, text_row):
+            for key, shown in shown_row.items():
+                assert _same(shown, json_value(record, key)), (key, shown)

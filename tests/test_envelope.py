@@ -305,9 +305,13 @@ def alpha():
     return enc.lo, enc.hi
 
 
+def _peak(k):
+    return max_threshold(ThetaScan(k, grid_points=10_000))
+
+
 class TestSandwich:
     def test_k9_report(self, alpha):
-        rep = sandwich_check(9, alpha[0], alpha[1])
+        rep = sandwich_check(_peak(9), alpha[0], alpha[1])
         assert rep.upper_ok
         assert rep.n_upper_violations == 0
         assert not rep.lower_ok
@@ -320,17 +324,19 @@ class TestSandwich:
         assert rep.enclosure_lo <= rep.max_ratio <= rep.enclosure_hi
 
     def test_keep_cap(self, alpha):
-        rep = sandwich_check(9, alpha[0], alpha[1], keep=5)
+        rep = sandwich_check(_peak(9), alpha[0], alpha[1], keep=5)
         assert len(rep.lower_violations) == 5
         assert rep.n_lower_violations > 5
 
     def test_k16_in_enclosure(self, alpha):
-        rep = sandwich_check(16, alpha[0], alpha[1])
+        peak = _peak(16)
+        rep = sandwich_check(peak, alpha[0], alpha[1])
         assert rep.upper_ok
         assert rep.max_in_enclosure
+        assert rep.max_ratio == peak.ratio_k4
 
     def test_bounds_are_the_max_level_sandwich(self, alpha):
-        rep = sandwich_check(12, alpha[0], alpha[1])
+        rep = sandwich_check(_peak(12), alpha[0], alpha[1])
         assert (rep.enclosure_lo, rep.enclosure_hi) == sandwich_bounds(12, alpha[0], alpha[1])
         assert rep.enclosure_lo == alpha[0] / (1.0 + 8.0 / 144) - 1e-9
         assert rep.enclosure_hi == alpha[1] + 1e-9
@@ -362,7 +368,7 @@ class TestSandwich:
                 n_dn += 1
                 if len(dn_bad) < keep:
                     dn_bad.append((theta, ratio, lower))
-        rep = sandwich_check(k, alpha[0], alpha[1], grid_points=n, keep=keep)
+        rep = sandwich_check(_peak(k), alpha[0], alpha[1], grid_points=n, keep=keep)
         assert rep.n_upper_violations == n_up
         assert rep.n_lower_violations == n_dn
         # NumPy's log1p is not libm's, so kept values agree to a few ulps
