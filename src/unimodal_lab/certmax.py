@@ -6,7 +6,8 @@ the constant that drives the min_m ~ alpha k^4 growth law, and this
 module encloses it rigorously: a sign-change bracket for the critical
 point, sampled true lower bounds, and tangent-line upper bounds for a
 concave arc. No step trusts an unverified assumption; every one raises
-instead of guessing.
+instead of guessing. D itself is written once, in kernels; limit_shape
+evaluates it on floats with libm.
 """
 
 from __future__ import annotations
@@ -22,14 +23,12 @@ __all__ = [
     "PreconditionViolation",
     "Interval",
     "CertifiedMax",
-    "ScalingVerdict",
     "limit_shape",
     "shape_deriv_factor",
     "limit_shape_deriv",
     "bracket_critical",
     "tangent_upper_bound",
     "certified_alpha",
-    "classify_by_scaling",
 ]
 
 
@@ -77,12 +76,7 @@ def limit_shape(z: float) -> float:
     """D(z) = 2/z^2 + 2 ln(cos^2 z)/z^4; -inf where cos z = 0."""
     if z <= 0.0:
         raise ValueError(f"z must be positive, got {z}")
-    c = math.cos(z)
-    c2 = c * c
-    if c2 <= 0.0:
-        return float("-inf")
-    z2 = z * z
-    return 2.0 / z2 + 2.0 * math.log(c2) / (z2 * z2)
+    return kernels.limit_shape(z, kernels.SCALAR_OPS)
 
 
 def shape_deriv_factor(z: float) -> float:
@@ -221,46 +215,3 @@ def certified_alpha(tol: float = 5e-4) -> CertifiedMax:
             f"coarse scan found D({coarse_z}) = {coarse} above certified bound {upper}"
         )
     return CertifiedMax(bracket, Interval(lower, upper), evals)
-
-
-@dataclass(frozen=True)
-class ScalingVerdict:
-    """Classification of (m, k) by the alpha k^4 growth bounds alone."""
-
-    m: int
-    k: int
-    kind: str
-    member: Optional[bool]
-    lower_bound: float
-    upper_bound: float
-
-
-def classify_by_scaling(
-    k: int,
-    m: int,
-    enclosure: Optional[Interval] = None,
-    resolve: bool = True,
-) -> ScalingVerdict:
-    """Classify (m, k) using only the certified growth-constant enclosure.
-
-    The curve maximum lies in [alpha/(1 + 8/k^2), alpha] * k^4 for k in
-    the asymptotic regime, so m at or above the upper bound is a member
-    and m strictly below the lower bound is not, with no scan at all.
-    In the gap the verdict falls back to a direct membership certificate
-    when resolve is true, else member is None.
-    """
-    if enclosure is None:
-        enclosure = certified_alpha().value_enclosure
-    k4 = float(k) ** 4
-    lo_bound = enclosure.lo * k4 / (1.0 + 8.0 / (k * k))
-    hi_bound = enclosure.hi * k4
-    if m >= hi_bound:
-        return ScalingVerdict(m, k, "member-by-bound", True, lo_bound, hi_bound)
-    if m < lo_bound:
-        return ScalingVerdict(m, k, "nonmember-by-bound", False, lo_bound, hi_bound)
-    member: Optional[bool] = None
-    if resolve:
-        from .envelope import membership_certificate
-
-        member = membership_certificate(m, k).member
-    return ScalingVerdict(m, k, "gap", member, lo_bound, hi_bound)

@@ -15,6 +15,9 @@ Membership is therefore decided by the maximum of that curve over
 kernels plus golden-section refinement. The curve has no
 theta -> pi - theta symmetry: L(k, 0+) = -(k^4 + 2 k^2)/3, while L(k, pi-)
 tends (logarithmically) to 0 for even k and to -1 for odd k.
+
+The curve and its denominator gap are written once, in kernels;
+threshold_value and denominator_gap evaluate them on floats with libm.
 """
 
 from __future__ import annotations
@@ -45,9 +48,7 @@ __all__ = [
     "product_identity_residual",
     "denominator_gap",
     "smooth_part",
-    "log_part",
     "threshold_value",
-    "singular_angles",
     "max_threshold",
     "membership_certificate",
     "quartic_floor_check",
@@ -180,41 +181,32 @@ def product_identity_residual(
 
 
 def denominator_gap(s: float) -> float:
-    """-log1p(-s) - s, via a series tail for small s to dodge cancellation."""
+    """-log1p(-s) - s, via a series tail for small s; inf for s >= 1."""
     if s >= 1.0:
         return float("inf")
-    if s < 1e-4:
-        return s * s * (0.5 + s * (1.0 / 3.0 + s * (0.25 + s * 0.2)))
-    return -math.log1p(-s) - s
+    return kernels.gap(s, kernels.SCALAR_OPS)
 
 
 def smooth_part(k: int, theta: float) -> float:
-    """k^2 sin^2(theta/2) / denominator_gap; strictly decreasing in theta."""
+    """k^2 sin^2(theta/2) / denominator_gap; strictly decreasing in theta.
+
+    threshold_value adds ln cos^2(k theta/2) / denominator_gap, which is
+    <= 0, to this, so threshold_value <= smooth_part, with equality at
+    the multiples of 2 pi/k.
+    """
     s = math.sin(0.5 * theta) ** 2
     if s >= 1.0:
         return 0.0
     return k * k * s / denominator_gap(s)
 
 
-def log_part(k: int, theta: float) -> float:
-    """ln cos^2(k theta/2) / denominator_gap; <= 0, -inf at singular angles."""
-    s = math.sin(0.5 * theta) ** 2
-    sk = math.sin(0.5 * k * theta)
-    sk2 = sk * sk
-    if sk2 >= 1.0:
-        return float("-inf")
-    if s >= 1.0:
-        return 0.0
-    return math.log1p(-sk2) / denominator_gap(s)
-
-
 def threshold_value(k: int, theta: float) -> float:
     """The membership threshold curve L(k, theta).
 
-    H(m, k, .) >= 0 at theta iff m >= L(k, theta). Evaluated as one
-    fused expression (identical branch structure to the grid kernels);
-    returns -inf where the curve diverges to -inf (singular angles, and
-    theta so close to pi that sin^2(theta/2) rounds to 1).
+    H(m, k, .) >= 0 at theta iff m >= L(k, theta). Evaluates the one
+    formula kernels.threshold on floats; returns -inf where the curve
+    diverges to -inf (singular angles, and theta so close to pi that
+    sin^2(theta/2) rounds to 1).
 
     L depends on theta only through sin^2(theta/2) and sin^2(k theta/2),
     both unchanged by theta -> 2 pi - theta (|f(conj z)| = |f(z)| for real
@@ -223,22 +215,7 @@ def threshold_value(k: int, theta: float) -> float:
     series at 0 gives L(k, 0+) = -(k^4 + 2 k^2)/3, whereas L(k, pi-) tends
     logarithmically to 0 for even k and to -1 for odd k.
     """
-    half = 0.5 * theta
-    s = math.sin(half)
-    s = s * s
-    if s >= 1.0:
-        return float("-inf")
-    sk = math.sin(k * half)
-    sk2 = sk * sk
-    if sk2 >= 1.0:
-        return float("-inf")
-    num = (k * k) * s + math.log1p(-sk2)
-    return num / denominator_gap(s)
-
-
-def singular_angles(k: int) -> list[float]:
-    """Odd multiples of pi/k inside (0, pi], where the curve dives to -inf."""
-    return [(2 * t + 1) * math.pi / k for t in range(0, (k - 1) // 2 + 1)]
+    return kernels.threshold(k, theta, kernels.SCALAR_OPS)
 
 
 @dataclass(frozen=True)
@@ -326,6 +303,27 @@ def _golden_max(
     return x, f(x)
 
 
+def _refine_max(
+    f: Callable[[float], float],
+    x: float,
+    y: float,
+    lo: float,
+    hi: float,
+    n: int,
+    tol: float,
+) -> tuple[float, float]:
+    # golden-section maximization of f within one grid step of the grid
+    # point (x, y), clamped to [lo, hi]; the grid point stays if it is better
+    step = (hi - lo) / n
+    rx, ry = _golden_max(f, max(x - step, lo), min(x + step, hi), tol)
+    return (x, y) if ry < y else (rx, ry)
+
+
+# the full search interval (0, pi), kept clear of both ends
+_FULL_LO = 1e-6
+_FULL_HI = math.pi - 1e-6
+
+
 def _warn_small_k(k: int) -> None:
     if k < 9:
         warnings.warn(_SMALL_REGIME_NOTE, UserWarning, stacklevel=3)
@@ -353,16 +351,11 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
     best, best_theta = kernels.grid_max_threshold(k, lo, hi, n, eps)
     if not math.isfinite(best):
         raise ReductionViolation(f"no admissible grid point in (pi/{k}, 2pi/{k}]")
-    step = (hi - lo) / n
-    a = max(best_theta - step, lo)
-    b = min(best_theta + step, hi)
-    ref_theta, ref_val = _golden_max(
-        lambda th: threshold_value(k, th), a, b, scan.refine_tol
+    ref_theta, ref_val = _refine_max(
+        lambda th: threshold_value(k, th), best_theta, best, lo, hi, n, scan.refine_tol
     )
-    if ref_val < best:
-        ref_theta, ref_val = best_theta, best
     coarse, coarse_theta = kernels.grid_max_threshold(
-        k, 1e-6, math.pi - 1e-6, max(20_000, n // 10), eps
+        k, _FULL_LO, _FULL_HI, max(20_000, n // 10), eps
     )
     if coarse > ref_val + 1e-9 * max(1.0, abs(ref_val)):
         raise ReductionViolation(
@@ -406,20 +399,21 @@ def membership_certificate(
     scan = ThetaScan(k, grid_points=grid_points, exclusion_eps=exclusion_eps)
     _warn_small_k(k)
     eps = scan.effective_eps
-    lo = 1e-6
-    hi = math.pi - 1e-6
-    margin, theta = kernels.grid_min_margin(float(m), k, lo, hi, grid_points, eps)
+    margin, theta = kernels.grid_min_margin(
+        float(m), k, _FULL_LO, _FULL_HI, grid_points, eps
+    )
     if not math.isfinite(margin):
         raise ValueError("margin scan found no admissible grid point")
-    step = (hi - lo) / grid_points
-    a = max(theta - step, lo)
-    b = min(theta + step, hi)
-    ref_theta, neg = _golden_max(
-        lambda th: threshold_value(k, th) - m, a, b, scan.refine_tol
+    ref_theta, neg = _refine_max(
+        lambda th: threshold_value(k, th) - m,
+        theta,
+        -margin,
+        _FULL_LO,
+        _FULL_HI,
+        grid_points,
+        scan.refine_tol,
     )
     ref_margin = -neg
-    if ref_margin > margin:
-        ref_theta, ref_margin = theta, margin
     try:
         member = _decide_margin(ref_margin)
     except Inconclusive:

@@ -1,22 +1,77 @@
-"""NumPy grid kernels for the threshold curve and the limit shape.
+"""The threshold curve, the denominator gap and the limit shape, and the
+NumPy grid kernels that scan them.
 
-Every grid scan in the package runs here, and this module holds the only
-array forms of the threshold curve L(k, theta), the singular-angle guard
-and the limit shape D(z). The scalar evaluators envelope.threshold_value
-and certmax.limit_shape keep the same branch structure; they drive the
-golden-section and bisection refinements and serve as test references.
+Each formula is written once, as a function of its argument and an ops
+namespace that supplies sin, cos, log, log1p and where: SCALAR_OPS
+(libm through math, where(c, a, b) = a if c else b) for the scalar
+evaluators envelope.threshold_value, envelope.denominator_gap and
+certmax.limit_shape, which drive the golden-section and bisection
+refinements, and ARRAY_OPS (NumPy) for the grids. The lanes stay apart
+because NumPy's log1p and libm's differ in the last bit on some inputs,
+and the CLI prints scalar results to 17 digits. Both branches of every
+where are evaluated, so the formulas clamp their arguments before any
+log and select the -inf sentinels last.
 
-Semantics: right-closed grids theta_i = lo + (hi - lo) * (i / n) for
-i = 1..n, a guard that masks points within `guard` of the nearest odd
-multiple of pi/k, -inf sentinels where the curve diverges, and ties
+Grid semantics: right-closed grids theta_i = lo + (hi - lo) * (i / n)
+for i = 1..n, a guard that masks points within `guard` of the nearest
+odd multiple of pi/k, -inf sentinels where the curve diverges, and ties
 broken toward the first grid index.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
+
+SCALAR_OPS = SimpleNamespace(
+    sin=math.sin,
+    cos=math.cos,
+    log=math.log,
+    log1p=math.log1p,
+    where=lambda c, a, b: a if c else b,
+)
+ARRAY_OPS = SimpleNamespace(
+    sin=np.sin, cos=np.cos, log=np.log, log1p=np.log1p, where=np.where
+)
+
+
+def gap(s, ops):
+    """-log1p(-s) - s for 0 <= s < 1, via a series tail for s < 1e-4.
+
+    The subtraction cancels for small s, so below the cutoff the series
+    s^2 (1/2 + s/3 + s^2/4 + s^3/5) is used instead.
+    """
+    series = s * s * (0.5 + s * (1.0 / 3.0 + s * (0.25 + s * 0.2)))
+    return ops.where(s < 1e-4, series, -ops.log1p(-s) - s)
+
+
+def threshold(k, theta, ops):
+    """L(k, theta) = (k^2 s + ln(1 - q)) / gap(s); -inf where s or q rounds to 1.
+
+    s = sin^2(theta/2) and q = sin^2(k theta/2).
+    """
+    half = 0.5 * theta
+    s = ops.sin(half)
+    s = s * s
+    sk = ops.sin(k * half)
+    sk2 = sk * sk
+    bad = (s >= 1.0) | (sk2 >= 1.0)
+    s_c = ops.where(s >= 1.0, 0.5, s)
+    sk2_c = ops.where(sk2 >= 1.0, 0.0, sk2)
+    num = (k * k) * s_c + ops.log1p(-sk2_c)
+    return ops.where(bad, -math.inf, num / gap(s_c, ops))
+
+
+def limit_shape(z, ops):
+    """D(z) = 2/z^2 + 2 ln(cos^2 z)/z^4; -inf where cos z = 0."""
+    c = ops.cos(z)
+    c2 = c * c
+    bad = c2 <= 0.0
+    c2s = ops.where(bad, 1.0, c2)
+    z2 = z * z
+    return ops.where(bad, -math.inf, 2.0 / z2 + 2.0 * ops.log(c2s) / (z2 * z2))
 
 
 def backend() -> str:
@@ -39,31 +94,12 @@ def guard_mask(theta: np.ndarray, k: int, guard: float) -> np.ndarray:
 
 def threshold_values(k: int, theta: np.ndarray) -> np.ndarray:
     """L(k, theta) elementwise; -inf where the curve diverges."""
-    half = 0.5 * theta
-    s = np.sin(half)
-    s = s * s
-    sk = np.sin(k * half)
-    sk2 = sk * sk
-    bad = (s >= 1.0) | (sk2 >= 1.0)
-    s_c = np.where(s >= 1.0, 0.5, s)
-    sk2_c = np.where(sk2 >= 1.0, 0.0, sk2)
-    num = (k * k) * s_c + np.log1p(-sk2_c)
-    den_series = s_c * s_c * (0.5 + s_c * (1.0 / 3.0 + s_c * (0.25 + s_c * 0.2)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        den_log = -np.log1p(-s_c) - s_c
-    den = np.where(s_c < 1e-4, den_series, den_log)
-    return np.where(bad, -np.inf, num / den)
+    return threshold(k, theta, ARRAY_OPS)
 
 
 def limit_shape_values(z: np.ndarray) -> np.ndarray:
-    """D(z) = 2/z^2 + 2 ln(cos^2 z)/z^4 elementwise; -inf where cos z = 0."""
-    c = np.cos(z)
-    c2 = c * c
-    bad = c2 <= 0.0
-    c2s = np.where(bad, 1.0, c2)
-    z2 = z * z
-    vals = 2.0 / z2 + 2.0 * np.log(c2s) / (z2 * z2)
-    return np.where(bad, -np.inf, vals)
+    """D(z) elementwise; -inf where cos z = 0."""
+    return limit_shape(z, ARRAY_OPS)
 
 
 def grid_max_threshold(

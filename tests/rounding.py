@@ -1,0 +1,30 @@
+"""First-order rounding bound for the float evaluation of L(k, theta)."""
+
+import math
+
+from unimodal_lab.envelope import denominator_gap
+
+U = 2.0**-53  # unit roundoff of a double
+
+
+def threshold_rounding_bound(k: int, theta: float, value: float, d_theta: float) -> float:
+    """Bound on the rounding error of threshold_value near (k, theta).
+
+    `value` is L(k, theta) and d_theta the error in the angle the curve
+    is evaluated at (0 when theta is exact). The angle error moves
+    s = sin^2(theta/2) by |ds/dtheta| = sin(theta)/2 and q = sin^2(k theta/2)
+    by k sin(k theta)/2, and the sine, product and square add a few ulps
+    each. The errors are then pushed through num = k^2 s + log1p(-q) and
+    g = denominator_gap(s), whose derivatives are 1/(1-q) in q and
+    s/(1-s) in s, and through the quotient num/g. The bound is relative
+    to g, so it grows as the numerator cancels (theta -> 0) and as g
+    blows up (theta -> pi).
+    """
+    s = math.sin(0.5 * theta) ** 2
+    q = math.sin(0.5 * k * theta) ** 2
+    g = denominator_gap(s)
+    d_s = 0.5 * abs(math.sin(theta)) * d_theta + 4.0 * U * s
+    d_q = 0.5 * k * abs(math.sin(k * theta)) * d_theta + 4.0 * U * q + k * theta * U
+    d_num = k * k * d_s + d_q / (1.0 - q) + 8.0 * U * (k * k * s + abs(math.log1p(-q)))
+    d_g = d_s * s / (1.0 - s) + 8.0 * U * (abs(math.log1p(-s)) + s)
+    return (d_num + abs(value) * d_g) / g + 8.0 * U * abs(value)

@@ -12,11 +12,11 @@ import math
 import random
 import time
 
+from rounding import U, threshold_rounding_bound
 from unimodal_lab import kernels
 from unimodal_lab.certmax import certified_alpha, limit_shape
 from unimodal_lab.envelope import (
     ThetaScan,
-    denominator_gap,
     max_threshold,
     membership_certificate,
     product_identity_residual,
@@ -210,32 +210,6 @@ def test_criterion_10b_quartic_floor():
     assert worst >= 0.0, f"floor fails at psi={worst_psi}: margin={worst}"
 
 
-_U = 2.0**-53  # unit roundoff of a double
-
-
-def _reflection_rounding_bound(k: int, theta: float, value: float) -> float:
-    """First-order rounding bound for threshold_value(k, 2 pi - theta) - value.
-
-    Both evaluations see s = sin^2(theta/2) and q = sin^2(k theta/2),
-    perturbed by rounding: 2 pi - theta is off by up to 4 pi u, which
-    moves s by |ds/dtheta| = sin(theta)/2 and q by k sin(k theta)/2, and
-    the sine, product and square add a few ulps each. The errors are then
-    pushed through num = k^2 s + log1p(-q) and g = denominator_gap(s),
-    whose derivatives are 1/(1-q) in q and s/(1-s) in s, and through the
-    quotient num/g. The bound is relative to g, so it grows as the
-    numerator cancels (theta -> 0) and as g blows up (theta -> pi).
-    """
-    s = math.sin(0.5 * theta) ** 2
-    q = math.sin(0.5 * k * theta) ** 2
-    g = denominator_gap(s)
-    d_theta = 4.0 * math.pi * _U
-    d_s = 0.5 * abs(math.sin(theta)) * d_theta + 4.0 * _U * s
-    d_q = 0.5 * k * abs(math.sin(k * theta)) * d_theta + 4.0 * _U * q + k * theta * _U
-    d_num = k * k * d_s + d_q / (1.0 - q) + 8.0 * _U * (k * k * s + abs(math.log1p(-q)))
-    d_g = d_s * s / (1.0 - s) + 8.0 * _U * (abs(math.log1p(-s)) + s)
-    return (d_num + abs(value) * d_g) / g + 8.0 * _U * abs(value)
-
-
 def test_criterion_10c_reflection_symmetry_audit():
     # f has real coefficients, so |f(conj z)| = |f(z)|; s = sin^2(theta/2)
     # and sin^2(k theta/2) are unchanged by theta -> 2 pi - theta, hence
@@ -260,7 +234,8 @@ def test_criterion_10c_reflection_symmetry_audit():
             if not (math.isfinite(a) and math.isfinite(b)):
                 continue
             n_tot += 1
-            bound = _reflection_rounding_bound(k, theta, a)
+            # 2 pi - theta is off by up to 4 pi u
+            bound = threshold_rounding_bound(k, theta, a, 4.0 * math.pi * U)
             conj = abs(a - b) / bound
             sep = abs(a - threshold_value(k, math.pi - theta)) / bound
             worst_conj = max(worst_conj, conj)

@@ -10,7 +10,6 @@ from unimodal_lab.certmax import (
     PreconditionViolation,
     bracket_critical,
     certified_alpha,
-    classify_by_scaling,
     limit_shape,
     limit_shape_deriv,
     shape_deriv_factor,
@@ -141,11 +140,6 @@ def result():
     return certified_alpha()
 
 
-@pytest.fixture(scope="module")
-def enclosure(result):
-    return result.value_enclosure
-
-
 class TestCertifiedAlpha:
     def test_structure(self, result):
         assert isinstance(result, CertifiedMax)
@@ -172,33 +166,3 @@ class TestCertifiedAlpha:
     def test_tol_floor(self):
         with pytest.raises(ValueError):
             certified_alpha(tol=1e-12)
-
-
-class TestClassifyByScaling:
-    def test_member_by_bound(self, enclosure):
-        v = classify_by_scaling(9, 2200, enclosure=enclosure)
-        assert v.kind == "member-by-bound"
-        assert v.member is True
-
-    def test_nonmember_by_bound(self, enclosure):
-        v = classify_by_scaling(9, 1800, enclosure=enclosure)
-        assert v.kind == "nonmember-by-bound"
-        assert v.member is False
-
-    def test_gap_resolved(self, enclosure):
-        v_lo = classify_by_scaling(9, 2000, enclosure=enclosure)
-        assert v_lo.kind == "gap"
-        assert v_lo.member is False
-        v_hi = classify_by_scaling(9, 2100, enclosure=enclosure)
-        assert v_hi.kind == "gap"
-        assert v_hi.member is True
-
-    def test_gap_unresolved(self, enclosure):
-        v = classify_by_scaling(9, 2000, enclosure=enclosure, resolve=False)
-        assert v.kind == "gap"
-        assert v.member is None
-
-    def test_bounds_frozen(self, enclosure):
-        v = classify_by_scaling(9, 2200, enclosure=enclosure)
-        assert v.lower_bound == pytest.approx(1928.307, abs=0.01)
-        assert v.upper_bound == pytest.approx(2118.757, abs=0.01)

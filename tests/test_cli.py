@@ -168,7 +168,7 @@ class TestEclass:
         assert doc["command"] == "eclass"
         assert doc["m_of_k"] == 2065
         assert doc["near_integer"] is False
-        assert doc["backend"] in ("compiled", "pure")
+        assert doc["backend"] == "pure"
         assert doc["max_threshold"] == pytest.approx(2064.9344518644716, rel=1e-9)
         cert = doc["certificate_at_m_of_k"]
         assert cert["member"] is True and cert["m"] == 2065

@@ -15,7 +15,6 @@ from unimodal_lab.envelope import (
     defect_general,
     denominator_gap,
     envelope_defect,
-    log_part,
     max_threshold,
     membership_certificate,
     poly_eval_circle,
@@ -23,7 +22,6 @@ from unimodal_lab.envelope import (
     quartic_floor_check,
     sandwich_bounds,
     sandwich_check,
-    singular_angles,
     smooth_part,
     threshold_value,
     variance,
@@ -124,6 +122,12 @@ class TestProductIdentity:
             assert product_identity_residual(binom, spike, theta) <= 1e-13
 
 
+def _log_part(k, theta):
+    # ln cos^2(k theta/2) / denominator_gap: L minus the smooth part
+    s = math.sin(0.5 * theta) ** 2
+    return math.log1p(-math.sin(0.5 * k * theta) ** 2) / denominator_gap(s)
+
+
 class TestCurvePieces:
     def test_threshold_splits_into_parts(self):
         for k in (5, 9, 16):
@@ -131,7 +135,7 @@ class TestCurvePieces:
                 total = threshold_value(k, theta)
                 if not math.isfinite(total):
                     continue
-                parts = smooth_part(k, theta) + log_part(k, theta)
+                parts = smooth_part(k, theta) + _log_part(k, theta)
                 assert total == pytest.approx(parts, rel=1e-10)
 
     def test_smooth_part_decreasing(self):
@@ -140,19 +144,21 @@ class TestCurvePieces:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_log_part_nonpositive(self):
-        for k in (5, 9):
-            for theta in (0.3, 0.9, 1.7, 2.6):
-                assert log_part(k, theta) <= 0.0
+        # the log part is <= 0, so the curve never exceeds its smooth part
+        for k in (5, 9, 12, 97):
+            for theta in [0.05 + 0.1 * j for j in range(31)]:
+                assert threshold_value(k, theta) <= smooth_part(k, theta)
 
     def test_log_part_vanishes_at_even_multiples(self):
-        assert log_part(9, 2.0 * math.pi / 9.0) == pytest.approx(0.0, abs=1e-20)
-        assert log_part(8, 4.0 * math.pi / 8.0) == pytest.approx(0.0, abs=1e-20)
+        # at theta = 2 pi j / k, cos^2(k theta/2) = 1 up to rounding
+        for k, j in ((9, 1), (8, 2), (12, 5), (97, 3)):
+            theta = 2.0 * math.pi * j / k
+            assert threshold_value(k, theta) == pytest.approx(smooth_part(k, theta), rel=1e-14)
 
     def test_sentinels(self):
         assert threshold_value(9, math.pi / 9) == float("-inf")
         assert threshold_value(9, math.pi - 1e-9) == float("-inf")
         assert threshold_value(10, 5 * math.pi / 10) == float("-inf")
-        assert log_part(9, math.pi / 9) == float("-inf")
         assert smooth_part(9, math.pi - 1e-9) == 0.0
 
     def test_negative_near_zero(self):
@@ -169,12 +175,10 @@ class TestCurvePieces:
         assert denominator_gap(0.5) == pytest.approx(-math.log(0.5) - 0.5, rel=1e-15)
 
     def test_singular_angles(self):
-        angles = singular_angles(9)
-        assert len(angles) == 5
-        assert angles[0] == pytest.approx(math.pi / 9)
-        assert angles[-1] == pytest.approx(math.pi)
-        for t in angles[:-1]:
-            assert threshold_value(9, t) == float("-inf")
+        # the odd multiples of pi/k inside (0, pi)
+        for k in (9, 12):
+            for t in range(1, k, 2):
+                assert threshold_value(k, t * math.pi / k) == float("-inf")
 
 
 class TestThetaScan:

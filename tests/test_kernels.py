@@ -1,8 +1,11 @@
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 
+from rounding import threshold_rounding_bound
 from unimodal_lab import kernels
 from unimodal_lab.certmax import limit_shape
 from unimodal_lab.envelope import threshold_value
@@ -104,6 +107,34 @@ class TestAgainstScalarReference:
         got = kernels.limit_shape_values(z)
         for g, t in zip(got, z):
             assert g == pytest.approx(limit_shape(float(t)), rel=1e-12)
+
+
+def _mp_threshold(k, theta):
+    # the curve straight from its definition, at 40 digits
+    with mpmath.workdps(40):
+        t = mpmath.mpf(theta)
+        s = mpmath.sin(t / 2) ** 2
+        num = k * k * s + mpmath.log(mpmath.cos(k * t / 2) ** 2)
+        return num / (-mpmath.log(mpmath.cos(t / 2) ** 2) - s)
+
+
+class TestAgainstMpmath:
+    @pytest.mark.parametrize("k", [9, 12, 97, 200, 1000])
+    def test_both_lanes_within_rounding_bound(self, k):
+        # both lanes share one formula, so they are checked against an
+        # independent evaluation: random angles, lobe angles in
+        # (pi/k, 2 pi/k), and angles around the series cutoff s = 1e-4
+        rng = random.Random(k)
+        theta = [rng.uniform(1e-6, PI - 1e-6) for _ in range(100)]
+        theta += [PI / k * (1.0 + rng.random()) for _ in range(100)]
+        theta += [2.0 * math.asin(math.sqrt(1e-4 * (1.0 + j * 1e-3))) for j in range(-20, 21)]
+        grid = kernels.threshold_values(k, np.array(theta)).tolist()
+        for t, g in zip(theta, grid):
+            v = threshold_value(k, t)
+            exact = _mp_threshold(k, t)
+            bound = threshold_rounding_bound(k, t, v, 0.0)
+            assert float(abs(v - exact)) <= bound, (k, t)
+            assert float(abs(g - exact)) <= bound, (k, t)
 
 
 class TestEdgeContracts:
