@@ -219,11 +219,7 @@ def cmd_eclass(args: argparse.Namespace) -> Result:
     k, grid = args.k, args.grid
     peak = envelope.max_threshold(envelope.ThetaScan(k, grid_points=grid, refine_tol=args.tol))
     cert_at = envelope.membership_certificate(peak.min_m, k, grid_points=grid)
-    cert_below = (
-        envelope.membership_certificate(peak.min_m - 1, k, grid_points=grid)
-        if peak.min_m > 1
-        else None
-    )
+    cert_below = cert_at.at(peak.min_m - 1) if peak.min_m > 1 else None
     enc = certmax.certified_alpha().value_enclosure
     sandwich = envelope.sandwich_check(peak, enc.lo, enc.hi, grid_points=max(1000, grid // 10))
     ok = cert_at.member and (cert_below is None or not cert_below.member)

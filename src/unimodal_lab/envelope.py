@@ -10,9 +10,11 @@ normalized family f(z) = ((1+z)/2)^m (1+z^k)/2 reduces to a scalar
 curve: H >= 0 at theta exactly when m >= threshold_value(k, theta).
 The family has real coefficients, so |f(conj z)| = |f(z)|, and the curve
 is symmetric under theta -> 2 pi - theta: L(k, theta) = L(k, 2 pi - theta).
-Membership is therefore decided by the maximum of that curve over
-(0, pi), which lives in (pi/k, 2 pi/k] and is located by the grid
-kernels plus golden-section refinement. The curve has no
+Membership is therefore the one comparison m >= max L over (0, pi).
+That maximum lives in (pi/k, 2 pi/k]; one routine locates it on a
+guarded grid and refines it by golden section, on the lobe for
+max_threshold and on the whole of (0, pi) for membership_certificate,
+whose verdict is the margin m - max L. The curve has no
 theta -> pi - theta symmetry: L(k, 0+) = -(k^4 + 2 k^2)/3, while L(k, pi-)
 tends (logarithmically) to 0 for even k and to -1 for odd k.
 
@@ -25,9 +27,9 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -222,14 +224,13 @@ def threshold_value(k: int, theta: float) -> float:
 class ThetaScan:
     """Scan configuration for the threshold curve.
 
-    exclusion_eps is the guard radius around singular angles; None means
-    the default 1e-8 * pi / k.
+    Every scan masks the grid points within 1e-8 pi/k of a singular
+    angle (an odd multiple of pi/k), where L diverges to -inf.
     """
 
     k: int
     grid_points: int = 100_000
     refine_tol: float = 1e-10
-    exclusion_eps: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or self.k < 2:
@@ -238,14 +239,6 @@ class ThetaScan:
             raise ValueError(f"grid_points must be >= 1000, got {self.grid_points}")
         if not self.refine_tol > 0.0:
             raise ValueError(f"refine_tol must be positive, got {self.refine_tol}")
-        if self.exclusion_eps is not None and not self.exclusion_eps > 0.0:
-            raise ValueError(f"exclusion_eps must be positive, got {self.exclusion_eps}")
-
-    @property
-    def effective_eps(self) -> float:
-        if self.exclusion_eps is not None:
-            return self.exclusion_eps
-        return 1e-8 * math.pi / self.k
 
 
 @dataclass(frozen=True)
@@ -262,7 +255,11 @@ class ThresholdMax:
 
 @dataclass(frozen=True)
 class MembershipCertificate:
-    """Grid-certified membership verdict for one (m, k)."""
+    """Grid-certified membership verdict for one (m, k).
+
+    min_margin is m - max L over (0, pi) and witness_theta the angle of
+    that maximum; see membership_certificate for the verdict bands.
+    """
 
     m: int
     k: int
@@ -270,6 +267,18 @@ class MembershipCertificate:
     min_margin: float
     witness_theta: float
     grid_points: int
+
+    def at(self, m: int) -> "MembershipCertificate":
+        """The verdict for another m against the same maximum of L.
+
+        Shifting m shifts the margin by the same amount; near the maximum
+        (L within a factor 2 of both m) the shifted margin equals a fresh
+        certificate's bit for bit.
+        """
+        _check_m(m)
+        margin = self.min_margin + (m - self.m)
+        member = _decide_margin(margin, self.witness_theta)
+        return replace(self, m=m, member=member, min_margin=margin)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -303,25 +312,26 @@ def _golden_max(
     return x, f(x)
 
 
-def _refine_max(
-    f: Callable[[float], float],
-    x: float,
-    y: float,
-    lo: float,
-    hi: float,
-    n: int,
-    tol: float,
-) -> tuple[float, float]:
-    # golden-section maximization of f within one grid step of the grid
-    # point (x, y), clamped to [lo, hi]; the grid point stays if it is better
-    step = (hi - lo) / n
-    rx, ry = _golden_max(f, max(x - step, lo), min(x + step, hi), tol)
-    return (x, y) if ry < y else (rx, ry)
-
-
 # the full search interval (0, pi), kept clear of both ends
 _FULL_LO = 1e-6
 _FULL_HI = math.pi - 1e-6
+# the guard radius around the singular angles is _GUARD / k
+_GUARD = 1e-8 * math.pi
+
+
+def _refined_max(k: int, lo: float, hi: float, n: int, tol: float) -> tuple[float, float]:
+    # max of L over the guarded n-point grid on (lo, hi], refined by golden
+    # section within one grid step of the best grid point (clamped to
+    # [lo, hi]; the grid point stays if it is better): (theta, value), or
+    # (nan, -inf) when every grid point is guarded
+    y, x = kernels.grid_max_threshold(k, lo, hi, n, _GUARD / k)
+    if not math.isfinite(y):
+        return x, y
+    step = (hi - lo) / n
+    rx, ry = _golden_max(
+        lambda th: threshold_value(k, th), max(x - step, lo), min(x + step, hi), tol
+    )
+    return (x, y) if ry < y else (rx, ry)
 
 
 def _warn_small_k(k: int) -> None:
@@ -344,18 +354,12 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
     """
     k = scan.k
     _warn_small_k(k)
-    lo = math.pi / k
-    hi = 2.0 * math.pi / k
-    eps = scan.effective_eps
     n = scan.grid_points
-    best, best_theta = kernels.grid_max_threshold(k, lo, hi, n, eps)
-    if not math.isfinite(best):
+    ref_theta, ref_val = _refined_max(k, math.pi / k, 2.0 * math.pi / k, n, scan.refine_tol)
+    if not math.isfinite(ref_val):
         raise ReductionViolation(f"no admissible grid point in (pi/{k}, 2pi/{k}]")
-    ref_theta, ref_val = _refine_max(
-        lambda th: threshold_value(k, th), best_theta, best, lo, hi, n, scan.refine_tol
-    )
     coarse, coarse_theta = kernels.grid_max_threshold(
-        k, _FULL_LO, _FULL_HI, max(20_000, n // 10), eps
+        k, _FULL_LO, _FULL_HI, max(20_000, n // 10), _GUARD / k
     )
     if coarse > ref_val + 1e-9 * max(1.0, abs(ref_val)):
         raise ReductionViolation(
@@ -366,59 +370,46 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
     near = abs(ref_val - nearest) < 1e-6
     if near:
         cand = int(nearest)
-        cert = membership_certificate(cand, k, grid_points=n, exclusion_eps=eps)
-        min_m = cand if cert.member else cand + 1
+        min_m = cand if membership_certificate(cand, k, grid_points=n).member else cand + 1
     else:
         min_m = math.ceil(ref_val)
     return ThresholdMax(k, ref_val, ref_theta, min_m, ref_val / k**4, near)
 
 
-def _decide_margin(margin: float) -> bool:
+def _check_m(m: int) -> None:
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"m must be a positive integer, got {m!r}")
+
+
+def _decide_margin(margin: float, witness_theta: float) -> bool:
     if margin >= -1e-12:
         return True
     if margin <= -1e-9:
         return False
-    raise Inconclusive(margin, float("nan"))
+    raise Inconclusive(margin, witness_theta)
 
 
-def membership_certificate(
-    m: int,
-    k: int,
-    grid_points: int = 100_000,
-    exclusion_eps: Optional[float] = None,
-) -> MembershipCertificate:
-    """Decide whether (m, k) is in the class by scanning the margin m - L.
+def membership_certificate(m: int, k: int, grid_points: int = 100_000) -> MembershipCertificate:
+    """Decide whether (m, k) is in the class from the margin m - max L.
 
-    The margin is minimized over a guarded grid on (0, pi) and refined by
-    golden section. Verdict bands on the refined minimum: >= -1e-12 is a
-    member, <= -1e-9 is not (witness_theta locates the violation), and
-    the band between raises Inconclusive rather than guessing.
+    The maximum of L over (0, pi) is located on a guarded grid of
+    grid_points points and refined by golden section, by the same routine
+    max_threshold runs on (pi/k, 2 pi/k]. Verdict bands on the margin:
+    >= -1e-12 is a member, <= -1e-9 is not (witness_theta locates the
+    violation), and the band between raises Inconclusive rather than
+    guessing. The certificate's at() decides other m against the same
+    maximum.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    scan = ThetaScan(k, grid_points=grid_points, exclusion_eps=exclusion_eps)
+    _check_m(m)
+    scan = ThetaScan(k, grid_points=grid_points)
     _warn_small_k(k)
-    eps = scan.effective_eps
-    margin, theta = kernels.grid_min_margin(
-        float(m), k, _FULL_LO, _FULL_HI, grid_points, eps
-    )
-    if not math.isfinite(margin):
+    theta, top = _refined_max(k, _FULL_LO, _FULL_HI, grid_points, scan.refine_tol)
+    if not math.isfinite(top):
         raise ValueError("margin scan found no admissible grid point")
-    ref_theta, neg = _refine_max(
-        lambda th: threshold_value(k, th) - m,
-        theta,
-        -margin,
-        _FULL_LO,
-        _FULL_HI,
-        grid_points,
-        scan.refine_tol,
+    margin = m - top
+    return MembershipCertificate(
+        m, k, _decide_margin(margin, theta), margin, theta, grid_points
     )
-    ref_margin = -neg
-    try:
-        member = _decide_margin(ref_margin)
-    except Inconclusive:
-        raise Inconclusive(ref_margin, ref_theta) from None
-    return MembershipCertificate(m, k, member, ref_margin, ref_theta, grid_points)
 
 
 def _quartic_margin_small(psi: float) -> float:
@@ -520,7 +511,7 @@ def sandwich_check(
     _warn_small_k(k)
     n = scan.grid_points
     theta = kernels.theta_grid(math.pi / k, 2.0 * math.pi / k, n)
-    theta = theta[~kernels.guard_mask(theta, k, scan.effective_eps)]
+    theta = theta[~kernels.guard_mask(theta, k, _GUARD / k)]
     ratio = kernels.threshold_values(k, theta) / float(k) ** 4
     d = kernels.limit_shape_values(0.5 * k * theta)
     lower = d / (1.0 + 8.0 / (k * k))

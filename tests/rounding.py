@@ -16,9 +16,11 @@ def threshold_rounding_bound(k: int, theta: float, value: float, d_theta: float)
     by k sin(k theta)/2, and the sine, product and square add a few ulps
     each. The errors are then pushed through num = k^2 s + log1p(-q) and
     g = denominator_gap(s), whose derivatives are 1/(1-q) in q and
-    s/(1-s) in s, and through the quotient num/g. The bound is relative
-    to g, so it grows as the numerator cancels (theta -> 0) and as g
-    blows up (theta -> pi).
+    s/(1-s) in s, and through the quotient num/g. g's own rounding depends
+    on its branch: below the cutoff s = 1e-4 the series has positive terms
+    and costs a few ulps of g; above it -log1p(-s) - s cancels and costs
+    a few ulps of its operands. The bound is relative to g, so it grows as
+    the numerator cancels (theta -> 0) and as g blows up (theta -> pi).
     """
     s = math.sin(0.5 * theta) ** 2
     q = math.sin(0.5 * k * theta) ** 2
@@ -26,5 +28,6 @@ def threshold_rounding_bound(k: int, theta: float, value: float, d_theta: float)
     d_s = 0.5 * abs(math.sin(theta)) * d_theta + 4.0 * U * s
     d_q = 0.5 * k * abs(math.sin(k * theta)) * d_theta + 4.0 * U * q + k * theta * U
     d_num = k * k * d_s + d_q / (1.0 - q) + 8.0 * U * (k * k * s + abs(math.log1p(-q)))
-    d_g = d_s * s / (1.0 - s) + 8.0 * U * (abs(math.log1p(-s)) + s)
+    own = g if s < 1e-4 else abs(math.log1p(-s)) + s
+    d_g = d_s * s / (1.0 - s) + 8.0 * U * own
     return (d_num + abs(value) * d_g) / g + 8.0 * U * abs(value)

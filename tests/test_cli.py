@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from unimodal_lab import kernels
 from unimodal_lab.cli import main
 
 
@@ -195,6 +196,22 @@ class TestEclass:
         code, out, err = run(capsys, "eclass", "--k", "9", "--grid", "500")
         assert code == 1
 
+    def test_one_full_interval_scan_at_grid_size(self, capsys, monkeypatch):
+        # the certificate below m(k) is a margin against the maximum the
+        # certificate at m(k) found, so only the cross-check and that one
+        # maximum scan the whole of (0, pi)
+        full = []
+        for name in ("grid_max_threshold", "grid_min_margin"):
+            def spy(*args, _fn=getattr(kernels, name)):
+                lo, n = args[-4], args[-2]
+                if lo == 1e-6:
+                    full.append(n)
+                return _fn(*args)
+            monkeypatch.setattr(kernels, name, spy)
+        code, out, err = run(capsys, "eclass", "--k", "30", "--grid", "300000")
+        assert code == 0
+        assert sorted(full) == [30_000, 300_000]
+
     def test_warns_below_verified_regime(self, capsys):
         with pytest.warns(UserWarning):
             code, out, err = run(capsys, "eclass", "--k", "5", "--grid", "20000")
@@ -284,11 +301,17 @@ class TestGeneral:
         assert code == 1
         assert "cannot read" in err
 
-    def test_non_integer_exits_one(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        ["1 two 3", "1 -2 3", "0 0 0", ""],
+        ids=["non-integer", "negative", "all-zero", "empty"],
+    )
+    def test_non_integer_exits_one(self, capsys, tmp_path, text):
         f = tmp_path / "coeffs.txt"
-        f.write_text("1 two 3")
+        f.write_text(text)
         code, out, err = run(capsys, "general", str(f))
         assert code == 1
+        assert "error:" in err
 
 
 # Text and csv names that differ from the JSON record's, as dotted JSON paths.

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -185,10 +186,7 @@ class TestThetaScan:
     def test_defaults(self):
         scan = ThetaScan(9)
         assert scan.grid_points == 100_000
-        assert scan.effective_eps == pytest.approx(1e-8 * math.pi / 9)
-
-    def test_explicit_eps(self):
-        assert ThetaScan(9, exclusion_eps=1e-5).effective_eps == 1e-5
+        assert scan.refine_tol == 1e-10
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -197,8 +195,6 @@ class TestThetaScan:
             ThetaScan(9, grid_points=500)
         with pytest.raises(ValueError):
             ThetaScan(9, refine_tol=0.0)
-        with pytest.raises(ValueError):
-            ThetaScan(9, exclusion_eps=-1.0)
 
 
 class TestMaxThreshold:
@@ -256,21 +252,58 @@ class TestMembership:
             membership_certificate(0, 9)
         with pytest.raises(ValueError):
             membership_certificate(2.5, 9)
+        cert = membership_certificate(2065, 9, grid_points=20_000)
+        with pytest.raises(ValueError):
+            cert.at(0)
+        with pytest.raises(ValueError):
+            cert.at(2.5)
 
     def test_decide_margin_bands(self):
-        assert _decide_margin(5.0)
-        assert _decide_margin(0.0)
-        assert _decide_margin(-1e-12)
-        assert not _decide_margin(-1e-9)
-        assert not _decide_margin(-0.5)
-        with pytest.raises(Inconclusive):
-            _decide_margin(-5e-10)
+        assert _decide_margin(5.0, 1.25)
+        assert _decide_margin(0.0, 1.25)
+        assert _decide_margin(-1e-12, 1.25)
+        assert not _decide_margin(-1e-9, 1.25)
+        assert not _decide_margin(-0.5, 1.25)
+        with pytest.raises(Inconclusive) as err:
+            _decide_margin(-5e-10, 1.25)
+        assert err.value.witness_theta == 1.25
+        # a shifted margin is decided in the same bands
+        cert = MembershipCertificate(10, 9, True, 1.0 - 5e-10, 1.25, 1000)
+        with pytest.raises(Inconclusive) as err:
+            cert.at(9)
+        assert err.value.witness_theta == 1.25
 
     def test_inconclusive_payload(self):
         err = Inconclusive(-5e-10, 1.25)
         assert err.min_margin == -5e-10
         assert err.witness_theta == 1.25
         assert "inconclusive band" in str(err)
+
+
+@functools.lru_cache(maxsize=None)
+def _certs_near_m_of_k(k):
+    # m(k) and the certificates of m(k) - 2 .. m(k) + 2, on a 20k grid
+    m_of_k = max_threshold(ThetaScan(k, grid_points=20_000)).min_m
+    ms = range(m_of_k - 2, m_of_k + 3)
+    return m_of_k, {m: membership_certificate(m, k, grid_points=20_000) for m in ms}
+
+
+class TestMarginShift:
+    @pytest.mark.parametrize("k", [9, 12, 30, 97, 200])
+    def test_at_equals_a_fresh_certificate(self, k):
+        _, certs = _certs_near_m_of_k(k)
+        for cert in certs.values():
+            for m2, fresh in certs.items():
+                assert cert.at(m2) == fresh, (cert.m, m2)
+
+    @pytest.mark.parametrize("k", [9, 12, 30, 97, 200])
+    def test_member_flips_exactly_at_m_of_k(self, k):
+        m_of_k, certs = _certs_near_m_of_k(k)
+        assert [c.member for c in certs.values()] == [False, False, True, True, True]
+        assert certs[m_of_k - 1].min_margin < 0.0 <= certs[m_of_k].min_margin
+        # monotone beyond the window too
+        assert not certs[m_of_k].at(1).member
+        assert certs[m_of_k].at(10 * m_of_k).member
 
 
 class TestQuarticFloor:
