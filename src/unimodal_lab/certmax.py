@@ -3,41 +3,36 @@
 D is the k -> infinity profile of the membership threshold curve after
 the scaling theta = 2z/k, value / k^4. Its maximum over (pi/2, pi) is
 the constant that drives the min_m ~ alpha k^4 growth law, and this
-module encloses it rigorously: a sign-change bracket for the critical
-point, sampled true lower bounds, and tangent-line upper bounds for a
-concave arc. No step trusts an unverified assumption; every one raises
-instead of guessing. D itself is written once, in kernels; limit_shape
-evaluates it on floats with libm.
+module encloses it from one lemma: D'(z) = -4 p(z)/z^5 with
+p(z) = z^2 + z tan z + 2 ln cos^2 z, and p'(z) = 2z - 3 tan z + z sec^2 z
+is positive on (pi/2, pi) (tan z < 0 there), so D rises up to the one
+root of p and falls after it. A sign-change bracket [a, b] of that root
+then encloses alpha by the mean-value theorem (see certified_alpha).
+Every step raises instead of guessing. D itself is written once, in
+kernels; limit_shape evaluates it on floats with libm.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from . import kernels
 
 __all__ = [
     "BracketFailure",
-    "PreconditionViolation",
     "Interval",
     "CertifiedMax",
     "limit_shape",
     "shape_deriv_factor",
-    "limit_shape_deriv",
     "bracket_critical",
-    "tangent_upper_bound",
     "certified_alpha",
 ]
 
 
 class BracketFailure(Exception):
     """Sign-change bracketing or enclosure certification failed."""
-
-
-class PreconditionViolation(Exception):
-    """Inputs do not satisfy the slope or concavity preconditions."""
 
 
 @dataclass(frozen=True)
@@ -82,8 +77,9 @@ def limit_shape(z: float) -> float:
 def shape_deriv_factor(z: float) -> float:
     """p(z) = z^2 + z tan z + 2 ln cos^2 z, sharing the sign of -D'(z).
 
-    D'(z) = -4 p(z) / z^5, and p is strictly increasing on (pi/2, pi),
-    so D has exactly one critical point there: the root of p.
+    D'(z) = -4 p(z) / z^5, and p is strictly increasing on (pi/2, pi)
+    (p' = 2z - 3 tan z + z sec^2 z > 0), so D has exactly one critical
+    point there: the root of p, a maximum.
     """
     if z <= 0.0:
         raise ValueError(f"z must be positive, got {z}")
@@ -92,11 +88,6 @@ def shape_deriv_factor(z: float) -> float:
     if c2 <= 0.0:
         return float("-inf")
     return z * z + z * math.tan(z) + 2.0 * math.log(c2)
-
-
-def limit_shape_deriv(z: float) -> float:
-    """D'(z) = -4 p(z) / z^5."""
-    return -4.0 * shape_deriv_factor(z) / z**5
 
 
 _LO = 0.5 * math.pi + 1e-6
@@ -129,70 +120,25 @@ def bracket_critical(tol: float = 1e-10) -> Interval:
     return _bisect_critical(shape_deriv_factor, tol)
 
 
-def tangent_upper_bound(
-    x1: float,
-    x2: float,
-    func: Optional[Callable[[float], float]] = None,
-    deriv: Optional[Callable[[float], float]] = None,
-) -> float:
-    """Upper bound for a concave function's max on [x1, x2] via tangents.
-
-    The two tangent lines at x1 and x2 intersect above the graph of any
-    concave function, so their intersection height bounds the maximum.
-    Preconditions, checked and enforced: deriv(x1) >= 0 >= deriv(x2)
-    (the max is interior or at a sampled point) and a nonpositive second
-    difference at the endpoints plus midpoint (finite-width concavity
-    evidence). Violations raise PreconditionViolation.
-    """
-    if func is None:
-        func = limit_shape
-    if deriv is None:
-        deriv = limit_shape_deriv
-    if not x1 < x2:
-        raise ValueError(f"need x1 < x2, got {x1}, {x2}")
-    d1 = deriv(x1)
-    d2 = deriv(x2)
-    if not (d1 >= 0.0 >= d2):
-        raise PreconditionViolation(
-            f"slopes do not straddle the max: deriv({x1}) = {d1}, deriv({x2}) = {d2}"
-        )
-    f1 = func(x1)
-    f2 = func(x2)
-    mid = 0.5 * (x1 + x2)
-    fm = func(mid)
-    scale = max(1.0, abs(f1), abs(f2), abs(fm))
-    if f1 - 2.0 * fm + f2 > 1e-12 * scale:
-        raise PreconditionViolation(
-            f"second difference positive on [{x1}, {x2}]: not concave at this width"
-        )
-    if d1 == d2:
-        return max(f1, f2)
-    x_star = (f2 - f1 + d1 * x1 - d2 * x2) / (d1 - d2)
-    return f1 + d1 * (x_star - x1)
-
-
 _SLACK = 1e-12
 
 
 def certified_alpha(tol: float = 5e-4) -> CertifiedMax:
     """Enclose max D on (pi/2, pi) to width <= tol.
 
-    The critical point is bisected on p down to a width-1e-10 bracket;
-    the lower bound is the best sampled value of D inside that bracket
-    (minus 1e-12 float slack) and the upper bound is the tangent
-    intersection over it (plus the same slack), so the enclosure comes
-    out far tighter than any admissible tol. A guarded coarse scan of
-    the whole interval must not beat the certified upper bound,
-    otherwise BracketFailure is raised.
+    The critical point is bisected on p down to a width-1e-10 bracket
+    [a, b] with p(a) < 0 < p(b). D rises up to the root of p, which lies
+    in [a, b], and falls after it, so max(D(a), D(b)) <= alpha. On
+    [a, root], p runs from p(a) up to 0 and z >= a, so
+    D' = -4 p/z^5 <= 4 |p(a)|/a^5 and, by the mean-value theorem,
+    alpha <= D(a) + 4 (b - a) |p(a)|/a^5. Both bounds are widened by
+    1e-12 float slack, so the enclosure comes out far tighter than any
+    admissible tol. A guarded coarse scan of the whole interval must not
+    beat the certified upper bound, otherwise BracketFailure is raised.
     """
     if not tol >= 1e-11:
         raise ValueError(f"tol must be >= 1e-11, got {tol}")
     evals = 0
-
-    def f(z: float) -> float:
-        nonlocal evals
-        evals += 1
-        return limit_shape(z)
 
     def fp(z: float) -> float:
         nonlocal evals
@@ -201,12 +147,11 @@ def certified_alpha(tol: float = 5e-4) -> CertifiedMax:
 
     bracket = _bisect_critical(fp, 1e-10)
     a, b = bracket.lo, bracket.hi
-    samples = [a + (b - a) * (j / 64.0) for j in range(65)]
-    lower = max(f(z) for z in samples) - _SLACK
-    upper = (
-        tangent_upper_bound(a, b, func=f, deriv=lambda z: -4.0 * fp(z) / z**5)
-        + _SLACK
-    )
+    da = limit_shape(a)
+    db = limit_shape(b)
+    evals += 2
+    lower = max(da, db) - _SLACK
+    upper = da + 4.0 * (b - a) * abs(fp(a)) / a**5 + _SLACK
     if upper - lower > tol:  # pragma: no cover - defensive
         raise BracketFailure(f"enclosure width {upper - lower} exceeds tol {tol}")
     coarse, coarse_z = kernels.grid_max_limit_shape(_LO, _HI, 10_000)

@@ -11,12 +11,15 @@ curve: H >= 0 at theta exactly when m >= threshold_value(k, theta).
 The family has real coefficients, so |f(conj z)| = |f(z)|, and the curve
 is symmetric under theta -> 2 pi - theta: L(k, theta) = L(k, 2 pi - theta).
 Membership is therefore the one comparison m >= max L over (0, pi).
-That maximum lives in (pi/k, 2 pi/k]; one routine locates it on a
-guarded grid and refines it by golden section, on the lobe for
-max_threshold and on the whole of (0, pi) for membership_certificate,
-whose verdict is the margin m - max L. The curve has no
-theta -> pi - theta symmetry: L(k, 0+) = -(k^4 + 2 k^2)/3, while L(k, pi-)
-tends (logarithmically) to 0 for even k and to -1 for odd k.
+That maximum lives in the lobe (pi/k, 2 pi/k]: L < 0 on (0, pi/k), and
+on (2 pi/k, pi) L stays below smooth_part(k, 2 pi/k), which
+max_threshold checks against the lobe peak (proofs there). One routine
+locates a maximum on a guarded grid and refines it by golden section,
+on the lobe for max_threshold and on the whole of (0, pi) for
+membership_certificate, whose verdict is the margin m - max L. The
+curve has no theta -> pi - theta symmetry: L(k, 0+) = -(k^4 + 2 k^2)/3,
+while L(k, pi-) tends (logarithmically) to 0 for even k and to -1 for
+odd k.
 
 The curve and its denominator gap are written once, in kernels;
 threshold_value and denominator_gap evaluate them on floats with libm.
@@ -62,7 +65,7 @@ _SMALL_REGIME_NOTE = "interval reduction is an asymptotic device; k < 9 is outsi
 
 
 class ReductionViolation(Exception):
-    """A full-interval scan beat the reduced-interval maximum."""
+    """The lobe maximum does not clear the tail bound smooth_part(k, 2 pi/k)."""
 
 
 class Inconclusive(Exception):
@@ -342,10 +345,21 @@ def _warn_small_k(k: int) -> None:
 def max_threshold(scan: ThetaScan) -> ThresholdMax:
     """Locate max of the threshold curve over (pi/k, 2 pi/k], certified.
 
-    Pipeline: guarded right-closed grid scan, golden-section refinement
-    around the best grid point, then a guarded coarse scan of the whole
-    (0, pi) as a check that the reduced interval really carries the
-    global maximum (ReductionViolation otherwise, at 1e-9 relative).
+    Pipeline: guarded right-closed grid scan of the lobe, then
+    golden-section refinement around the best grid point. The lobe
+    carries the maximum over (0, pi) by two lemmas:
+
+    * On (0, pi/k), L < 0. With x = k theta/2 < pi/2, the numerator
+      k^2 sin^2(theta/2) + ln cos^2 x is negative, since
+      k^2 sin^2(theta/2) < x^2 <= -ln cos^2 x by cos x <= exp(-x^2/2).
+    * On (2 pi/k, pi), L <= smooth_part(k, theta) < smooth_part(k, 2 pi/k),
+      because the log part is <= 0 and s/gap(s) = 1/sum_{n>=2} s^(n-1)/n
+      decreases in s = sin^2(theta/2). The tail is empty at k = 2.
+
+    So the reduction holds once smooth_part(k, 2 pi/k) lies below the
+    lobe peak, which is checked at 1e-9 relative (ReductionViolation
+    otherwise). The ratio of the two tends to (2/pi^2)/alpha ~ 0.62751
+    and stays below 0.6276 at every k in 2..1000 and at sampled k to 10^6.
 
     min_m is the least integer m that is a member. When the maximum sits
     within 1e-6 of an integer the ceiling is not trusted: both candidate
@@ -358,13 +372,11 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
     ref_theta, ref_val = _refined_max(k, math.pi / k, 2.0 * math.pi / k, n, scan.refine_tol)
     if not math.isfinite(ref_val):
         raise ReductionViolation(f"no admissible grid point in (pi/{k}, 2pi/{k}]")
-    coarse, coarse_theta = kernels.grid_max_threshold(
-        k, _FULL_LO, _FULL_HI, max(20_000, n // 10), _GUARD / k
-    )
-    if coarse > ref_val + 1e-9 * max(1.0, abs(ref_val)):
+    tail = smooth_part(k, 2.0 * math.pi / k)
+    if not tail < ref_val - 1e-9 * max(1.0, abs(ref_val)):
         raise ReductionViolation(
-            f"full-interval scan found {coarse:.12g} at theta={coarse_theta:.12g}, "
-            f"above the reduced-interval maximum {ref_val:.12g}"
+            f"tail bound smooth_part(k, 2pi/k) = {tail:.12g} does not clear "
+            f"the lobe maximum {ref_val:.12g}"
         )
     nearest = round(ref_val)
     near = abs(ref_val - nearest) < 1e-6
@@ -478,12 +490,17 @@ class SandwichReport:
     max_in_enclosure: bool
 
 
+def _squeeze(k: int) -> float:
+    # the lower sandwich divisor 1 + 8/k^2
+    return 1.0 + 8.0 / (k * k)
+
+
 def sandwich_bounds(k: int, alpha_lo: float, alpha_hi: float) -> tuple[float, float]:
     """Max-level sandwich on max(L)/k^4 from a limit-shape enclosure.
 
     Returns (alpha_lo/(1 + 8/k^2) - 1e-9, alpha_hi + 1e-9).
     """
-    return alpha_lo / (1.0 + 8.0 / (k * k)) - 1e-9, alpha_hi + 1e-9
+    return alpha_lo / _squeeze(k) - 1e-9, alpha_hi + 1e-9
 
 
 def _first_rows(keep: int, *cols: np.ndarray) -> tuple[tuple[float, ...], ...]:
@@ -514,7 +531,7 @@ def sandwich_check(
     theta = theta[~kernels.guard_mask(theta, k, _GUARD / k)]
     ratio = kernels.threshold_values(k, theta) / float(k) ** 4
     d = kernels.limit_shape_values(0.5 * k * theta)
-    lower = d / (1.0 + 8.0 / (k * k))
+    lower = d / _squeeze(k)
     up = ratio > d + 1e-9
     dn = ratio < lower - 1e-9
     n_up = int(np.count_nonzero(up))

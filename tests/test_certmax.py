@@ -7,13 +7,10 @@ from unimodal_lab.certmax import (
     BracketFailure,
     CertifiedMax,
     Interval,
-    PreconditionViolation,
     bracket_critical,
     certified_alpha,
     limit_shape,
-    limit_shape_deriv,
     shape_deriv_factor,
-    tangent_upper_bound,
 )
 
 
@@ -59,10 +56,23 @@ class TestLimitShape:
         )
 
     def test_deriv_matches_finite_difference(self):
+        # D' = -4 p / z^5, the identity the mean-value bound in
+        # certified_alpha rests on
         h = 1e-6
         for z in (1.8, 2.1, 2.4, 2.9):
             fd = (limit_shape(z + h) - limit_shape(z - h)) / (2 * h)
-            assert limit_shape_deriv(z) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+            assert -4.0 * shape_deriv_factor(z) / z**5 == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+    def test_factor_derivative_positive(self):
+        # p' = 2z - 3 tan z + z sec^2 z > 0 on (pi/2, pi), so D has one
+        # critical point there, a maximum
+        lo, hi, h = math.pi / 2 + 1e-3, math.pi - 1e-3, 1e-7
+        for j in range(41):
+            z = lo + (hi - lo) * j / 40
+            deriv = 2 * z - 3 * math.tan(z) + z / math.cos(z) ** 2
+            fd = (shape_deriv_factor(z + h) - shape_deriv_factor(z - h)) / (2 * h)
+            assert deriv > 0.0
+            assert deriv == pytest.approx(fd, rel=1e-5)
 
     def test_factor_increasing_on_interval(self):
         zs = [math.pi / 2 + 0.01 + 0.1 * j for j in range(15) if math.pi / 2 + 0.01 + 0.1 * j < math.pi]
@@ -101,40 +111,6 @@ class TestBracketCritical:
             bracket_critical(0.0)
 
 
-class TestTangentUpperBound:
-    def test_quadratic(self):
-        # -x^2 on [-0.1, 0.1]: tangents intersect at (0, 0.01)
-        bound = tangent_upper_bound(
-            -0.1, 0.1, func=lambda x: -x * x, deriv=lambda x: -2 * x
-        )
-        assert bound == pytest.approx(0.01, abs=1e-12)
-        assert bound >= 0.0  # true max is 0
-
-    def test_cosine(self):
-        bound = tangent_upper_bound(
-            -1.0, 1.0, func=math.cos, deriv=lambda x: -math.sin(x)
-        )
-        assert bound >= 1.0
-
-    def test_slope_precondition(self):
-        # both slopes positive: max not straddled
-        with pytest.raises(PreconditionViolation):
-            tangent_upper_bound(
-                -0.3, -0.1, func=lambda x: -x * x, deriv=lambda x: -2 * x
-            )
-
-    def test_concavity_precondition(self):
-        # x^2 is convex; a fabricated derivative passes the slope check
-        with pytest.raises(PreconditionViolation):
-            tangent_upper_bound(
-                -0.5, 0.5, func=lambda x: x * x, deriv=lambda x: -x
-            )
-
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            tangent_upper_bound(0.5, 0.5)
-
-
 @pytest.fixture(scope="module")
 def result():
     return certified_alpha()
@@ -143,7 +119,8 @@ def result():
 class TestCertifiedAlpha:
     def test_structure(self, result):
         assert isinstance(result, CertifiedMax)
-        assert result.evaluations > 0
+        # the bisection's 36 evaluations of p, then p(a), D(a) and D(b)
+        assert result.evaluations == 39
         assert result.crit_bracket.width <= 1e-10
 
     def test_enclosure_is_tight(self, result):

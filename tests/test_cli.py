@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from unimodal_lab import kernels
+from unimodal_lab import envelope, kernels
 from unimodal_lab.cli import main
 
 
@@ -197,9 +197,10 @@ class TestEclass:
         assert code == 1
 
     def test_one_full_interval_scan_at_grid_size(self, capsys, monkeypatch):
-        # the certificate below m(k) is a margin against the maximum the
-        # certificate at m(k) found, so only the cross-check and that one
-        # maximum scan the whole of (0, pi)
+        # the lobe reduction is proven, not cross-checked, and the
+        # certificate below m(k) is a margin against the maximum the
+        # certificate at m(k) found, so only that one maximum scans the
+        # whole of (0, pi)
         full = []
         for name in ("grid_max_threshold", "grid_min_margin"):
             def spy(*args, _fn=getattr(kernels, name)):
@@ -210,7 +211,14 @@ class TestEclass:
             monkeypatch.setattr(kernels, name, spy)
         code, out, err = run(capsys, "eclass", "--k", "30", "--grid", "300000")
         assert code == 0
-        assert sorted(full) == [30_000, 300_000]
+        assert sorted(full) == [300_000]
+
+    def test_reduction_violation_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(envelope, "smooth_part", lambda k, theta: float("inf"))
+        code, out, err = run(capsys, "eclass", "--k", "30")
+        assert code == 3
+        assert "certification failure" in err
+        assert out == ""
 
     def test_warns_below_verified_regime(self, capsys):
         with pytest.warns(UserWarning):
@@ -256,6 +264,13 @@ class TestScanEclass:
         body = target.read_text()
         assert body.startswith("k,max_threshold")
         assert len(body.splitlines()) == 3
+
+    def test_reduction_violation_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(envelope, "smooth_part", lambda k, theta: float("inf"))
+        code, out, err = run(capsys, "scan-eclass", "--k-min", "9", "--k-max", "10")
+        assert code == 3
+        assert "certification failure" in err
+        assert out == ""
 
 
 class TestCertmax:

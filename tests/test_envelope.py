@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from unimodal_lab import envelope, kernels
 from unimodal_lab.certmax import certified_alpha, limit_shape
 from unimodal_lab.envelope import (
     Inconclusive,
     MembershipCertificate,
+    ReductionViolation,
     ThetaScan,
     VarianceInput,
     _decide_margin,
@@ -228,6 +230,30 @@ class TestMaxThreshold:
             peak = max_threshold(ThetaScan(8, grid_points=20_000))
         assert peak.max_value == pytest.approx(1280.24048, rel=1e-6)
         assert peak.min_m == 1281
+
+
+class TestLobeReduction:
+    """The two lemmas behind max_threshold's reduction to (pi/k, 2 pi/k]."""
+
+    def test_violation_when_tail_bound_fails(self, monkeypatch):
+        monkeypatch.setattr(envelope, "smooth_part", lambda k, theta: math.inf)
+        with pytest.raises(ReductionViolation, match="tail bound"):
+            max_threshold(ThetaScan(30, grid_points=20_000))
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 9, 12, 30, 97, 200, 1000, 3397])
+    def test_negative_before_and_bounded_after_the_lobe(self, k):
+        # L < 0 on (1e-6, pi/k) and L <= smooth_part(k, 2 pi/k) on
+        # (2 pi/k, pi - 1e-6], on a NumPy grid and a scalar grid
+        lobe_lo, lobe_hi = math.pi / k, 2.0 * math.pi / k
+        tail = smooth_part(k, lobe_hi)
+        head = kernels.theta_grid(1e-6, lobe_lo, 20_000)[:-1]
+        rest = kernels.theta_grid(lobe_hi, math.pi - 1e-6, 20_000)
+        assert (kernels.threshold_values(k, head) < 0.0).all()
+        assert (kernels.threshold_values(k, rest) <= tail).all()
+        for i in range(1, 500):
+            assert threshold_value(k, 1e-6 + (lobe_lo - 1e-6) * (i / 500)) < 0.0
+        for i in range(1, 501):
+            assert threshold_value(k, lobe_hi + (math.pi - 1e-6 - lobe_hi) * (i / 500)) <= tail
 
 
 class TestMembership:
