@@ -218,7 +218,7 @@ def cmd_probe_inequality(args: argparse.Namespace) -> Result:
 
 def cmd_eclass(args: argparse.Namespace) -> Result:
     k, grid = args.k, args.grid
-    peak = envelope.max_threshold(envelope.ThetaScan(k, grid_points=grid, refine_tol=args.tol))
+    peak = envelope.max_threshold(envelope.ThetaScan(k, grid_points=grid))
     cert_at = envelope.membership_certificate(peak.min_m, k, grid_points=grid)
     cert_below = cert_at.at(peak.min_m - 1) if peak.min_m > 1 else None
     enc = certmax.certified_alpha().value_enclosure
@@ -261,7 +261,7 @@ def cmd_scan_eclass(args: argparse.Namespace) -> Result:
     enc = certmax.certified_alpha().value_enclosure
 
     def one(k: int) -> list:
-        scan = envelope.ThetaScan(k, grid_points=args.grid, refine_tol=args.tol)
+        scan = envelope.ThetaScan(k, grid_points=args.grid)
         p = envelope.max_threshold(scan)
         lo_b, hi_b = envelope.sandwich_bounds(k, enc.lo, enc.hi)
         return [p.k, p.max_value, p.argmax_theta, p.min_m, p.ratio_k4,
@@ -349,14 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eclass", help="threshold maximum and membership certificates")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--grid", type=int, default=100_000)
-    p.add_argument("--tol", type=float, default=1e-10)
     add_common(p, "json")
 
     p = sub.add_parser("scan-eclass", help="max-threshold scaling scan over a k range")
     p.add_argument("--k-min", type=int, required=True)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--grid", type=int, default=100_000)
-    p.add_argument("--tol", type=float, default=1e-10)
     add_common(p, "csv")
 
     p = sub.add_parser("certmax", help="certified enclosure of the limit-shape constant")

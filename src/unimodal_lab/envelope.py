@@ -228,20 +228,18 @@ class ThetaScan:
     """Scan configuration for the threshold curve.
 
     Every scan masks the grid points within 1e-8 pi/k of a singular
-    angle (an odd multiple of pi/k), where L diverges to -inf.
+    angle (an odd multiple of pi/k), where L diverges to -inf. The peak
+    is refined to float resolution, so the grid size is the only setting.
     """
 
     k: int
     grid_points: int = 100_000
-    refine_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or self.k < 2:
             raise ValueError(f"k must be an integer >= 2, got {self.k!r}")
         if self.grid_points < 1000:
             raise ValueError(f"grid_points must be >= 1000, got {self.grid_points}")
-        if not self.refine_tol > 0.0:
-            raise ValueError(f"refine_tol must be positive, got {self.refine_tol}")
 
 
 @dataclass(frozen=True)
@@ -288,31 +286,24 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def _golden_max(
-    f: Callable[[float], float], a: float, b: float, tol: float
-) -> tuple[float, float]:
-    # golden-section maximization; evaluates strictly inside (a, b)
-    h = b - a
-    if h <= tol:
-        x = 0.5 * (a + b)
-        return x, f(x)
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
+def _golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    # golden-section maximization to float resolution: each step moves one
+    # end strictly inward, so it ends once the bracket holds no two distinct
+    # interior floats; returns the better last probe as (x, f(x))
+    c = a + _INVPHI2 * (b - a)
+    d = a + _INVPHI * (b - a)
     yc = f(c)
     yd = f(d)
-    while h > tol:
+    while a < c < d < b:
         if yc >= yd:
             b, d, yd = d, c, yc
-            h = b - a
-            c = a + _INVPHI2 * h
+            c = a + _INVPHI2 * (b - a)
             yc = f(c)
         else:
             a, c, yc = c, d, yd
-            h = b - a
-            d = a + _INVPHI * h
+            d = a + _INVPHI * (b - a)
             yd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    return (c, yc) if yc >= yd else (d, yd)
 
 
 # the full search interval (0, pi), kept clear of both ends
@@ -322,7 +313,7 @@ _FULL_HI = math.pi - 1e-6
 _GUARD = 1e-8 * math.pi
 
 
-def _refined_max(k: int, lo: float, hi: float, n: int, tol: float) -> tuple[float, float]:
+def _refined_max(k: int, lo: float, hi: float, n: int) -> tuple[float, float]:
     # max of L over the guarded n-point grid on (lo, hi], refined by golden
     # section within one grid step of the best grid point (clamped to
     # [lo, hi]; the grid point stays if it is better): (theta, value), or
@@ -332,7 +323,7 @@ def _refined_max(k: int, lo: float, hi: float, n: int, tol: float) -> tuple[floa
         return x, y
     step = (hi - lo) / n
     rx, ry = _golden_max(
-        lambda th: threshold_value(k, th), max(x - step, lo), min(x + step, hi), tol
+        lambda th: threshold_value(k, th), max(x - step, lo), min(x + step, hi)
     )
     return (x, y) if ry < y else (rx, ry)
 
@@ -346,7 +337,8 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
     """Locate max of the threshold curve over (pi/k, 2 pi/k], certified.
 
     Pipeline: guarded right-closed grid scan of the lobe, then
-    golden-section refinement around the best grid point. The lobe
+    golden-section refinement around the best grid point, run until the
+    bracket holds no two distinct interior floats. The lobe
     carries the maximum over (0, pi) by two lemmas:
 
     * On (0, pi/k), L < 0. With x = k theta/2 < pi/2, the numerator
@@ -369,7 +361,7 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
     k = scan.k
     _warn_small_k(k)
     n = scan.grid_points
-    ref_theta, ref_val = _refined_max(k, math.pi / k, 2.0 * math.pi / k, n, scan.refine_tol)
+    ref_theta, ref_val = _refined_max(k, math.pi / k, 2.0 * math.pi / k, n)
     if not math.isfinite(ref_val):
         raise ReductionViolation(f"no admissible grid point in (pi/{k}, 2pi/{k}]")
     tail = smooth_part(k, 2.0 * math.pi / k)
@@ -413,9 +405,9 @@ def membership_certificate(m: int, k: int, grid_points: int = 100_000) -> Member
     maximum.
     """
     _check_m(m)
-    scan = ThetaScan(k, grid_points=grid_points)
+    ThetaScan(k, grid_points=grid_points)  # validates k and grid_points
     _warn_small_k(k)
-    theta, top = _refined_max(k, _FULL_LO, _FULL_HI, grid_points, scan.refine_tol)
+    theta, top = _refined_max(k, _FULL_LO, _FULL_HI, grid_points)
     if not math.isfinite(top):
         raise ValueError("margin scan found no admissible grid point")
     margin = m - top

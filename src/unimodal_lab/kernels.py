@@ -37,14 +37,23 @@ ARRAY_OPS = SimpleNamespace(
 )
 
 
-def gap(s, ops):
-    """-log1p(-s) - s for 0 <= s < 1, via a series tail for s < 1e-4.
+GAP_SERIES_BELOW = 1e-2
 
-    The subtraction cancels for small s, so below the cutoff the series
-    s^2 (1/2 + s/3 + s^2/4 + s^3/5) is used instead.
+
+def gap(s, ops):
+    """-log1p(-s) - s for 0 <= s < 1, via its series for s < GAP_SERIES_BELOW.
+
+    The subtraction loses about u/s relative to cancellation (<= 2e-14
+    above the cutoff), so below it the series s^2 (1/2 + s/3 + ... + s^7/9)
+    is used instead (first dropped term < 2e-17 relative), by Horner in
+    place, since both branches of the where run on the whole grid.
     """
-    series = s * s * (0.5 + s * (1.0 / 3.0 + s * (0.25 + s * 0.2)))
-    return ops.where(s < 1e-4, series, -ops.log1p(-s) - s)
+    acc = s / 9.0
+    for n in range(8, 1, -1):
+        acc += 1.0 / n
+        acc *= s
+    acc *= s
+    return ops.where(s < GAP_SERIES_BELOW, acc, -ops.log1p(-s) - s)
 
 
 def threshold(k, theta, ops):

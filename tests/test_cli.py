@@ -2,8 +2,10 @@ import csv
 import io
 import json
 
+import mpmath
 import pytest
 
+from rounding import mp_peak
 from unimodal_lab import envelope, kernels
 from unimodal_lab.cli import main
 
@@ -213,6 +215,21 @@ class TestEclass:
         assert code == 0
         assert sorted(full) == [300_000]
 
+    @pytest.mark.parametrize("k", [3116, 3397, 3545])
+    def test_large_k_prints_the_true_ceiling_or_refuses(self, capsys, k):
+        # L sits 0.01-0.03 above an integer here, so a peak a few hundredths
+        # low gives an m(k) one too small
+        code, out, err = run(capsys, "eclass", "--k", str(k))
+        assert code in (0, 3)
+        if code == 0:
+            doc = json.loads(out)
+            assert doc["m_of_k"] == int(mpmath.ceil(mp_peak(k, doc["argmax_theta"])))
+
+    def test_tol_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["eclass", "--k", "9", "--tol", "1e-10"])
+        assert ei.value.code == 1
+
     def test_reduction_violation_exits_three(self, capsys, monkeypatch):
         monkeypatch.setattr(envelope, "smooth_part", lambda k, theta: float("inf"))
         code, out, err = run(capsys, "eclass", "--k", "30")
@@ -264,6 +281,17 @@ class TestScanEclass:
         body = target.read_text()
         assert body.startswith("k,max_threshold")
         assert len(body.splitlines()) == 3
+
+    def test_k3397_prints_the_true_ceiling(self, capsys):
+        code, out, err = run(capsys, "scan-eclass", "--k-min", "3397", "--k-max", "3397")
+        assert code == 0
+        row = out.splitlines()[1].split(",")
+        assert int(row[3]) == int(mpmath.ceil(mp_peak(3397, float(row[2]))))
+
+    def test_tol_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["scan-eclass", "--k-min", "9", "--k-max", "9", "--tol", "1e-20"])
+        assert ei.value.code == 1
 
     def test_reduction_violation_exits_three(self, capsys, monkeypatch):
         monkeypatch.setattr(envelope, "smooth_part", lambda k, theta: float("inf"))

@@ -3,8 +3,10 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from rounding import mp_peak
 from unimodal_lab import envelope, kernels
 from unimodal_lab.certmax import certified_alpha, limit_shape
 from unimodal_lab.envelope import (
@@ -14,6 +16,7 @@ from unimodal_lab.envelope import (
     ThetaScan,
     VarianceInput,
     _decide_margin,
+    _golden_max,
     _quartic_margin_small,
     defect_general,
     denominator_gap,
@@ -168,10 +171,10 @@ class TestCurvePieces:
         assert threshold_value(9, 1e-4) == pytest.approx(-2241.0001083967377, rel=1e-12)
 
     def test_denominator_gap_crossover(self):
-        s = 1e-4
+        s = kernels.GAP_SERIES_BELOW
         below = denominator_gap(s * (1.0 - 1e-12))
         above = denominator_gap(s)
-        assert below == pytest.approx(above, rel=1e-9)
+        assert below == pytest.approx(above, rel=1e-13)
 
     def test_denominator_gap_saturates(self):
         assert denominator_gap(1.0) == float("inf")
@@ -188,15 +191,12 @@ class TestThetaScan:
     def test_defaults(self):
         scan = ThetaScan(9)
         assert scan.grid_points == 100_000
-        assert scan.refine_tol == 1e-10
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ThetaScan(1)
         with pytest.raises(ValueError):
             ThetaScan(9, grid_points=500)
-        with pytest.raises(ValueError):
-            ThetaScan(9, refine_tol=0.0)
 
 
 class TestMaxThreshold:
@@ -230,6 +230,43 @@ class TestMaxThreshold:
             peak = max_threshold(ThetaScan(8, grid_points=20_000))
         assert peak.max_value == pytest.approx(1280.24048, rel=1e-6)
         assert peak.min_m == 1281
+
+    @pytest.mark.parametrize("k", [30, 97, 200, 1000, 3397, 3545])
+    def test_peak_within_8_ulp_of_mpmath(self, k):
+        # refined to float resolution, the peak is as good as the float
+        # evaluation of L; at 3397 and 3545 that decides ceil(L)
+        peak = max_threshold(ThetaScan(k))
+        exact = mp_peak(k, peak.argmax_theta)
+        assert abs(mpmath.mpf(peak.max_value) - exact) <= 8 * math.ulp(peak.max_value)
+        assert peak.min_m == int(mpmath.ceil(exact))
+
+
+class TestGoldenMax:
+    """The refinement stops at float resolution, with no tolerance."""
+
+    def test_constant_function(self):
+        x, y = _golden_max(lambda t: 1.0, 1.0, 2.0)
+        assert 1.0 <= x <= 2.0 and y == 1.0
+
+    def test_bracket_one_ulp_wide(self):
+        a = 0.7
+        b = math.nextafter(a, math.inf)
+        x, y = _golden_max(lambda t: -((t - 0.2) ** 2), a, b)
+        assert x in (a, b)
+        assert math.isfinite(y)
+
+    def test_parabola_lands_on_the_vertex(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return -((t - 0.3) ** 2)
+
+        x, y = _golden_max(f, 0.29, 0.31)
+        assert abs(x - 0.3) <= 2 * math.ulp(0.3)
+        assert y == f(x)
+        # the bracket shrinks by the golden ratio down to a few ulps
+        assert len(calls) <= 80
 
 
 class TestLobeReduction:

@@ -5,10 +5,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from rounding import threshold_rounding_bound
+from rounding import mp_threshold, threshold_rounding_bound
 from unimodal_lab import kernels
 from unimodal_lab.certmax import limit_shape
-from unimodal_lab.envelope import threshold_value
+from unimodal_lab.envelope import denominator_gap, threshold_value
 
 PI = math.pi
 
@@ -109,32 +109,40 @@ class TestAgainstScalarReference:
             assert g == pytest.approx(limit_shape(float(t)), rel=1e-12)
 
 
-def _mp_threshold(k, theta):
-    # the curve straight from its definition, at 40 digits
-    with mpmath.workdps(40):
-        t = mpmath.mpf(theta)
-        s = mpmath.sin(t / 2) ** 2
-        num = k * k * s + mpmath.log(mpmath.cos(k * t / 2) ** 2)
-        return num / (-mpmath.log(mpmath.cos(t / 2) ** 2) - s)
-
-
 class TestAgainstMpmath:
     @pytest.mark.parametrize("k", [9, 12, 97, 200, 1000])
     def test_both_lanes_within_rounding_bound(self, k):
         # both lanes share one formula, so they are checked against an
         # independent evaluation: random angles, lobe angles in
-        # (pi/k, 2 pi/k), and angles around the series cutoff s = 1e-4
+        # (pi/k, 2 pi/k), and angles around the series cutoff of the gap
         rng = random.Random(k)
         theta = [rng.uniform(1e-6, PI - 1e-6) for _ in range(100)]
         theta += [PI / k * (1.0 + rng.random()) for _ in range(100)]
-        theta += [2.0 * math.asin(math.sqrt(1e-4 * (1.0 + j * 1e-3))) for j in range(-20, 21)]
+        cut = kernels.GAP_SERIES_BELOW
+        theta += [2.0 * math.asin(math.sqrt(cut * (1.0 + j * 1e-3))) for j in range(-20, 21)]
         grid = kernels.threshold_values(k, np.array(theta)).tolist()
         for t, g in zip(theta, grid):
             v = threshold_value(k, t)
-            exact = _mp_threshold(k, t)
+            exact = mp_threshold(k, t)
             bound = threshold_rounding_bound(k, t, v, 0.0)
             assert float(abs(v - exact)) <= bound, (k, t)
             assert float(abs(g - exact)) <= bound, (k, t)
+
+    def test_gap_within_2e14_relative(self):
+        # both branches of the gap and the cutoff between them, at
+        # log-uniform s; the subtraction alone loses 1.7e-12 at s = 1.2e-4
+        rng = random.Random(2)
+        s = [math.exp(rng.uniform(math.log(1e-6), math.log(0.5))) for _ in range(20_000)]
+        cut = kernels.GAP_SERIES_BELOW
+        s += [cut * (1.0 + j * 1e-6) for j in range(-20, 21)]
+        grid = kernels.gap(np.array(s), kernels.ARRAY_OPS).tolist()
+        worst = 0.0
+        with mpmath.workdps(40):
+            for x, g in zip(s, grid):
+                exact = -mpmath.log1p(-mpmath.mpf(x)) - x
+                v = denominator_gap(x)
+                worst = max(worst, float(abs(v - exact) / exact), float(abs(g - exact) / exact))
+        assert worst <= 2e-14
 
 
 class TestEdgeContracts:
