@@ -123,8 +123,8 @@ def bracket_critical(tol: float = 1e-10) -> Interval:
 _SLACK = 1e-12
 
 
-def certified_alpha(tol: float = 5e-4) -> CertifiedMax:
-    """Enclose max D on (pi/2, pi) to width <= tol.
+def certified_alpha() -> CertifiedMax:
+    """Enclose max D on (pi/2, pi).
 
     The critical point is bisected on p down to a width-1e-10 bracket
     [a, b] with p(a) < 0 < p(b). D rises up to the root of p, which lies
@@ -132,12 +132,10 @@ def certified_alpha(tol: float = 5e-4) -> CertifiedMax:
     [a, root], p runs from p(a) up to 0 and z >= a, so
     D' = -4 p/z^5 <= 4 |p(a)|/a^5 and, by the mean-value theorem,
     alpha <= D(a) + 4 (b - a) |p(a)|/a^5. Both bounds are widened by
-    1e-12 float slack, so the enclosure comes out far tighter than any
-    admissible tol. A guarded coarse scan of the whole interval must not
-    beat the certified upper bound, otherwise BracketFailure is raised.
+    1e-12 float slack; the enclosure comes out about 2e-12 wide. A
+    guarded coarse scan of the whole interval must not beat the
+    certified upper bound, otherwise BracketFailure is raised.
     """
-    if not tol >= 1e-11:
-        raise ValueError(f"tol must be >= 1e-11, got {tol}")
     evals = 0
 
     def fp(z: float) -> float:
@@ -152,8 +150,6 @@ def certified_alpha(tol: float = 5e-4) -> CertifiedMax:
     evals += 2
     lower = max(da, db) - _SLACK
     upper = da + 4.0 * (b - a) * abs(fp(a)) / a**5 + _SLACK
-    if upper - lower > tol:  # pragma: no cover - defensive
-        raise BracketFailure(f"enclosure width {upper - lower} exceeds tol {tol}")
     coarse, coarse_z = kernels.grid_max_limit_shape(_LO, _HI, 10_000)
     if coarse > upper:
         raise BracketFailure(

@@ -219,11 +219,11 @@ def cmd_probe_inequality(args: argparse.Namespace) -> Result:
 def cmd_eclass(args: argparse.Namespace) -> Result:
     k, grid = args.k, args.grid
     peak = envelope.max_threshold(envelope.ThetaScan(k, grid_points=grid))
-    cert_at = envelope.membership_certificate(peak.min_m, k, grid_points=grid)
-    cert_below = cert_at.at(peak.min_m - 1) if peak.min_m > 1 else None
+    cert_at = envelope.membership_certificate(peak.min_m, peak)
+    cert_below = envelope.membership_certificate(peak.min_m - 1, peak)
     enc = certmax.certified_alpha().value_enclosure
     sandwich = envelope.sandwich_check(peak, enc.lo, enc.hi, grid_points=max(1000, grid // 10))
-    ok = cert_at.member and (cert_below is None or not cert_below.member)
+    ok = cert_at.member and not cert_below.member
     record = {
         "command": "eclass",
         "k": k,
@@ -234,7 +234,7 @@ def cmd_eclass(args: argparse.Namespace) -> Result:
         "ratio_k4": peak.ratio_k4,
         "near_integer": peak.near_integer,
         "certificate_at_m_of_k": asdict(cert_at),
-        "certificate_below": asdict(cert_below) if cert_below else None,
+        "certificate_below": asdict(cert_below),
         "sandwich": {
             "upper_ok": sandwich.upper_ok,
             "lower_ok": sandwich.lower_ok,
@@ -249,8 +249,7 @@ def cmd_eclass(args: argparse.Namespace) -> Result:
     header = ["k", "max_threshold", "argmax_theta", "m_of_k", "ratio_k4", "near_integer"]
     pairs = [(key, record[key]) for key in ["k", "backend", *header[1:]]]
     pairs += [("member_at_m_of_k", cert_at.member), ("margin_at_m_of_k", cert_at.min_margin)]
-    if cert_below is not None:
-        pairs += [("member_below", cert_below.member), ("margin_below", cert_below.min_margin)]
+    pairs += [("member_below", cert_below.member), ("margin_below", cert_below.min_margin)]
     pairs += [("max_in_enclosure", sandwich.max_in_enclosure)]
     code = _EXIT_OK if ok and sandwich.max_in_enclosure else _EXIT_CERTIFICATION
     return Result(code, record, header, [[record[key] for key in header]], pairs)
@@ -280,11 +279,10 @@ def cmd_scan_eclass(args: argparse.Namespace) -> Result:
 
 
 def cmd_certmax(args: argparse.Namespace) -> Result:
-    result = certmax.certified_alpha(args.tol)
+    result = certmax.certified_alpha()
     cb, ve = result.crit_bracket, result.value_enclosure
     record = {
         "command": "certmax",
-        "tol": args.tol,
         "crit_bracket": {"lo": cb.lo, "hi": cb.hi, "width": cb.width},
         "value_enclosure": {"lo": ve.lo, "hi": ve.hi, "width": ve.width},
         "evaluations": result.evaluations,
@@ -358,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, "csv")
 
     p = sub.add_parser("certmax", help="certified enclosure of the limit-shape constant")
-    p.add_argument("--tol", type=float, default=5e-4)
     add_common(p, "json")
 
     p = sub.add_parser("general", help="minimal smoothing exponent for a coefficient file")

@@ -13,10 +13,10 @@ is symmetric under theta -> 2 pi - theta: L(k, theta) = L(k, 2 pi - theta).
 Membership is therefore the one comparison m >= max L over (0, pi).
 That maximum lives in the lobe (pi/k, 2 pi/k]: L < 0 on (0, pi/k), and
 on (2 pi/k, pi) L stays below smooth_part(k, 2 pi/k), which
-max_threshold checks against the lobe peak (proofs there). One routine
-locates a maximum on a guarded grid and refines it by golden section,
-on the lobe for max_threshold and on the whole of (0, pi) for
-membership_certificate, whose verdict is the margin m - max L. The
+max_threshold checks against the lobe peak (proofs there). max_threshold
+locates the lobe maximum on a guarded grid and refines it by golden
+section; membership_certificate decides the margin m - max L against
+that one peak, so no code here evaluates L outside [pi/k, 2 pi/k]. The
 curve has no theta -> pi - theta symmetry: L(k, 0+) = -(k^4 + 2 k^2)/3,
 while L(k, pi-) tends (logarithmically) to 0 for even k and to -1 for
 odd k.
@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -74,7 +74,7 @@ class Inconclusive(Exception):
     def __init__(self, min_margin: float, witness_theta: float):
         super().__init__(
             f"min margin {min_margin:.3e} at theta={witness_theta:.12g} is inside the "
-            "inconclusive band (-1e-9, -1e-12]"
+            "inconclusive band (-1e-9, -1e-12] or below the float resolution of max L"
         )
         self.min_margin = min_margin
         self.witness_theta = witness_theta
@@ -210,8 +210,10 @@ def threshold_value(k: int, theta: float) -> float:
 
     H(m, k, .) >= 0 at theta iff m >= L(k, theta). Evaluates the one
     formula kernels.threshold on floats; returns -inf where the curve
-    diverges to -inf (singular angles, and theta so close to pi that
-    sin^2(theta/2) rounds to 1).
+    diverges to -inf (the singular angles). Where sin^2(theta/2) rounds
+    to 1, theta within about 2e-8 of pi, the -inf is a sentinel, not the
+    curve's value, which tends logarithmically to 0 (even k) or -1
+    (odd k) there.
 
     L depends on theta only through sin^2(theta/2) and sin^2(k theta/2),
     both unchanged by theta -> 2 pi - theta (|f(conj z)| = |f(z)| for real
@@ -244,7 +246,8 @@ class ThetaScan:
 
 @dataclass(frozen=True)
 class ThresholdMax:
-    """Refined maximum of the threshold curve for one k."""
+    """Refined maximum of the threshold curve for one k, found on a lobe
+    grid of grid_points points."""
 
     k: int
     max_value: float
@@ -252,14 +255,16 @@ class ThresholdMax:
     min_m: int
     ratio_k4: float
     near_integer: bool
+    grid_points: int
 
 
 @dataclass(frozen=True)
 class MembershipCertificate:
-    """Grid-certified membership verdict for one (m, k).
+    """Membership verdict for one (m, k) against a max_threshold peak.
 
-    min_margin is m - max L over (0, pi) and witness_theta the angle of
-    that maximum; see membership_certificate for the verdict bands.
+    min_margin is m - peak.max_value, witness_theta the peak's
+    argmax_theta and grid_points the size of the lobe grid that found
+    it; see membership_certificate for the verdict bands.
     """
 
     m: int
@@ -268,18 +273,6 @@ class MembershipCertificate:
     min_margin: float
     witness_theta: float
     grid_points: int
-
-    def at(self, m: int) -> "MembershipCertificate":
-        """The verdict for another m against the same maximum of L.
-
-        Shifting m shifts the margin by the same amount; near the maximum
-        (L within a factor 2 of both m) the shifted margin equals a fresh
-        certificate's bit for bit.
-        """
-        _check_m(m)
-        margin = self.min_margin + (m - self.m)
-        member = _decide_margin(margin, self.witness_theta)
-        return replace(self, m=m, member=member, min_margin=margin)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -306,26 +299,8 @@ def _golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float,
     return (c, yc) if yc >= yd else (d, yd)
 
 
-# the full search interval (0, pi), kept clear of both ends
-_FULL_LO = 1e-6
-_FULL_HI = math.pi - 1e-6
 # the guard radius around the singular angles is _GUARD / k
 _GUARD = 1e-8 * math.pi
-
-
-def _refined_max(k: int, lo: float, hi: float, n: int) -> tuple[float, float]:
-    # max of L over the guarded n-point grid on (lo, hi], refined by golden
-    # section within one grid step of the best grid point (clamped to
-    # [lo, hi]; the grid point stays if it is better): (theta, value), or
-    # (nan, -inf) when every grid point is guarded
-    y, x = kernels.grid_max_threshold(k, lo, hi, n, _GUARD / k)
-    if not math.isfinite(y):
-        return x, y
-    step = (hi - lo) / n
-    rx, ry = _golden_max(
-        lambda th: threshold_value(k, th), max(x - step, lo), min(x + step, hi)
-    )
-    return (x, y) if ry < y else (rx, ry)
 
 
 def _warn_small_k(k: int) -> None:
@@ -354,30 +329,47 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
     and stays below 0.6276 at every k in 2..1000 and at sampled k to 10^6.
 
     min_m is the least integer m that is a member. When the maximum sits
-    within 1e-6 of an integer the ceiling is not trusted: both candidate
-    integers are resolved by direct membership certificates and the
-    result is flagged near_integer.
+    within 1e-6 of an integer n the ceiling is not trusted: n is decided
+    by the margin n - max L in membership_certificate's bands (so the
+    band between raises Inconclusive) and the result is flagged
+    near_integer. Where one float step of the maximum is wider than that
+    band (max L above 2^23, from about k = 72) the bands cannot place
+    it, and Inconclusive is raised too.
     """
     k = scan.k
     _warn_small_k(k)
     n = scan.grid_points
-    ref_theta, ref_val = _refined_max(k, math.pi / k, 2.0 * math.pi / k, n)
-    if not math.isfinite(ref_val):
+    lo, hi = math.pi / k, 2.0 * math.pi / k
+    grid_val, grid_theta = kernels.grid_max_threshold(k, lo, hi, n, _GUARD / k)
+    if not math.isfinite(grid_val):
         raise ReductionViolation(f"no admissible grid point in (pi/{k}, 2pi/{k}]")
-    tail = smooth_part(k, 2.0 * math.pi / k)
-    if not tail < ref_val - 1e-9 * max(1.0, abs(ref_val)):
+    # refine within one grid step of the best grid point, which stays if
+    # it is better
+    step = (hi - lo) / n
+    theta, top = _golden_max(
+        lambda th: threshold_value(k, th), max(grid_theta - step, lo), min(grid_theta + step, hi)
+    )
+    if top < grid_val:
+        theta, top = grid_theta, grid_val
+    tail = smooth_part(k, hi)
+    if not tail < top - 1e-9 * max(1.0, abs(top)):
         raise ReductionViolation(
             f"tail bound smooth_part(k, 2pi/k) = {tail:.12g} does not clear "
-            f"the lobe maximum {ref_val:.12g}"
+            f"the lobe maximum {top:.12g}"
         )
-    nearest = round(ref_val)
-    near = abs(ref_val - nearest) < 1e-6
+    nearest = round(top)
+    near = abs(top - nearest) < 1e-6
     if near:
         cand = int(nearest)
-        min_m = cand if membership_certificate(cand, k, grid_points=n).member else cand + 1
+        margin = cand - top
+        if math.ulp(top) > 1e-9:
+            # one float step of the peak is wider than the inconclusive
+            # band, so the band cannot place the peak against cand
+            raise Inconclusive(margin, theta)
+        min_m = cand if _decide_margin(margin, theta) else cand + 1
     else:
-        min_m = math.ceil(ref_val)
-    return ThresholdMax(k, ref_val, ref_theta, min_m, ref_val / k**4, near)
+        min_m = math.ceil(top)
+    return ThresholdMax(k, top, theta, min_m, top / k**4, near, n)
 
 
 def _check_m(m: int) -> None:
@@ -393,26 +385,21 @@ def _decide_margin(margin: float, witness_theta: float) -> bool:
     raise Inconclusive(margin, witness_theta)
 
 
-def membership_certificate(m: int, k: int, grid_points: int = 100_000) -> MembershipCertificate:
-    """Decide whether (m, k) is in the class from the margin m - max L.
+def membership_certificate(m: int, peak: ThresholdMax) -> MembershipCertificate:
+    """Decide whether (m, peak.k) is in the class from the margin m - max L.
 
-    The maximum of L over (0, pi) is located on a guarded grid of
-    grid_points points and refined by golden section, by the same routine
-    max_threshold runs on (pi/k, 2 pi/k]. Verdict bands on the margin:
-    >= -1e-12 is a member, <= -1e-9 is not (witness_theta locates the
-    violation), and the band between raises Inconclusive rather than
-    guessing. The certificate's at() decides other m against the same
-    maximum.
+    peak is max_threshold's result for k: its max_value is max L over
+    (0, pi), by the lobe reduction proven there, so the certificate scans
+    nothing. Verdict bands on the margin m - peak.max_value: >= -1e-12
+    is a member, <= -1e-9 is not (witness_theta, the peak's argmax,
+    locates the violation), and the band between raises Inconclusive
+    rather than guessing.
     """
     _check_m(m)
-    ThetaScan(k, grid_points=grid_points)  # validates k and grid_points
-    _warn_small_k(k)
-    theta, top = _refined_max(k, _FULL_LO, _FULL_HI, grid_points)
-    if not math.isfinite(top):
-        raise ValueError("margin scan found no admissible grid point")
-    margin = m - top
+    margin = m - peak.max_value
+    theta = peak.argmax_theta
     return MembershipCertificate(
-        m, k, _decide_margin(margin, theta), margin, theta, grid_points
+        m, peak.k, _decide_margin(margin, theta), margin, theta, peak.grid_points
     )
 
 

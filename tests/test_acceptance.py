@@ -134,7 +134,7 @@ def test_criterion_06_inequality_holds_with_honest_case_audit():
 
 def test_criterion_07_certified_constant():
     t0 = time.perf_counter()
-    result = certified_alpha(5e-4)
+    result = certified_alpha()
     elapsed = time.perf_counter() - t0
     enc = result.value_enclosure
     crit = result.crit_bracket
@@ -172,8 +172,8 @@ def test_criterion_09_membership_flips_at_min_m():
     bad = []
     for k in (9, 12, 16):
         peak = max_threshold(ThetaScan(k))
-        at = membership_certificate(peak.min_m, k)
-        below = membership_certificate(peak.min_m - 1, k)
+        at = membership_certificate(peak.min_m, peak)
+        below = membership_certificate(peak.min_m - 1, peak)
         if not (at.member and not below.member and not peak.near_integer):
             bad.append((k, peak.min_m, at.member, below.member, peak.near_integer))
     ok = not bad

@@ -139,7 +139,3 @@ class TestCertifiedAlpha:
         enc = result.value_enclosure
         assert round(enc.mid, 4) == 0.3229
         assert enc.lo <= 0.32295 and enc.hi >= 0.32285
-
-    def test_tol_floor(self):
-        with pytest.raises(ValueError):
-            certified_alpha(tol=1e-12)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import mpmath
 import pytest
@@ -198,27 +199,41 @@ class TestEclass:
         code, out, err = run(capsys, "eclass", "--k", "9", "--grid", "500")
         assert code == 1
 
-    def test_one_full_interval_scan_at_grid_size(self, capsys, monkeypatch):
-        # the lobe reduction is proven, not cross-checked, and the
-        # certificate below m(k) is a margin against the maximum the
-        # certificate at m(k) found, so only that one maximum scans the
-        # whole of (0, pi)
-        full = []
+    def test_one_lobe_scan_and_margins_from_its_peak(self, capsys, monkeypatch):
+        # the certificates decide m - max_threshold against the one lobe
+        # peak, so L is scanned once, on (pi/k, 2 pi/k], and both margins
+        # are that subtraction bit for bit
+        scans = []
         for name in ("grid_max_threshold", "grid_min_margin"):
             def spy(*args, _fn=getattr(kernels, name)):
-                lo, n = args[-4], args[-2]
-                if lo == 1e-6:
-                    full.append(n)
+                scans.append(args[-4:-1])
                 return _fn(*args)
             monkeypatch.setattr(kernels, name, spy)
         code, out, err = run(capsys, "eclass", "--k", "30", "--grid", "300000")
         assert code == 0
-        assert sorted(full) == [300_000]
+        assert scans == [(math.pi / 30, 2 * math.pi / 30, 300_000)]
+        doc = json.loads(out)
+        for key in ("certificate_at_m_of_k", "certificate_below"):
+            cert = doc[key]
+            assert cert["min_margin"] == cert["m"] - doc["max_threshold"]
+            assert cert["witness_theta"] == doc["argmax_theta"]
+            assert cert["grid_points"] == 300_000
 
-    @pytest.mark.parametrize("k", [3116, 3397, 3545])
+    def test_inconclusive_near_integer_exits_three(self, capsys, monkeypatch):
+        # a lobe peak 1e-10 above an integer leaves the margin inside the
+        # undecidable band
+        monkeypatch.setattr(kernels, "grid_max_threshold", lambda *args: (2065 + 1e-10, 0.49))
+        monkeypatch.setattr(envelope, "threshold_value", lambda k, theta: float("-inf"))
+        code, out, err = run(capsys, "eclass", "--k", "9")
+        assert code == 3
+        assert "inconclusive band" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("k", [3116, 3397, 3545, 12000])
     def test_large_k_prints_the_true_ceiling_or_refuses(self, capsys, k):
-        # L sits 0.01-0.03 above an integer here, so a peak a few hundredths
-        # low gives an m(k) one too small
+        # L sits 0.01-0.03 above an integer at the first three, so a peak a
+        # few hundredths low gives an m(k) one too small; at 12000 one ulp
+        # of L is 1 and the float peak is 2 above the true maximum
         code, out, err = run(capsys, "eclass", "--k", str(k))
         assert code in (0, 3)
         if code == 0:
@@ -288,6 +303,13 @@ class TestScanEclass:
         row = out.splitlines()[1].split(",")
         assert int(row[3]) == int(mpmath.ceil(mp_peak(3397, float(row[2]))))
 
+    def test_k12000_refuses_or_prints_the_true_ceiling(self, capsys):
+        code, out, err = run(capsys, "scan-eclass", "--k-min", "12000", "--k-max", "12000")
+        assert code in (0, 3)
+        if code == 0:
+            row = out.splitlines()[1].split(",")
+            assert int(row[3]) == int(mpmath.ceil(mp_peak(12000, float(row[2]))))
+
     def test_tol_is_gone(self, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["scan-eclass", "--k-min", "9", "--k-max", "9", "--tol", "1e-20"])
@@ -313,9 +335,10 @@ class TestCertmax:
         assert doc["crit_bracket"]["width"] <= 1e-10
         assert doc["evaluations"] > 0
 
-    def test_tol_below_floor_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "certmax", "--tol", "1e-12")
-        assert code == 1
+    def test_tol_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["certmax", "--tol", "0.1"])
+        assert ei.value.code == 1
 
 
 class TestGeneral:

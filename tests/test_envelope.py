@@ -14,6 +14,7 @@ from unimodal_lab.envelope import (
     MembershipCertificate,
     ReductionViolation,
     ThetaScan,
+    ThresholdMax,
     VarianceInput,
     _decide_margin,
     _golden_max,
@@ -293,33 +294,37 @@ class TestLobeReduction:
             assert threshold_value(k, lobe_hi + (math.pi - 1e-6 - lobe_hi) * (i / 500)) <= tail
 
 
+@functools.lru_cache(maxsize=None)
+def _peak(k, grid_points=10_000):
+    return max_threshold(ThetaScan(k, grid_points=grid_points))
+
+
 class TestMembership:
     def test_member_at_threshold(self):
-        cert = membership_certificate(2065, 9)
+        peak = _peak(9, 100_000)
+        cert = membership_certificate(2065, peak)
         assert isinstance(cert, MembershipCertificate)
         assert cert.member
         assert cert.min_margin == pytest.approx(0.0655481355242955, abs=1e-6)
         assert cert.witness_theta == pytest.approx(0.49348093, abs=1e-5)
+        assert (cert.m, cert.k, cert.grid_points) == (2065, 9, 100_000)
 
     def test_nonmember_below_threshold(self):
-        cert = membership_certificate(2064, 9)
+        cert = membership_certificate(2064, _peak(9, 100_000))
         assert not cert.member
         assert cert.min_margin == pytest.approx(-0.9344518644757045, abs=1e-6)
 
     def test_k12_margins(self):
-        assert membership_certificate(6601, 12).member
-        assert not membership_certificate(6600, 12).member
+        peak = _peak(12, 100_000)
+        assert membership_certificate(6601, peak).member
+        assert not membership_certificate(6600, peak).member
 
     def test_validation(self):
+        peak = _peak(9)
         with pytest.raises(ValueError):
-            membership_certificate(0, 9)
+            membership_certificate(0, peak)
         with pytest.raises(ValueError):
-            membership_certificate(2.5, 9)
-        cert = membership_certificate(2065, 9, grid_points=20_000)
-        with pytest.raises(ValueError):
-            cert.at(0)
-        with pytest.raises(ValueError):
-            cert.at(2.5)
+            membership_certificate(2.5, peak)
 
     def test_decide_margin_bands(self):
         assert _decide_margin(5.0, 1.25)
@@ -330,10 +335,10 @@ class TestMembership:
         with pytest.raises(Inconclusive) as err:
             _decide_margin(-5e-10, 1.25)
         assert err.value.witness_theta == 1.25
-        # a shifted margin is decided in the same bands
-        cert = MembershipCertificate(10, 9, True, 1.0 - 5e-10, 1.25, 1000)
+        # a certificate decides m - max_value in the same bands
+        peak = ThresholdMax(9, 9.0 + 5e-10, 1.25, 10, (9.0 + 5e-10) / 9**4, True, 1000)
         with pytest.raises(Inconclusive) as err:
-            cert.at(9)
+            membership_certificate(9, peak)
         assert err.value.witness_theta == 1.25
 
     def test_inconclusive_payload(self):
@@ -343,30 +348,69 @@ class TestMembership:
         assert "inconclusive band" in str(err)
 
 
-@functools.lru_cache(maxsize=None)
-def _certs_near_m_of_k(k):
-    # m(k) and the certificates of m(k) - 2 .. m(k) + 2, on a 20k grid
-    m_of_k = max_threshold(ThetaScan(k, grid_points=20_000)).min_m
-    ms = range(m_of_k - 2, m_of_k + 3)
-    return m_of_k, {m: membership_certificate(m, k, grid_points=20_000) for m in ms}
-
-
 class TestMarginShift:
-    @pytest.mark.parametrize("k", [9, 12, 30, 97, 200])
-    def test_at_equals_a_fresh_certificate(self, k):
-        _, certs = _certs_near_m_of_k(k)
-        for cert in certs.values():
-            for m2, fresh in certs.items():
-                assert cert.at(m2) == fresh, (cert.m, m2)
-
-    @pytest.mark.parametrize("k", [9, 12, 30, 97, 200])
+    @pytest.mark.parametrize("k", [9, 12, 30, 97, 200, 1000, 3116, 3397, 3545])
     def test_member_flips_exactly_at_m_of_k(self, k):
-        m_of_k, certs = _certs_near_m_of_k(k)
+        peak = _peak(k, 100_000)
+        m_of_k = peak.min_m
+        assert m_of_k == int(mpmath.ceil(mp_peak(k, peak.argmax_theta)))
+        certs = {m: membership_certificate(m, peak) for m in range(m_of_k - 2, m_of_k + 3)}
         assert [c.member for c in certs.values()] == [False, False, True, True, True]
         assert certs[m_of_k - 1].min_margin < 0.0 <= certs[m_of_k].min_margin
+        for m, cert in certs.items():
+            assert cert.min_margin == m - peak.max_value
+            assert cert.witness_theta == peak.argmax_theta
         # monotone beyond the window too
-        assert not certs[m_of_k].at(1).member
-        assert certs[m_of_k].at(10 * m_of_k).member
+        assert not membership_certificate(1, peak).member
+        assert membership_certificate(10 * m_of_k, peak).member
+
+
+class TestNearInteger:
+    """max_threshold decides a peak within 1e-6 of an integer n by the margin n - peak."""
+
+    N = 2065
+
+    def _stub_lobe(self, monkeypatch, peak_value):
+        # the lobe scan returns peak_value and the refinement finds nothing
+        # better, so the peak is exactly peak_value
+        scans = []
+
+        def scan(k, lo, hi, n, guard):
+            scans.append((k, lo, hi, n))
+            return peak_value, 0.4934809319486516
+
+        monkeypatch.setattr(kernels, "grid_max_threshold", scan)
+        monkeypatch.setattr(envelope, "threshold_value", lambda k, theta: -math.inf)
+        return scans
+
+    @pytest.mark.parametrize(
+        "excess, min_m",
+        [
+            (2 * math.ulp(N), N),  # margin -9.1e-13, inside the member band
+            (-1e-7, N),  # peak a little below n
+            (1e-7, N + 1),  # margin -1e-7, beyond -1e-9
+        ],
+    )
+    def test_decided(self, monkeypatch, excess, min_m):
+        scans = self._stub_lobe(monkeypatch, self.N + excess)
+        peak = max_threshold(ThetaScan(9))
+        assert peak.near_integer is True
+        assert peak.min_m == min_m
+        assert scans == [(9, math.pi / 9, 2 * math.pi / 9, 100_000)]
+
+    @pytest.mark.parametrize(
+        "peak_value",
+        [
+            N + 1e-10,  # margin inside (-1e-9, -1e-12)
+            2.0**23,  # an integer whose float spacing 1.9e-9 exceeds the band
+        ],
+    )
+    def test_unresolved_is_inconclusive(self, monkeypatch, peak_value):
+        scans = self._stub_lobe(monkeypatch, peak_value)
+        with pytest.raises(Inconclusive) as err:
+            max_threshold(ThetaScan(9))
+        assert -1e-9 < err.value.min_margin <= 0.0
+        assert len(scans) == 1
 
 
 class TestQuarticFloor:
@@ -403,10 +447,6 @@ class TestQuarticFloor:
 def alpha():
     enc = certified_alpha().value_enclosure
     return enc.lo, enc.hi
-
-
-def _peak(k):
-    return max_threshold(ThetaScan(k, grid_points=10_000))
 
 
 class TestSandwich:
