@@ -2,20 +2,28 @@
 NumPy grid kernels that scan them.
 
 Each formula is written once, as a function of its argument and an ops
-namespace that supplies sin, cos, log, log1p and where: SCALAR_OPS
-(libm through math, where(c, a, b) = a if c else b) for the scalar
-evaluators envelope.threshold_value, envelope.denominator_gap and
+namespace that supplies sin, cos, log, log1p, where and select:
+SCALAR_OPS (libm through math) for the scalar evaluators
+envelope.threshold_value, envelope.denominator_gap and
 certmax.limit_shape, which drive the golden-section and bisection
 refinements, and ARRAY_OPS (NumPy) for the grids. The lanes stay apart
 because NumPy's log1p and libm's differ in the last bit on some inputs,
 and the CLI prints scalar results to 17 digits. Both branches of every
 where are evaluated, so the formulas clamp their arguments before any
-log and select the -inf sentinels last.
+log and select the -inf sentinels last. select(c, a, b) takes its
+branches as thunks and runs only those some element of c needs: the
+scalar lane runs one, the array lane both only for a mixed c.
 
 Grid semantics: right-closed grids theta_i = lo + (hi - lo) * (i / n)
 for i = 1..n, a guard that masks points within `guard` of the nearest
 odd multiple of pi/k, -inf sentinels where the curve diverges, and ties
 broken toward the first grid index.
+
+grid_max_threshold walks i = 1..n in blocks of GRID_BLOCK points, so its
+working set is a few cache-sized arrays at any n. It keeps a running
+(value, theta) that a later block replaces only with a strictly larger
+value, and it masks only the blocks that may hold a guarded point, so
+its result is bit for bit that of the whole-grid argmax.
 """
 
 from __future__ import annotations
@@ -25,15 +33,30 @@ from types import SimpleNamespace
 
 import numpy as np
 
+
+def _array_select(c, a, b):
+    if c.all():
+        return a()
+    if not c.any():
+        return b()
+    return np.where(c, a(), b())
+
+
 SCALAR_OPS = SimpleNamespace(
     sin=math.sin,
     cos=math.cos,
     log=math.log,
     log1p=math.log1p,
     where=lambda c, a, b: a if c else b,
+    select=lambda c, a, b: a() if c else b(),
 )
 ARRAY_OPS = SimpleNamespace(
-    sin=np.sin, cos=np.cos, log=np.log, log1p=np.log1p, where=np.where
+    sin=np.sin,
+    cos=np.cos,
+    log=np.log,
+    log1p=np.log1p,
+    where=np.where,
+    select=_array_select,
 )
 
 
@@ -46,14 +69,18 @@ def gap(s, ops):
     The subtraction loses about u/s relative to cancellation (<= 2e-14
     above the cutoff), so below it the series s^2 (1/2 + s/3 + ... + s^7/9)
     is used instead (first dropped term < 2e-17 relative), by Horner in
-    place, since both branches of the where run on the whole grid.
+    place.
     """
-    acc = s / 9.0
-    for n in range(8, 1, -1):
-        acc += 1.0 / n
+
+    def series():
+        acc = s / 9.0
+        for n in range(8, 1, -1):
+            acc += 1.0 / n
+            acc *= s
         acc *= s
-    acc *= s
-    return ops.where(s < GAP_SERIES_BELOW, acc, -ops.log1p(-s) - s)
+        return acc
+
+    return ops.select(s < GAP_SERIES_BELOW, series, lambda: -ops.log1p(-s) - s)
 
 
 def threshold(k, theta, ops):
@@ -111,19 +138,57 @@ def limit_shape_values(z: np.ndarray) -> np.ndarray:
     return limit_shape(z, ARRAY_OPS)
 
 
+GRID_BLOCK = 16_384
+
+
+def _may_guard(t0: float, t1: float, k: int, guard: float) -> bool:
+    """False only if guard_mask masks no theta between t0 and t1.
+
+    u = theta * k / pi is rounded by the same two correctly rounded
+    operations here as in guard_mask, and each is monotone in theta, so
+    every u guard_mask computes for a theta between t0 and t1 lies between
+    u(t0) and u(t1): the rounding of u needs no slack. A masked point has
+    |u - o| * (pi/k) < guard for an odd integer o (|u| < 2^52), with
+    pi/k, u - o and the product each rounded, so in exact arithmetic
+    |u - o| < (guard k/pi)(1 + 4 eps), eps = 2^-53. The slack is a
+    factor 2 on that radius, r = 2 guard k/pi, which its own two
+    roundings cannot bring below (1 + 4 eps) guard k/pi. The test is
+    whether the least odd integer >= u_lo - r is <= u_hi + r; rounding in
+    those sums and in the least-odd step only widens the test, since
+    round-to-nearest is monotone and never crosses an integer.
+    """
+    u0 = t0 * k / math.pi
+    u1 = t1 * k / math.pi
+    r = 2.0 * guard * k / math.pi
+    a, b = min(u0, u1) - r, max(u0, u1) + r
+    return 2.0 * math.ceil((a - 1.0) / 2.0) + 1.0 <= b
+
+
 def grid_max_threshold(
     k: int, lo: float, hi: float, n: int, guard: float
 ) -> tuple[float, float]:
-    """Max of the threshold curve over the guarded grid; (-inf, nan) if empty."""
-    theta = theta_grid(lo, hi, n)
-    vals = threshold_values(k, theta)
-    if guard > 0.0:
-        vals = np.where(guard_mask(theta, k, guard), -np.inf, vals)
-    i = int(np.argmax(vals))
-    v = float(vals[i])
-    if not math.isfinite(v):
+    """Max of the threshold curve over the guarded grid; (-inf, nan) if empty.
+
+    A NaN value empties the result, as it does in np.argmax over the whole
+    grid.
+    """
+    best_v, best_t = -math.inf, math.nan
+    width = hi - lo
+    for start in range(1, n + 1, GRID_BLOCK):
+        i = np.arange(start, min(start + GRID_BLOCK, n + 1), dtype=np.float64)
+        theta = lo + width * (i / n)
+        vals = threshold_values(k, theta)
+        if guard > 0.0 and _may_guard(float(theta[0]), float(theta[-1]), k, guard):
+            vals = np.where(guard_mask(theta, k, guard), -np.inf, vals)
+        j = int(np.argmax(vals))
+        v = float(vals[j])
+        if math.isnan(v):
+            return float("-inf"), float("nan")
+        if v > best_v:
+            best_v, best_t = v, float(theta[j])
+    if not math.isfinite(best_v):
         return float("-inf"), float("nan")
-    return v, float(theta[i])
+    return best_v, best_t
 
 
 def grid_min_margin(
@@ -139,15 +204,6 @@ def grid_min_margin(
     if not math.isfinite(v):
         return float("inf"), float("nan")
     return v, float(theta[i])
-
-
-def count_nonneg_threshold(k: int, lo: float, hi: float, n: int, guard: float) -> int:
-    """Number of unguarded grid points where the threshold curve is >= 0."""
-    theta = theta_grid(lo, hi, n)
-    keep = threshold_values(k, theta) >= 0.0
-    if guard > 0.0:
-        keep &= ~guard_mask(theta, k, guard)
-    return int(np.count_nonzero(keep))
 
 
 def grid_max_limit_shape(lo: float, hi: float, n: int) -> tuple[float, float]:

@@ -1,12 +1,14 @@
-"""The mpmath reference for L(k, theta) and a first-order rounding bound
-for its float evaluation."""
+"""The mpmath reference for L(k, theta), a first-order rounding bound
+for its float evaluation, and a whole-grid count of the points where L
+is nonnegative."""
 
 import math
 
 import mpmath
+import numpy as np
 
 from unimodal_lab.envelope import denominator_gap
-from unimodal_lab.kernels import GAP_SERIES_BELOW
+from unimodal_lab.kernels import GAP_SERIES_BELOW, guard_mask, theta_grid, threshold_values
 
 U = 2.0**-53  # unit roundoff of a double
 
@@ -68,3 +70,12 @@ def mp_peak(k, theta, digits=50):
                 d = a + r * (b - a)
                 yd = mp_threshold(k, d, digits)
         return max(yc, yd)
+
+
+def count_nonneg_threshold(k: int, lo: float, hi: float, n: int, guard: float) -> int:
+    """Number of unguarded grid points where the threshold curve is >= 0."""
+    theta = theta_grid(lo, hi, n)
+    keep = threshold_values(k, theta) >= 0.0
+    if guard > 0.0:
+        keep &= ~guard_mask(theta, k, guard)
+    return int(np.count_nonzero(keep))

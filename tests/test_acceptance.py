@@ -12,7 +12,7 @@ import math
 import random
 import time
 
-from rounding import U, threshold_rounding_bound
+from rounding import U, count_nonneg_threshold, threshold_rounding_bound
 from unimodal_lab import kernels
 from unimodal_lab.certmax import certified_alpha, limit_shape
 from unimodal_lab.envelope import (
@@ -269,7 +269,7 @@ def test_criterion_10d_curve_negative_before_first_singularity():
     for k in (9, 16, 24):
         lo = 1e-9
         hi = (math.pi / k) * (1.0 - 1e-9)
-        count = kernels.count_nonneg_threshold(k, lo, hi, 100_000, 0.0)
+        count = count_nonneg_threshold(k, lo, hi, 100_000, 0.0)
         peak, _ = kernels.grid_max_threshold(
             k, math.pi / k, 2.0 * math.pi / k, 20_000, 1e-8 * math.pi / k
         )

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -240,6 +241,17 @@ class TestMaxThreshold:
         exact = mp_peak(k, peak.argmax_theta)
         assert abs(mpmath.mpf(peak.max_value) - exact) <= 8 * math.ulp(peak.max_value)
         assert peak.min_m == int(mpmath.ceil(exact))
+
+    def test_million_point_scan_stays_small(self):
+        # one whole-grid scan of 10^6 points peaks at about 86 MiB (some 25
+        # arrays of 8 MB); the blocked scan keeps a few cache-sized arrays
+        tracemalloc.start()
+        try:
+            max_threshold(ThetaScan(500, grid_points=1_000_000))
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak_bytes < 8e6
 
 
 class TestGoldenMax:

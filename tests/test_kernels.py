@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from rounding import mp_threshold, threshold_rounding_bound
+from rounding import count_nonneg_threshold, mp_threshold, threshold_rounding_bound
 from unimodal_lab import kernels
 from unimodal_lab.certmax import limit_shape
 from unimodal_lab.envelope import denominator_gap, threshold_value
@@ -22,6 +22,23 @@ def _guarded(theta, k, guard):
 
 def _grid(lo, hi, n):
     return [lo + (hi - lo) * (i / n) for i in range(1, n + 1)]
+
+
+def _whole_grid_max(k, lo, hi, n, guard):
+    # the whole-array form of grid_max_threshold, the reference for its
+    # blocked walk
+    theta = kernels.theta_grid(lo, hi, n)
+    vals = kernels.threshold_values(k, theta)
+    if guard > 0.0:
+        vals = np.where(kernels.guard_mask(theta, k, guard), -np.inf, vals)
+    i = int(np.argmax(vals))
+    v = float(vals[i])
+    if not math.isfinite(v):
+        return float("-inf"), float("nan")
+    return v, float(theta[i])
+
+
+B = kernels.GRID_BLOCK
 
 
 def test_backend_is_pure():
@@ -67,7 +84,7 @@ class TestAgainstScalarReference:
     def test_count_nonneg_matches_pointwise_evaluation(self, k):
         lo, hi, n = PI / k, 2 * PI / k, 20_000
         guard = 1e-8 * PI / k
-        got = kernels.count_nonneg_threshold(k, lo, hi, n, guard)
+        got = count_nonneg_threshold(k, lo, hi, n, guard)
         want = sum(
             1
             for theta in _grid(lo, hi, n)
@@ -107,6 +124,60 @@ class TestAgainstScalarReference:
         got = kernels.limit_shape_values(z)
         for g, t in zip(got, z):
             assert g == pytest.approx(limit_shape(float(t)), rel=1e-12)
+
+
+class TestBlockedGridMax:
+    @pytest.mark.parametrize("k", [2, 3, 9, 31, 32, 97, 1000])
+    @pytest.mark.parametrize("n", [1, 1000, B - 1, B, B + 1, 3 * B + 7, 1_000_000])
+    def test_lobe_matches_whole_grid_bit_for_bit(self, k, n):
+        # repr round-trips every float and prints nan alike, so equal reprs
+        # are equal bits (k = 2, n = 1 scans only theta = pi: (-inf, nan))
+        lo, hi, guard = PI / k, 2 * PI / k, 1e-8 * PI / k
+        got = kernels.grid_max_threshold(k, lo, hi, n, guard)
+        assert repr(got) == repr(_whole_grid_max(k, lo, hi, n, guard))
+
+    def test_masked_points_in_middle_blocks(self):
+        k, lo, hi, n, guard = 97, 1e-6, PI - 1e-6, 3 * B + 7, 1e-3
+        theta = kernels.theta_grid(lo, hi, n)
+        masked = np.flatnonzero(kernels.guard_mask(theta, k, guard))
+        assert ((masked >= B) & (masked < 2 * B)).any()
+        assert kernels.grid_max_threshold(k, lo, hi, n, guard) == _whole_grid_max(k, lo, hi, n, guard)
+
+    def test_all_guarded_blocks_are_empty(self):
+        k = 9
+        lo, hi = PI / k * 0.999, PI / k * 1.001
+        v, t = kernels.grid_max_threshold(k, lo, hi, 3 * B + 7, 1.0)
+        assert v == float("-inf")
+        assert math.isnan(t)
+
+    def test_ties_go_to_the_first_index_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(kernels, "threshold_values", lambda k, theta: np.full_like(theta, 7.0))
+        lo, hi, n = 0.1, 0.3, 3 * B + 7
+        assert kernels.grid_max_threshold(9, lo, hi, n, 0.0) == (7.0, lo + (hi - lo) * (1 / n))
+
+
+class TestSelect:
+    def test_gap_straddling_the_cutoff_is_the_where_of_both_branches(self):
+        cut = kernels.GAP_SERIES_BELOW
+        s = np.linspace(0.5 * cut, 2.0 * cut, 1001)
+        series = s / 9.0
+        for n in range(8, 1, -1):
+            series = (series + 1.0 / n) * s
+        series = series * s
+        want = np.where(s < cut, series, -np.log1p(-s) - s)
+        assert np.array_equal(kernels.gap(s, kernels.ARRAY_OPS), want)
+
+    def test_runs_only_the_branches_needed(self):
+        def boom():
+            raise AssertionError("branch not needed")
+
+        one = lambda: np.ones(2)  # noqa: E731
+        select = kernels.ARRAY_OPS.select
+        assert select(np.array([True, True]), one, boom).tolist() == [1.0, 1.0]
+        assert select(np.array([False, False]), boom, one).tolist() == [1.0, 1.0]
+        assert select(np.array([True, False]), one, lambda: np.zeros(2)).tolist() == [1.0, 0.0]
+        assert kernels.SCALAR_OPS.select(True, lambda: 1.0, boom) == 1.0
+        assert kernels.SCALAR_OPS.select(False, boom, lambda: 2.0) == 2.0
 
 
 class TestAgainstMpmath:
@@ -156,7 +227,7 @@ class TestEdgeContracts:
         v, t = kernels.grid_min_margin(100.0, k, lo, hi, 100, 1.0)
         assert v == float("inf")
         assert math.isnan(t)
-        assert kernels.count_nonneg_threshold(k, lo, hi, 100, 1.0) == 0
+        assert count_nonneg_threshold(k, lo, hi, 100, 1.0) == 0
 
     def test_zero_guard_keeps_all_points(self):
         k, n = 9, 1_000
@@ -179,4 +250,4 @@ class TestEdgeContracts:
     @pytest.mark.parametrize("k", [9, 16, 24])
     def test_count_zero_before_first_singularity(self, k):
         lo, hi = 1e-9, (PI / k) * (1.0 - 1e-9)
-        assert kernels.count_nonneg_threshold(k, lo, hi, 20_000, 0.0) == 0
+        assert count_nonneg_threshold(k, lo, hi, 20_000, 0.0) == 0
