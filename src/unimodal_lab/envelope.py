@@ -500,21 +500,28 @@ def sandwich_check(
     its ratio_k4 is the max(L)/k^4 checked against
     sandwich_bounds(k, alpha_lo, alpha_hi). Pointwise slack is 1e-9
     absolute on the ratio scale. At most `keep` violations of each kind
-    are kept, in grid order.
+    are kept, in grid order. The grid is walked in blocks of
+    kernels.GRID_BLOCK points, so memory does not grow with grid_points.
     """
     k = peak.k
     scan = ThetaScan(k, grid_points=max(grid_points, 1000))
     _warn_small_k(k)
     n = scan.grid_points
-    theta = kernels.theta_grid(math.pi / k, 2.0 * math.pi / k, n)
-    theta = theta[~kernels.guard_mask(theta, k, _GUARD / k)]
-    ratio = kernels.threshold_values(k, theta) / float(k) ** 4
-    d = kernels.limit_shape_values(0.5 * k * theta)
-    lower = d / _squeeze(k)
-    up = ratio > d + 1e-9
-    dn = ratio < lower - 1e-9
-    n_up = int(np.count_nonzero(up))
-    n_dn = int(np.count_nonzero(dn))
+    k4 = float(k) ** 4
+    n_up = n_dn = 0
+    up_rows: list[tuple[float, ...]] = []
+    dn_rows: list[tuple[float, ...]] = []
+    for theta in kernels.theta_blocks(math.pi / k, 2.0 * math.pi / k, n):
+        theta = theta[~kernels.guard_mask(theta, k, _GUARD / k)]
+        ratio = kernels.threshold_values(k, theta) / k4
+        d = kernels.limit_shape_values(0.5 * k * theta)
+        lower = d / _squeeze(k)
+        up = ratio > d + 1e-9
+        dn = ratio < lower - 1e-9
+        n_up += int(np.count_nonzero(up))
+        n_dn += int(np.count_nonzero(dn))
+        up_rows += _first_rows(keep - len(up_rows), theta[up], ratio[up], d[up])
+        dn_rows += _first_rows(keep - len(dn_rows), theta[dn], ratio[dn], lower[dn])
     lo_bound, hi_bound = sandwich_bounds(k, alpha_lo, alpha_hi)
     return SandwichReport(
         k=k,
@@ -523,8 +530,8 @@ def sandwich_check(
         lower_ok=n_dn == 0,
         n_upper_violations=n_up,
         n_lower_violations=n_dn,
-        upper_violations=_first_rows(keep, theta[up], ratio[up], d[up]),
-        lower_violations=_first_rows(keep, theta[dn], ratio[dn], lower[dn]),
+        upper_violations=tuple(up_rows),
+        lower_violations=tuple(dn_rows),
         max_ratio=peak.ratio_k4,
         enclosure_lo=lo_bound,
         enclosure_hi=hi_bound,

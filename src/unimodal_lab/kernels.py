@@ -19,17 +19,62 @@ for i = 1..n, a guard that masks points within `guard` of the nearest
 odd multiple of pi/k, -inf sentinels where the curve diverges, and ties
 broken toward the first grid index.
 
-grid_max_threshold walks i = 1..n in blocks of GRID_BLOCK points, so its
-working set is a few cache-sized arrays at any n. It keeps a running
-(value, theta) that a later block replaces only with a strictly larger
-value, and it masks only the blocks that may hold a guarded point, so
-its result is bit for bit that of the whole-grid argmax.
+grid_max_threshold is a branch-and-bound over cells of GRID_CELL
+consecutive grid indices. It bounds every cell from above (the lemma
+below), seeds a running best from the cell with the largest finite
+bound, then walks, in index order and in blocks of at most GRID_BLOCK
+points, every cell whose bound is not strictly below that best, always
+including the cells whose bound is not finite. A later point replaces
+the running (value, theta) only if strictly larger, and only blocks
+that may hold a guarded point are masked. A skipped cell holds only
+values below a value the walk finds, so the result, NaN and -inf
+sentinels and ties on the first index included, is bit for bit that of
+the whole-grid argmax. Bounds are computed in chunks of GRID_BLOCK
+cells, so memory does not grow with n.
+
+Cell bound. The grid expression is monotone in i, so the points of a
+cell lie in [a, b], between the grid angles at its two ends. On
+[a, b] inside [0, pi], s = sin^2(theta/2) and gap(s) increase, and
+ln(1 - q) = ln cos^2(k theta/2) is at most 0; if [a, b] holds no
+multiple of 2 pi/k it lies between two of them, where cos^2(k theta/2)
+falls to 0 at the odd multiple of pi/k and rises again, so ln(1 - q)
+is at most its larger end value. Hence, with N+ = k^2 s(b) plus that
+maximum, L <= N+ / gap(s(a)), or N+ / gap(s(b)) when N+ < 0.
+
+Rounding. The bound must cover the computed values. Let u = 2^-53,
+assume NumPy's sin, log and log1p are within 4 ulp (relative 8u), and
+let r = _CELL_SLACK = 2^-40 = 8192 u. At a grid point theta:
+  * s^ = fl(sin(theta/2)^2) is within 17.01 u of s, relative;
+  * 1 - q^ is within (17.01 + k theta/2) u of cos^2(k theta/2), absolute
+    (q^ as s^, and fl(k theta/2) moves the argument of sin^2, whose
+    slope is at most 1, by at most u k theta/2);
+  * the computed gap of x is within 1810 u of gap(x), relative: the
+    series branch has positive terms, at most 24 u including the
+    dropped tail; the log branch errs by at most 9 u (gap + x) + u gap,
+    and x <= 200 gap(x) for x >= 1e-2;
+  * the computed log1p(-q^) is at most (1 - 8u) ln(1 - q^) <= 0;
+  * the product k^2 s^, its sum with the log term and the final
+    quotient add u each, relative.
+The bound therefore widens each piece by r: s_lo = min end s^ times
+(1 - r) and s_hi = max end s^ times (1 + r) enclose every s^ in the
+cell; the computed gap at s_lo times (1 - r), and at s_hi times
+(1 + r), enclose every computed gap; the log piece is 0 when [a, b] may
+hold a multiple of 2 pi/k (tested with r of room) and otherwise
+(1 - r) log(min(1, max end (1 - q^) + r (1 + k b/2))); N+ gains
+r (k^2 s_hi + |log piece|), and the quotient U gains r |U|. Each
+widening exceeds the error it covers by at least a factor 2 (the
+largest, 2 x 1810 u against r), which leaves room for the float
+operations of the bound itself, each of relative error u. The
+computed L is -inf where s^ or q^ rounds to 1, below any bound. Below
+s = 1e-150 (theta < 2e-75) the gap nears the subnormal range, where
+relative errors are unbounded, so those cells get no finite bound.
 """
 
 from __future__ import annotations
 
 import math
 from types import SimpleNamespace
+from typing import Iterator
 
 import numpy as np
 
@@ -83,16 +128,20 @@ def gap(s, ops):
     return ops.select(s < GAP_SERIES_BELOW, series, lambda: -ops.log1p(-s) - s)
 
 
+def _sines(k, theta, ops):
+    """(s, q) = (sin^2(theta/2), sin^2(k theta/2)), the two pieces of L."""
+    half = 0.5 * theta
+    s = ops.sin(half)
+    sk = ops.sin(k * half)
+    return s * s, sk * sk
+
+
 def threshold(k, theta, ops):
     """L(k, theta) = (k^2 s + ln(1 - q)) / gap(s); -inf where s or q rounds to 1.
 
     s = sin^2(theta/2) and q = sin^2(k theta/2).
     """
-    half = 0.5 * theta
-    s = ops.sin(half)
-    s = s * s
-    sk = ops.sin(k * half)
-    sk2 = sk * sk
+    s, sk2 = _sines(k, theta, ops)
     bad = (s >= 1.0) | (sk2 >= 1.0)
     s_c = ops.where(s >= 1.0, 0.5, s)
     sk2_c = ops.where(sk2 >= 1.0, 0.0, sk2)
@@ -121,6 +170,17 @@ def theta_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (hi - lo) * (i / n)
 
 
+GRID_BLOCK = 16_384
+
+
+def theta_blocks(lo: float, hi: float, n: int) -> Iterator[np.ndarray]:
+    """theta_grid(lo, hi, n), bit for bit, in blocks of at most GRID_BLOCK points."""
+    width = hi - lo
+    for start in range(1, n + 1, GRID_BLOCK):
+        i = np.arange(start, min(start + GRID_BLOCK, n + 1), dtype=np.float64)
+        yield lo + width * (i / n)
+
+
 def guard_mask(theta: np.ndarray, k: int, guard: float) -> np.ndarray:
     """True where theta lies within guard of the nearest odd multiple of pi/k."""
     u = theta * k / np.pi
@@ -136,9 +196,6 @@ def threshold_values(k: int, theta: np.ndarray) -> np.ndarray:
 def limit_shape_values(z: np.ndarray) -> np.ndarray:
     """D(z) elementwise; -inf where cos z = 0."""
     return limit_shape(z, ARRAY_OPS)
-
-
-GRID_BLOCK = 16_384
 
 
 def _may_guard(t0: float, t1: float, k: int, guard: float) -> bool:
@@ -164,31 +221,118 @@ def _may_guard(t0: float, t1: float, k: int, guard: float) -> bool:
     return 2.0 * math.ceil((a - 1.0) / 2.0) + 1.0 <= b
 
 
-def grid_max_threshold(
-    k: int, lo: float, hi: float, n: int, guard: float
-) -> tuple[float, float]:
-    """Max of the threshold curve over the guarded grid; (-inf, nan) if empty.
+GRID_CELL = 128
 
-    A NaN value empties the result, as it does in np.argmax over the whole
-    grid.
+# relative slack of the cell bounds, 2^-40 = 8192 u (u = 2^-53), and the
+# least s they accept: above it gap(s) > s^2/2 stays a normal float
+_CELL_SLACK = 2.0**-40
+_S_NORMAL = 1e-150
+
+
+def _cell_bounds(k, ends):
+    """Upper bounds on threshold_values over the grid cells between ends.
+
+    Cell c lies between ends[c] and ends[c + 1]; see the module docstring
+    for the proof. A cell gets +inf, so that it is always walked, when
+    its ends leave [0, pi] or are NaN, when the widened s leaves
+    [_S_NORMAL, 1), or when the gap bound is not positive.
     """
-    best_v, best_t = -math.inf, math.nan
-    width = hi - lo
-    for start in range(1, n + 1, GRID_BLOCK):
-        i = np.arange(start, min(start + GRID_BLOCK, n + 1), dtype=np.float64)
-        theta = lo + width * (i / n)
+    r = _CELL_SLACK
+    s, q = _sines(k, ends, ARRAY_OPS)
+    a = np.minimum(ends[:-1], ends[1:])
+    b = np.maximum(ends[:-1], ends[1:])
+    s_lo = np.minimum(s[:-1], s[1:]) * (1.0 - r)
+    s_hi = np.maximum(s[:-1], s[1:]) * (1.0 + r)
+    ok = (a >= 0.0) & (b <= math.pi) & (s_lo >= _S_NORMAL) & (s_hi < 1.0)
+    s_hi = np.where(ok, s_hi, 0.5)
+    # ln(1 - q) is at most 0, and at most its larger end value unless
+    # [a, b] may hold a multiple of 2 pi/k
+    w = k / (2.0 * math.pi)
+    holds = np.floor(b * w * (1.0 + r)) >= a * w * (1.0 - r)
+    c = 1.0 - q
+    c = np.maximum(c[:-1], c[1:]) + r * (1.0 + 0.5 * k * b)
+    log_top = np.where(holds, 0.0, np.log(np.minimum(c, 1.0)) * (1.0 - r))
+    ks = (k * k) * s_hi
+    num = (ks + log_top) + r * (ks - log_top)
+    g = np.where(num >= 0.0, gap(s_lo, ARRAY_OPS) * (1.0 - r), gap(s_hi, ARRAY_OPS) * (1.0 + r))
+    ok &= g > 0.0
+    bound = num / np.where(ok, g, 1.0)
+    return np.where(ok, bound + r * np.abs(bound), np.inf)
+
+
+def _chunk_bounds(k, lo, width, n, c0):
+    # bounds of the cells c0 .. c0 + GRID_BLOCK - 1; cell c holds the grid
+    # indices c S + 1 .. min(c S + S, n), all between the grid angles at
+    # c S and min(c S + S, n), the angle at 0 being lo
+    c1 = min(c0 + GRID_BLOCK, -(-n // GRID_CELL))
+    i = np.minimum(np.arange(c0, c1 + 1) * GRID_CELL, n).astype(np.float64)
+    return _cell_bounds(k, lo + width * (i / n))
+
+
+def _walk_cells(k, lo, width, n, guard, cells, best):
+    # scan the grid points of the ascending cells in blocks of at most
+    # GRID_BLOCK points; a later point replaces best = (value, theta) only
+    # if strictly larger; None on a NaN value
+    offsets = np.arange(1, GRID_CELL + 1)
+    per = GRID_BLOCK // GRID_CELL
+    for start in range(0, len(cells), per):
+        i = (cells[start : start + per, None] * GRID_CELL + offsets).ravel()
+        if i[-1] > n:
+            i = i[i <= n]
+        theta = lo + width * (i.astype(np.float64) / n)
         vals = threshold_values(k, theta)
         if guard > 0.0 and _may_guard(float(theta[0]), float(theta[-1]), k, guard):
             vals = np.where(guard_mask(theta, k, guard), -np.inf, vals)
         j = int(np.argmax(vals))
         v = float(vals[j])
         if math.isnan(v):
-            return float("-inf"), float("nan")
-        if v > best_v:
-            best_v, best_t = v, float(theta[j])
-    if not math.isfinite(best_v):
-        return float("-inf"), float("nan")
-    return best_v, best_t
+            return None
+        if v > best[0]:
+            best = (v, float(theta[j]))
+    return best
+
+
+def grid_max_threshold(
+    k: int, lo: float, hi: float, n: int, guard: float
+) -> tuple[float, float]:
+    """Max of the threshold curve over the guarded grid; (-inf, nan) if empty.
+
+    A NaN value empties the result, as it does in np.argmax over the whole
+    grid. Only the cells whose bound does not fall below the best value
+    of the most promising cell are evaluated (module docstring).
+    """
+    empty = (float("-inf"), float("nan"))
+    width = hi - lo
+    starts = range(0, -(-n // GRID_CELL), GRID_BLOCK)
+    top, seed, tops = -math.inf, None, []
+    for c0 in starts:
+        last = _chunk_bounds(k, lo, width, n, c0)
+        finite = np.isfinite(last)
+        tops.append(float(last.max()) if finite.all() else math.inf)
+        if finite.any():
+            j = int(np.argmax(np.where(finite, last, -np.inf)))
+            if last[j] > top:
+                top, seed = float(last[j]), c0 + j
+    floor = -math.inf
+    if seed is not None:
+        got = _walk_cells(k, lo, width, n, guard, np.array([seed]), empty)
+        if got is None:
+            return empty
+        floor = got[0]
+    best = empty
+    for c0, chunk_top in zip(starts, tops):
+        if chunk_top < floor:
+            continue
+        # the last chunk's bounds are still held
+        bound = last if c0 == starts[-1] else _chunk_bounds(k, lo, width, n, c0)
+        # a NaN bound is not below floor, so its cell is walked
+        cells = c0 + np.flatnonzero(~(bound < floor))
+        best = _walk_cells(k, lo, width, n, guard, cells, best)
+        if best is None:
+            return empty
+    if not math.isfinite(best[0]):
+        return empty
+    return best
 
 
 def grid_min_margin(

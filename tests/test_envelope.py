@@ -253,6 +253,16 @@ class TestMaxThreshold:
             tracemalloc.stop()
         assert peak_bytes < 8e6
 
+    def test_ten_million_point_scan_stays_small(self):
+        # the cell bounds are computed in chunks, so memory stays flat in n
+        tracemalloc.start()
+        try:
+            max_threshold(ThetaScan(500, grid_points=10_000_000))
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak_bytes < 8e6
+
 
 class TestGoldenMax:
     """The refinement stops at float resolution, with no tolerance."""
@@ -492,6 +502,17 @@ class TestSandwich:
         assert (rep.enclosure_lo, rep.enclosure_hi) == sandwich_bounds(12, alpha[0], alpha[1])
         assert rep.enclosure_lo == alpha[0] / (1.0 + 8.0 / 144) - 1e-9
         assert rep.enclosure_hi == alpha[1] + 1e-9
+
+    def test_hundred_thousand_points_stay_small(self, alpha):
+        # the grid is walked in blocks; the whole-grid arrays peaked at 7.7 MiB
+        peak = _peak(500)
+        tracemalloc.start()
+        try:
+            sandwich_check(peak, alpha[0], alpha[1], grid_points=100_000)
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak_bytes < 3e6
 
     @pytest.mark.parametrize("k", [9, 12, 16, 30])
     def test_matches_pointwise_reference(self, alpha, k):

@@ -4,6 +4,8 @@ import random
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rounding import count_nonneg_threshold, mp_threshold, threshold_rounding_bound
 from unimodal_lab import kernels
@@ -151,9 +153,140 @@ class TestBlockedGridMax:
         assert math.isnan(t)
 
     def test_ties_go_to_the_first_index_across_blocks(self, monkeypatch):
+        # a constant curve with constant cell bounds: no bound is strictly
+        # below the seed's value, so every cell is walked
         monkeypatch.setattr(kernels, "threshold_values", lambda k, theta: np.full_like(theta, 7.0))
+        monkeypatch.setattr(kernels, "_cell_bounds", lambda k, ends: np.full(ends.size - 1, 7.0))
         lo, hi, n = 0.1, 0.3, 3 * B + 7
         assert kernels.grid_max_threshold(9, lo, hi, n, 0.0) == (7.0, lo + (hi - lo) * (1 / n))
+
+    def test_ties_go_to_the_first_index_when_the_seed_comes_later(self, monkeypatch):
+        # the seed is the cell with the largest bound, far from index 1;
+        # its tie with every other cell still goes to the first index
+        def bounds(k, ends):
+            out = np.full(ends.size - 1, 7.0)
+            out[40] = 9.0
+            return out
+
+        monkeypatch.setattr(kernels, "threshold_values", lambda k, theta: np.full_like(theta, 7.0))
+        monkeypatch.setattr(kernels, "_cell_bounds", bounds)
+        lo, hi, n = 0.1, 0.3, 3 * B + 7
+        assert kernels.grid_max_threshold(9, lo, hi, n, 0.0) == (7.0, lo + (hi - lo) * (1 / n))
+
+
+class TestPrunedScan:
+    """The cell-pruned scan against the whole-grid argmax, bit for bit."""
+
+    @pytest.mark.parametrize("k", range(2, 1001, 37))
+    def test_lobe_every_37th_k(self, k):
+        lo, hi, guard = PI / k, 2 * PI / k, 1e-8 * PI / k
+        got = kernels.grid_max_threshold(k, lo, hi, 100_000, guard)
+        assert repr(got) == repr(_whole_grid_max(k, lo, hi, 100_000, guard))
+
+    @pytest.mark.parametrize("k", [3116, 3397, 6500, 12000, 10**6, 10**9])
+    @pytest.mark.parametrize("n", [100_000, 1_000_000])
+    def test_lobe_large_k(self, k, n):
+        lo, hi, guard = PI / k, 2 * PI / k, 1e-8 * PI / k
+        got = kernels.grid_max_threshold(k, lo, hi, n, guard)
+        assert repr(got) == repr(_whole_grid_max(k, lo, hi, n, guard))
+
+    @pytest.mark.parametrize("k", [2, 3, 9, 97, 1000])
+    @pytest.mark.parametrize("rel_guard", [0.0, 1e-8, None])
+    def test_full_interval(self, k, rel_guard):
+        # guards 0, 1e-8 pi/k and 1e-3
+        guard = 1e-3 if rel_guard is None else rel_guard * PI / k
+        lo, hi = 1e-6, PI - 1e-6
+        got = kernels.grid_max_threshold(k, lo, hi, 100_000, guard)
+        assert repr(got) == repr(_whole_grid_max(k, lo, hi, 100_000, guard))
+
+    @pytest.mark.parametrize("k", [10, 16, 24])
+    def test_later_lobes(self, k):
+        # the windows of acceptance check 10e
+        guard = 1e-8 * PI / k
+        for t in range(2, k // 2 + 1):
+            lo = (2 * t - 1) * PI / k
+            hi = min((2 * t + 1) * PI / k, PI - 1e-6)
+            got = kernels.grid_max_threshold(k, lo, hi, 20_000, guard)
+            assert repr(got) == repr(_whole_grid_max(k, lo, hi, 20_000, guard)), t
+
+    @pytest.mark.parametrize("k", [9, 16, 24])
+    def test_before_the_first_singularity(self, k):
+        # L cancels to noise at tiny theta, and the scan still matches it
+        lo, hi = 1e-9, (PI / k) * (1.0 - 1e-9)
+        got = kernels.grid_max_threshold(k, lo, hi, 20_000, 0.0)
+        assert repr(got) == repr(_whole_grid_max(k, lo, hi, 20_000, 0.0))
+
+    @pytest.mark.parametrize("k", [2, 9, 97, 1000])
+    def test_many_bound_chunks(self, monkeypatch, k):
+        # chunks of 256 cells and walk blocks of 2 cells: the seed and the
+        # candidates fall in different chunks, on either direction of grid
+        monkeypatch.setattr(kernels, "GRID_BLOCK", 2 * kernels.GRID_CELL)
+        for lo, hi in ((PI / k, 2 * PI / k), (1e-6, PI - 1e-6), (PI - 1e-6, 1e-6)):
+            got = kernels.grid_max_threshold(k, lo, hi, 200_001, 1e-3 / k)
+            assert repr(got) == repr(_whole_grid_max(k, lo, hi, 200_001, 1e-3 / k))
+
+    @settings(max_examples=200)
+    @given(
+        st.floats(0.3, 9.0),
+        st.floats(-12.0, math.log10(PI)),
+        st.floats(0.0, 1.0),
+        st.integers(1, 200_000),
+        st.sampled_from([0.0, 1e-8, 1e-3]),
+    )
+    def test_random_windows(self, log_k, log_lo, frac, n, rel_guard):
+        # log-uniform k to 10^9 and lo down to 1e-12, lo < hi <= pi
+        k = max(2, int(10**log_k))
+        lo = 10**log_lo
+        hi = min(PI, 10 ** (log_lo + frac * (math.log10(PI) - log_lo)))
+        assume(lo < hi)
+        guard = rel_guard * PI / k
+        got = kernels.grid_max_threshold(k, lo, hi, n, guard)
+        assert repr(got) == repr(_whole_grid_max(k, lo, hi, n, guard))
+
+    @staticmethod
+    def _assert_bounds_cover(k, lo, hi, n):
+        S = kernels.GRID_CELL
+        bounds = kernels._chunk_bounds(k, lo, hi - lo, n, 0)
+        vals = kernels.threshold_values(k, kernels.theta_grid(lo, hi, n))
+        vals = np.concatenate([vals, np.full(-n % S, -np.inf)]).reshape(-1, S)
+        assert bounds.shape == (vals.shape[0],)
+        assert (vals.max(axis=1) <= bounds).all()
+
+    @settings(max_examples=200)
+    @given(
+        st.floats(0.3, 9.0),
+        st.floats(-12.0, math.log10(PI)),
+        st.floats(0.0, 1.0),
+        st.integers(1, 20_000),
+    )
+    def test_cell_bounds_cover_every_value(self, log_k, log_lo, frac, n):
+        # the lemma itself: no computed value of a cell exceeds its bound
+        k = max(2, int(10**log_k))
+        lo = 10**log_lo
+        hi = min(PI, 10 ** (log_lo + frac * (math.log10(PI) - log_lo)))
+        assume(lo < hi)
+        self._assert_bounds_cover(k, lo, hi, n)
+
+    @pytest.mark.parametrize("k", [3, 9, 97])
+    @pytest.mark.parametrize("n", [128, 1000])
+    @pytest.mark.parametrize("shrink", [0.0, 1e-3])
+    def test_cell_bounds_cover_an_interior_multiple_of_2pi_over_k(self, k, n, shrink):
+        # cells from near one singular angle past 2 pi/k, where cos^2(k theta/2)
+        # peaks at 1 inside the cell and not at either end
+        self._assert_bounds_cover(k, PI / k * (1 + shrink), 3 * PI / k * (1 - shrink), n)
+
+    def test_evaluates_a_few_percent_of_a_million_point_lobe(self, monkeypatch):
+        from unimodal_lab.envelope import ThetaScan, max_threshold
+
+        points = []
+
+        def spy(k, theta, _fn=kernels.threshold_values):
+            points.append(theta.size)
+            return _fn(k, theta)
+
+        monkeypatch.setattr(kernels, "threshold_values", spy)
+        max_threshold(ThetaScan(500, grid_points=1_000_000))
+        assert 0 < sum(points) < 0.03 * 1_000_000
 
 
 class TestSelect:
