@@ -132,10 +132,11 @@ def _k_range(args: argparse.Namespace) -> list[int]:
 
 def cmd_check(args: argparse.Namespace) -> Result:
     m, k = args.m, args.k
-    report = unimodal_report(expand_family(m, k))
+    seq = expand_family(m, k)
+    report = unimodal_report(seq)
     predicted = m >= thresholds.predicted_threshold(k)
     try:
-        closed, raw = thresholds.ratio_vs_coefficients(m, k)
+        closed, raw = thresholds.ratio_vs_coefficients(m, k, seq)
         ratio: Optional[Fraction] = closed
         ratio_ok: Optional[bool] = closed == raw
     except ValueError:
@@ -190,7 +191,7 @@ def cmd_scan_theorem1(args: argparse.Namespace) -> Result:
 
 
 def cmd_probe_inequality(args: argparse.Namespace) -> Result:
-    probes = [thresholds.inequality_one_probe(args.k, u) for u in thresholds.u_range(args.k)]
+    probes = thresholds.inequality_probes(args.k)
     all_hold = all(p.holds for p in probes)
     record = {
         "command": "probe-inequality",

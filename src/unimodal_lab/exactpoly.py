@@ -96,13 +96,14 @@ def coefficient(m: int, k: int, u: int) -> int:
 
 
 def _expand_list(m: int, k: int) -> list[int]:
-    # binomial row for (1+x)^m by the multiplicative recurrence, then add
-    # the copy shifted by k
+    # binomial row for (1+x)^m by the multiplicative recurrence up to the
+    # middle, mirrored by C(m, r) = C(m, m - r); then add the copy shifted
+    # by k
     row = [1] * (m + 1)
     c = 1
-    for r in range(1, m + 1):
+    for r in range(1, m // 2 + 1):
         c = c * (m - r + 1) // r
-        row[r] = c
+        row[r] = row[m - r] = c
     out = row + [0] * k
     for u, cv in enumerate(row):
         out[u + k] += cv

@@ -36,6 +36,7 @@ __all__ = [
     "c_minus",
     "beta_exact",
     "inequality_one_probe",
+    "inequality_probes",
     "case_polynomial_probe",
     "u_range",
     "minimal_m",
@@ -83,14 +84,17 @@ def central_ratio_even(m: int, k: int) -> Fraction:
     return Fraction(m * m + k * k + 2 * m, den)
 
 
-def ratio_vs_coefficients(m: int, k: int) -> tuple[Fraction, Fraction]:
+def ratio_vs_coefficients(
+    m: int, k: int, coeffs: Optional[Sequence[int]] = None
+) -> tuple[Fraction, Fraction]:
     """Closed-form central ratio and the same ratio from raw coefficients.
 
     The coefficient ratio is c(h-1)/c(h). For even degree h = (m+k)//2,
     the true center. For odd degree the two exact middle coefficients are
     equal by symmetry, so the informative ratio is the one entering that
     plateau: h = (m+k-1)//2. Both entries are exact; they must agree
-    identically.
+    identically. coeffs, when given, is the expanded sequence of (m, k),
+    and the raw ratio is read from it instead of from binomials.
     """
     d = m + k
     if d % 2 == 1:
@@ -99,7 +103,10 @@ def ratio_vs_coefficients(m: int, k: int) -> tuple[Fraction, Fraction]:
     else:
         closed = central_ratio_even(m, k)
         h = d // 2
-    raw = Fraction(coefficient(m, k, h - 1), coefficient(m, k, h))
+    if coeffs is None:
+        raw = Fraction(coefficient(m, k, h - 1), coefficient(m, k, h))
+    else:
+        raw = Fraction(coeffs[h - 1], coeffs[h])
     return closed, raw
 
 
@@ -128,23 +135,36 @@ def a_of_u(k: int, u: int) -> Fraction:
     return Fraction(num, den)
 
 
-def c_plus(k: int, u: int) -> Fraction:
-    """One-step growth factor a(u+1)/a(u) at m = k^2 - 3, in closed form."""
+def _c_terms(k: int, u: int) -> tuple[int, int, int, int]:
+    # (P+, Q+, P-, Q-) with c_plus = P+/Q+ and c_minus = P-/Q-, unreduced;
+    # both denominators are positive for k <= u <= k^2 - 4
+    q_plus = (u - k + 1) * (k * k - 3 - u)
+    q_minus = u * (k * k - u + k - 2)
+    return (u + 1) * (k * k + k - 3 - u), q_plus, q_minus - k * (k * k - 2), q_minus
+
+
+def _require_interior(k: int, u: int) -> None:
     _require_k(k)
     if u < k or u > k * k - 4:
         raise ValueError(f"u must lie in [{k}, {k * k - 4}] for k={k}, got {u}")
-    return Fraction((u + 1) * (k * k + k - 3 - u), (u - k + 1) * (k * k - 3 - u))
+
+
+def c_plus(k: int, u: int) -> Fraction:
+    """One-step growth factor a(u+1)/a(u) at m = k^2 - 3, in closed form."""
+    _require_interior(k, u)
+    p, q, _, _ = _c_terms(k, u)
+    return Fraction(p, q)
 
 
 def c_minus(k: int, u: int) -> Fraction:
     """One-step decay factor a(u-1)/a(u) at m = k^2 - 3, in closed form.
 
-    Vanishes at u = k, where a(k-1) = 0.
+    Equals 1 - k(k^2-2) / (u (k^2-u+k-2)), and vanishes at u = k, where
+    a(k-1) = 0.
     """
-    _require_k(k)
-    if u < k or u > k * k - 4:
-        raise ValueError(f"u must lie in [{k}, {k * k - 4}] for k={k}, got {u}")
-    return 1 - Fraction(k * (k * k - 2), u * (k * k - u + k - 2))
+    _require_interior(k, u)
+    _, _, p, q = _c_terms(k, u)
+    return Fraction(p, q)
 
 
 def _b_factor(k: int, u: int) -> Fraction:
@@ -232,11 +252,42 @@ def inequality_one_probe(k: int, u: int) -> InequalityProbe:
     _require_k(k)
     if u not in u_range(k):
         raise ValueError(f"u must lie in {u_range(k)} for k={k}, got {u}")
+    return _probe_row(k, u, a_of_u(k, u))
+
+
+def inequality_probes(k: int) -> list[InequalityProbe]:
+    """inequality_one_probe(k, u) for every u in u_range(k), in order.
+
+    a(u) is built once, at the first u, and carried to the next row by
+    a(u+1) = a(u) c_plus(u) instead of being rebuilt from its k-term
+    product. Empty for k = 2, whose u_range is empty.
+    """
+    us = u_range(k)
+    if not us:
+        return []
+    a = a_of_u(k, us.start)
+    rows = []
+    for u in us:
+        rows.append(_probe_row(k, u, a))
+        p, q, _, _ = _c_terms(k, u)
+        a *= Fraction(p, q)
+    return rows
+
+
+def _probe_row(k: int, u: int, a: Fraction) -> InequalityProbe:
+    # The one body of an audit row, for u in u_range(k) and a = a(u). With
+    # c+ = P+/Q+, c- = P-/Q- and a = n/d, the rhs over the common
+    # denominator is
+    # ((P+Q- + P-Q+ - 2Q+Q-) d + (P+P- - Q+Q-) n) n / (Q+Q- (d + n)^2),
+    # so it is normalised once.
+    p_plus, q_plus, p_minus, q_minus = _c_terms(k, u)
+    n, d = a.numerator, a.denominator
+    qq = q_plus * q_minus
     lhs = _b_factor(k, u) - 1
-    a = a_of_u(k, u)
-    cp = c_plus(k, u)
-    cm = c_minus(k, u)
-    rhs = ((cp + cm - 2) * a + (cp * cm - 1) * a * a) / (1 + a) ** 2
+    rhs = Fraction(
+        ((p_plus * q_minus + p_minus * q_plus - 2 * qq) * d + (p_plus * p_minus - qq) * n) * n,
+        qq * (d + n) ** 2,
+    )
     first, second = case_polynomial_probe(k, u)
     return InequalityProbe(k, u, lhs, rhs, lhs >= rhs, first, second, first >= second)
 
@@ -259,6 +310,13 @@ def _passes(m: int, k: int, mode: str) -> bool:
     return is_unimodal(seq)[0]
 
 
+def _dip_below(k: int) -> bool:
+    # True when every m < k^2 - 3 fails both predicates: k^2 - 3 is 1, or
+    # the family dips at its centre at m = k^2 - 4 (the lemma in minimal_m)
+    p = predicted_threshold(k)
+    return p == 1 or central_ratio_even(p - 1, k) > 1
+
+
 def minimal_m(k: int, mode: str = "strong", cap: Optional[int] = None) -> int:
     """Smallest m >= 1 whose coefficient sequence passes the given predicate.
 
@@ -272,10 +330,32 @@ def minimal_m(k: int, mode: str = "strong", cap: Optional[int] = None) -> int:
     * a unimodal sequence convolved with a log-concave one stays
       unimodal (Ibragimov 1956; Keilson and Gerber 1971).
 
+    Lemma (the central dip). For k >= 3 and m = k^2 - 4, the sequence
+    c(u) falls and then rises at its centre, so m fails both predicates.
+    Proof: m + k = 2h is even, and h - k = m - h, so by the symmetry of
+    the binomials c(h) = 2 C(m, h) and c(h-1) = C(m, h-1) + C(m, h+1).
+    With j = m - h this gives
+
+        c(h-1)/c(h) = (h(h+1) + j(j+1)) / (2 (h+1)(j+1))
+                    = (m^2 + k^2 + 2m) / ((m+2)^2 - k^2),
+
+    the closed form of central_ratio_even, since h + j = m and
+    h - j = k. Its numerator exceeds its denominator by 2k^2 - 2m - 4,
+    which is 4 at m = k^2 - 4, so
+
+        c(h-1)/c(h) = 1 + 4 / ((k^2-2)^2 - k^2) > 1,
+
+    the denominator (k-2)(k-1)(k+1)(k+2) being positive for k >= 3. The
+    family is palindromic, so c(h+1) = c(h-1) > c(h): a strict fall and
+    then a rise, which is not unimodal. A positive log-concave sequence
+    with no internal zeros is unimodal, so the sequence is not strongly
+    unimodal either. By monotonicity every m < k^2 - 4 fails too.
+
     So p = predicted_threshold(k) is the answer exactly when p passes and
-    p - 1 does not (or p == 1): two predicate calls prove it. When p is
-    above the cap, or the prediction fails, a binary search on the same
-    monotonicity finds the answer.
+    either p == 1 (k = 2) or the dip holds at p - 1. The dip is checked
+    in exact rationals from the closed form, so one expansion and one
+    predicate call prove the answer. When p is above the cap, or p fails,
+    a binary search on the same monotonicity finds the answer.
 
     Raises NotFoundError when no m <= cap passes (cap defaults to k*k).
     """
@@ -287,7 +367,7 @@ def minimal_m(k: int, mode: str = "strong", cap: Optional[int] = None) -> int:
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     p = predicted_threshold(k)
-    if p <= cap and _passes(p, k, mode) and (p == 1 or not _passes(p - 1, k, mode)):
+    if p <= cap and _dip_below(k) and _passes(p, k, mode):
         return p
     if not _passes(cap, k, mode):
         raise NotFoundError(f"no m <= {cap} passes mode={mode!r} for k={k}")
@@ -303,10 +383,23 @@ def minimal_m(k: int, mode: str = "strong", cap: Optional[int] = None) -> int:
 
 
 def scan_thresholds(k: int, cap: Optional[int] = None) -> ThresholdResult:
-    """Measure both thresholds for one k and compare with k^2 - 3."""
-    strong = minimal_m(k, "strong", cap)
-    uni = minimal_m(k, "unimodal", cap)
+    """Measure both thresholds for one k and compare with k^2 - 3.
+
+    The strong threshold comes from minimal_m. When it is p = k^2 - 3 and
+    the central dip of minimal_m's lemma holds at p - 1, the unimodal
+    threshold is p as well, with no second expansion: p passes the strong
+    predicate, and a positive log-concave sequence with no internal zeros
+    is unimodal, while the dip makes p - 1, and by monotonicity every
+    smaller m, fail unimodality. This is the paper's claim that, for this
+    family, unimodality implies strong unimodality. Otherwise the
+    unimodal threshold gets its own minimal_m search.
+    """
     predicted = predicted_threshold(k)
+    strong = minimal_m(k, "strong", cap)
+    if strong == predicted and _dip_below(k):
+        uni = strong
+    else:
+        uni = minimal_m(k, "unimodal", cap)
     return ThresholdResult(k, strong, uni, predicted, strong == predicted and uni == predicted)
 
 

@@ -163,6 +163,22 @@ class TestProbeInequality:
         assert all(not r["case_bound_holds"] for r in rows)
         assert by_u[40]["lhs_exact"] == "49/1140"
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_k2_has_no_rows(self, capsys, fmt):
+        # u_range(2) is empty: the header alone, and exit 0
+        code, out, err = run(capsys, "probe-inequality", "--k", "2", "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["rows"] == [] and doc["all_hold"] is True
+        else:
+            assert out == {"text": "\n", "csv": "u,lhs,rhs,holds,case_bound_holds\n"}[fmt]
+
+    def test_k1_exits_one(self, capsys):
+        code, out, err = run(capsys, "probe-inequality", "--k", "1")
+        assert code == 1
+        assert out == ""
+
 
 class TestEclass:
     def test_k9_json(self, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from unimodal_lab.exactpoly import (
     CoeffSeq,
     FamilyParams,
+    _expand_list,
     binomial,
     coefficient,
     expand_family,
@@ -122,6 +123,31 @@ class TestExpandFamily:
                 binom = [binomial(m, r) for r in range(m + 1)]
                 spike = [1] + [0] * (k - 1) + [1]
                 assert list(expand_family(m, k)) == list(poly_mul(binom, spike))
+
+    def test_half_row_matches_coefficients(self):
+        # the binomial row is built to its middle and mirrored: odd and even
+        # m, and m < k
+        for m in range(1, 65):
+            for k in range(2, 13):
+                assert _expand_list(m, k) == [coefficient(m, k, u) for u in range(m + k + 1)]
+
+    @pytest.mark.parametrize("m", [7741, 7740])
+    def test_half_row_at_stress_size(self, m):
+        # coefficient() at every index takes ~30 s at this size, so the row is
+        # compared with the full-row recurrence, and sampled indices with
+        # coefficient()
+        k = 88
+        row = [1] * (m + 1)
+        for r in range(1, m + 1):
+            row[r] = row[r - 1] * (m - r + 1) // r
+        want = row + [0] * k
+        for u, c in enumerate(row):
+            want[u + k] += c
+        got = _expand_list(m, k)
+        assert got == want
+        h = (m + k) // 2
+        for u in [*range(0, m + k + 1, 97), h - 1, h, h + 1, m + k]:
+            assert got[u] == coefficient(m, k, u)
 
     @given(st.integers(1, 60), st.integers(2, 12))
     def test_palindromic(self, m, k):

@@ -3,7 +3,13 @@ from fractions import Fraction
 import pytest
 
 from unimodal_lab import thresholds
-from unimodal_lab.exactpoly import binomial, expand_family, is_strongly_unimodal, is_unimodal
+from unimodal_lab.exactpoly import (
+    _expand_list,
+    binomial,
+    expand_family,
+    is_strongly_unimodal,
+    is_unimodal,
+)
 from unimodal_lab.thresholds import (
     BetaProbe,
     NotFoundError,
@@ -16,12 +22,57 @@ from unimodal_lab.thresholds import (
     central_ratio_odd,
     generic_min_N,
     inequality_one_probe,
+    inequality_probes,
     minimal_m,
     predicted_threshold,
     ratio_vs_coefficients,
+    ThresholdResult,
     scan_thresholds,
     u_range,
 )
+
+
+def _spy(monkeypatch):
+    # record each row expansion and predicate call that thresholds makes
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapped
+
+    for fn in (_expand_list, is_strongly_unimodal, is_unimodal):
+        monkeypatch.setattr(thresholds, fn.__name__, counting(fn))
+    return calls
+
+
+def _two_mode_minimal_m(k, mode, cap):
+    # minimal_m before the dip lemma: p passes and p - 1 fails, both by
+    # expansion, else a binary search on the monotonicity
+    if cap is None:
+        cap = k * k
+    p = predicted_threshold(k)
+    passes = thresholds._passes
+    if p <= cap and passes(p, k, mode) and (p == 1 or not passes(p - 1, k, mode)):
+        return p
+    if not passes(cap, k, mode):
+        raise NotFoundError(k)
+    lo, hi = 0, cap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid, k, mode):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _two_mode_scan(k, cap=None):
+    strong = _two_mode_minimal_m(k, "strong", cap)
+    uni = _two_mode_minimal_m(k, "unimodal", cap)
+    p = predicted_threshold(k)
+    return ThresholdResult(k, strong, uni, p, strong == p and uni == p)
 
 
 class TestCentralRatios:
@@ -67,6 +118,29 @@ class TestCentralRatios:
             for m in range(k, 5 * k * k, 3):
                 closed, raw = ratio_vs_coefficients(m, k)
                 assert closed == raw
+
+
+class TestCentralDip:
+    # minimal_m's lemma: at m = k^2 - 4 the centre dips, c(h-1) = c(h+1) > c(h)
+
+    def test_closed_form(self):
+        for k in range(3, 151):
+            assert central_ratio_even(k * k - 4, k) == 1 + Fraction(4, (k * k - 2) ** 2 - k * k)
+
+    def test_dip_in_the_coefficients(self):
+        # every k to 60, then sampled: expanding all of 3..150 takes ~3 s
+        for k in [*range(3, 61), 88, 120, 150]:
+            m = k * k - 4
+            seq = _expand_list(m, k)
+            h = (m + k) // 2
+            assert Fraction(seq[h - 1], seq[h]) == central_ratio_even(m, k)
+            assert seq[h + 1] == seq[h - 1] > seq[h]
+
+    def test_dip_fails_both_predicates(self):
+        for k in range(3, 30):
+            seq = _expand_list(k * k - 4, k)
+            assert not is_unimodal(seq)[0]
+            assert not is_strongly_unimodal(seq)[0]
 
 
 class TestAOfU:
@@ -193,6 +267,25 @@ class TestInequalityProbe:
         assert r.start == 10
         assert r.stop == (100 + 10 - 6) // 2 + 1
 
+    def test_walk_matches_one_probe(self):
+        for k in [*range(3, 41), 70, 71]:
+            assert inequality_probes(k) == [inequality_one_probe(k, u) for u in u_range(k)]
+
+    def test_row_matches_the_fraction_formula(self):
+        for k in range(3, 13):
+            for probe in inequality_probes(k):
+                u = probe.u
+                a, cp, cm = a_of_u(k, u), c_plus(k, u), c_minus(k, u)
+                assert probe.rhs == ((cp + cm - 2) * a + (cp * cm - 1) * a * a) / (1 + a) ** 2
+
+    def test_walk_is_empty_at_k2(self):
+        assert list(u_range(2)) == []
+        assert inequality_probes(2) == []
+
+    def test_walk_domain(self):
+        with pytest.raises(ValueError):
+            inequality_probes(1)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             inequality_one_probe(3, 2)
@@ -245,24 +338,33 @@ class TestMinimalM:
                 minimal_m(k, mode, cap=p - 1)
 
     @pytest.mark.parametrize("mode", ["strong", "unimodal"])
-    def test_two_predicate_calls(self, monkeypatch, mode):
-        calls = []
-
-        def counting(fn):
-            def wrapped(seq):
-                calls.append(fn.__name__)
-                return fn(seq)
-            return wrapped
-
-        monkeypatch.setattr(thresholds, "is_strongly_unimodal", counting(is_strongly_unimodal))
-        monkeypatch.setattr(thresholds, "is_unimodal", counting(is_unimodal))
+    def test_one_predicate_call(self, monkeypatch, mode):
+        calls = _spy(monkeypatch)
         for k in (3, 7, 20):
             calls.clear()
             assert minimal_m(k, mode) == predicted_threshold(k)
             want = "is_strongly_unimodal" if mode == "strong" else "is_unimodal"
-            assert calls == [want, want]
+            assert calls == ["_expand_list", want]
 
-    @pytest.mark.parametrize("k", [60, 80, 120])
+    @pytest.mark.parametrize("k", [2, 3, 7, 20, 80])
+    def test_scan_builds_one_row(self, monkeypatch, k):
+        calls = _spy(monkeypatch)
+        assert scan_thresholds(k).match
+        assert calls == ["_expand_list", "is_strongly_unimodal"]
+
+    def test_scan_matches_the_two_mode_search(self):
+        for k in [*range(2, 61), 80, 120]:
+            assert scan_thresholds(k) == _two_mode_scan(k)
+
+    def test_scan_matches_the_two_mode_search_at_a_cap(self):
+        for k in [*range(3, 21), 60]:
+            p = predicted_threshold(k)
+            assert scan_thresholds(k, cap=p) == _two_mode_scan(k, cap=p)
+            for scan in (scan_thresholds, _two_mode_scan):
+                with pytest.raises(NotFoundError):
+                    scan(k, cap=p - 1)
+
+    @pytest.mark.parametrize("k", [60, 80, 120, 200])
     def test_square_law_at_stress_sizes(self, k):
         row = scan_thresholds(k)
         assert row.min_m_strong == row.min_m_unimodal == k * k - 3
