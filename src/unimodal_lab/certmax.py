@@ -7,7 +7,8 @@ module encloses it from one lemma: D'(z) = -4 p(z)/z^5 with
 p(z) = z^2 + z tan z + 2 ln cos^2 z, and p'(z) = 2z - 3 tan z + z sec^2 z
 is positive on (pi/2, pi) (tan z < 0 there), so D rises up to the one
 root of p and falls after it. A sign-change bracket [a, b] of that root
-then encloses alpha by the mean-value theorem (see certified_alpha).
+then encloses alpha by the mean-value theorem (see certified_alpha), so
+no sample of D is needed.
 Every step raises instead of guessing. D itself is written once, in
 kernels; limit_shape evaluates it on floats with libm.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from . import kernels
 
@@ -26,7 +26,6 @@ __all__ = [
     "CertifiedMax",
     "limit_shape",
     "shape_deriv_factor",
-    "bracket_critical",
     "certified_alpha",
 ]
 
@@ -92,49 +91,20 @@ def shape_deriv_factor(z: float) -> float:
 
 _LO = 0.5 * math.pi + 1e-6
 _HI = math.pi - 1e-6
-
-
-def _bisect_critical(p: Callable[[float], float], tol: float) -> Interval:
-    a, b = _LO, _HI
-    fa = p(a)
-    fb = p(b)
-    if not (fa < 0.0 < fb):
-        raise BracketFailure(f"no sign change: p({a}) = {fa}, p({b}) = {fb}")
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if p(mid) < 0.0:
-            a = mid
-        else:
-            b = mid
-    return Interval(a, b)
-
-
-def bracket_critical(tol: float = 1e-10) -> Interval:
-    """Bisect p to a width-tol bracket of the unique critical point.
-
-    Starts from (pi/2 + 1e-6, pi - 1e-6); raises BracketFailure if the
-    sign change p(lo) < 0 < p(hi) is absent.
-    """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    return _bisect_critical(shape_deriv_factor, tol)
-
-
 _SLACK = 1e-12
 
 
 def certified_alpha() -> CertifiedMax:
     """Enclose max D on (pi/2, pi).
 
-    The critical point is bisected on p down to a width-1e-10 bracket
-    [a, b] with p(a) < 0 < p(b). D rises up to the root of p, which lies
-    in [a, b], and falls after it, so max(D(a), D(b)) <= alpha. On
-    [a, root], p runs from p(a) up to 0 and z >= a, so
+    p is bisected from (pi/2 + 1e-6, pi - 1e-6) down to a width-1e-10
+    bracket [a, b] with p(a) < 0 < p(b); BracketFailure is raised if
+    the ends show no such sign change. D rises up to the root of p,
+    which lies in [a, b], and falls after it, so max(D(a), D(b)) <= alpha.
+    On [a, root], p runs from p(a) up to 0 and z >= a, so
     D' = -4 p/z^5 <= 4 |p(a)|/a^5 and, by the mean-value theorem,
     alpha <= D(a) + 4 (b - a) |p(a)|/a^5. Both bounds are widened by
-    1e-12 float slack; the enclosure comes out about 2e-12 wide. A
-    guarded coarse scan of the whole interval must not beat the
-    certified upper bound, otherwise BracketFailure is raised.
+    1e-12 float slack; the enclosure comes out about 2e-12 wide.
     """
     evals = 0
 
@@ -143,16 +113,19 @@ def certified_alpha() -> CertifiedMax:
         evals += 1
         return shape_deriv_factor(z)
 
-    bracket = _bisect_critical(fp, 1e-10)
-    a, b = bracket.lo, bracket.hi
+    a, b = _LO, _HI
+    fa, fb = fp(a), fp(b)
+    if not (fa < 0.0 < fb):
+        raise BracketFailure(f"no sign change: p({a}) = {fa}, p({b}) = {fb}")
+    while b - a > 1e-10:
+        mid = 0.5 * (a + b)
+        if fp(mid) < 0.0:
+            a = mid
+        else:
+            b = mid
     da = limit_shape(a)
     db = limit_shape(b)
     evals += 2
     lower = max(da, db) - _SLACK
     upper = da + 4.0 * (b - a) * abs(fp(a)) / a**5 + _SLACK
-    coarse, coarse_z = kernels.grid_max_limit_shape(_LO, _HI, 10_000)
-    if coarse > upper:
-        raise BracketFailure(
-            f"coarse scan found D({coarse_z}) = {coarse} above certified bound {upper}"
-        )
-    return CertifiedMax(bracket, Interval(lower, upper), evals)
+    return CertifiedMax(Interval(a, b), Interval(lower, upper), evals)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -60,8 +59,6 @@ __all__ = [
     "sandwich_bounds",
     "sandwich_check",
 ]
-
-_SMALL_REGIME_NOTE = "interval reduction is an asymptotic device; k < 9 is outside the verified regime"
 
 
 class ReductionViolation(Exception):
@@ -303,11 +300,6 @@ def _golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float,
 _GUARD = 1e-8 * math.pi
 
 
-def _warn_small_k(k: int) -> None:
-    if k < 9:
-        warnings.warn(_SMALL_REGIME_NOTE, UserWarning, stacklevel=3)
-
-
 def max_threshold(scan: ThetaScan) -> ThresholdMax:
     """Locate max of the threshold curve over (pi/k, 2 pi/k], certified.
 
@@ -323,10 +315,11 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
       because the log part is <= 0 and s/gap(s) = 1/sum_{n>=2} s^(n-1)/n
       decreases in s = sin^2(theta/2). The tail is empty at k = 2.
 
-    So the reduction holds once smooth_part(k, 2 pi/k) lies below the
-    lobe peak, which is checked at 1e-9 relative (ReductionViolation
-    otherwise). The ratio of the two tends to (2/pi^2)/alpha ~ 0.62751
-    and stays below 0.6276 at every k in 2..1000 and at sampled k to 10^6.
+    Neither lemma needs k to be large, so at every k >= 2 the reduction
+    holds once smooth_part(k, 2 pi/k) lies below the lobe peak, which is
+    checked at 1e-9 relative (ReductionViolation otherwise). The ratio of
+    the two tends to (2/pi^2)/alpha ~ 0.62751 and stays below 0.6276 at
+    every k in 2..1000 and at sampled k to 10^6.
 
     min_m is the least integer m that is a member. When the maximum sits
     within 1e-6 of an integer n the ceiling is not trusted: n is decided
@@ -337,7 +330,6 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
     it, and Inconclusive is raised too.
     """
     k = scan.k
-    _warn_small_k(k)
     n = scan.grid_points
     lo, hi = math.pi / k, 2.0 * math.pi / k
     grid_val, grid_theta = kernels.grid_max_threshold(k, lo, hi, n, _GUARD / k)
@@ -505,7 +497,6 @@ def sandwich_check(
     """
     k = peak.k
     scan = ThetaScan(k, grid_points=max(grid_points, 1000))
-    _warn_small_k(k)
     n = scan.grid_points
     k4 = float(k) ** 4
     n_up = n_dn = 0

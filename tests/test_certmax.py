@@ -7,7 +7,6 @@ from unimodal_lab.certmax import (
     BracketFailure,
     CertifiedMax,
     Interval,
-    bracket_critical,
     certified_alpha,
     limit_shape,
     shape_deriv_factor,
@@ -98,17 +97,13 @@ class TestInterval:
 
 class TestBracketCritical:
     def test_bracket(self):
-        iv = bracket_critical(1e-10)
+        iv = certified_alpha().crit_bracket
         assert iv.width <= 1e-10
         assert shape_deriv_factor(iv.lo) < 0.0
         assert shape_deriv_factor(iv.hi) > 0.0
         assert iv.mid == pytest.approx(2.220675481777163, abs=1e-9)
         # the stationary point of the limit shape sits near 2.2214 * pi/pi
         assert abs(iv.mid - 2.2214) < 0.01
-
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            bracket_critical(0.0)
 
 
 @pytest.fixture(scope="module")

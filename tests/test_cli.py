@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import mpmath
 import pytest
@@ -98,6 +99,23 @@ class TestCheck:
         code, out, err = run(capsys, "check", "--m", "5", "--k", "3", "--format", "json")
         doc = json.loads(out)
         assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == out
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_undefined_central_ratio(self, capsys, fmt):
+        # m + k is even and (m + 2)^2 - k^2 < 0: the closed form is degenerate
+        code, out, err = run(capsys, "check", "--m", "1", "--k", "5", "--format", fmt)
+        assert code == 0
+        if fmt == "text":
+            assert "central_ratio=undefined\n" in out
+            assert "central_ratio_matches=undefined\n" in out
+        elif fmt == "csv":
+            header, row = out.splitlines()
+            assert header.endswith(",central_ratio")
+            assert row == "1,5,false,false,false,true,"
+        else:
+            doc = json.loads(out)
+            assert doc["central_ratio"] is None
+            assert doc["central_ratio_matches"] is None
 
     def test_bad_m_exits_one(self, capsys):
         code, out, err = run(capsys, "check", "--m", "0", "--k", "3")
@@ -268,10 +286,13 @@ class TestEclass:
         assert "certification failure" in err
         assert out == ""
 
-    def test_warns_below_verified_regime(self, capsys):
-        with pytest.warns(UserWarning):
+    def test_small_k_is_silent(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, out, err = run(capsys, "eclass", "--k", "5", "--grid", "20000")
         assert code == 0
+        assert json.loads(out)["m_of_k"] == 186
+        assert err == ""
 
 
 class TestOut:

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -227,8 +228,10 @@ class TestMaxThreshold:
             peak = max_threshold(ThetaScan(k, grid_points=20_000))
             assert math.pi / k < peak.argmax_theta <= 2 * math.pi / k
 
-    def test_small_k_warns(self):
-        with pytest.warns(UserWarning, match="asymptotic device"):
+    def test_small_k_needs_no_warning(self):
+        # both lemmas of the lobe reduction hold at every k >= 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             peak = max_threshold(ThetaScan(8, grid_points=20_000))
         assert peak.max_value == pytest.approx(1280.24048, rel=1e-6)
         assert peak.min_m == 1281

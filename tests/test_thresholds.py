@@ -364,6 +364,16 @@ class TestMinimalM:
                 with pytest.raises(NotFoundError):
                     scan(k, cap=p - 1)
 
+    def test_searches_without_the_dip(self, monkeypatch):
+        # without the dip lemma minimal_m falls back to its binary search
+        # and scan_thresholds to a second, unimodal search
+        fast = [scan_thresholds(k) for k in range(2, 31)]
+        monkeypatch.setattr(thresholds, "_dip_below", lambda k: False)
+        assert [scan_thresholds(k) for k in range(2, 31)] == fast
+        for k in range(3, 31):
+            with pytest.raises(NotFoundError):
+                minimal_m(k, "strong", k * k - 4)
+
     @pytest.mark.parametrize("k", [60, 80, 120, 200])
     def test_square_law_at_stress_sizes(self, k):
         row = scan_thresholds(k)
