@@ -5,7 +5,7 @@ Three layers:
 * exactpoly / thresholds: integer and rational arithmetic deciding
   unimodality, strong unimodality, and the sharp m = k^2 - 3 threshold;
 * envelope: the variance-envelope membership curve on the unit circle,
-  its guarded grid maximization, and membership certificates;
+  its grid maximization, and membership certificates;
 * certmax: a certified enclosure of the limit-shape constant that
   governs the min_m ~ alpha k^4 growth law.
 

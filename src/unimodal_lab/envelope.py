@@ -14,9 +14,9 @@ Membership is therefore the one comparison m >= max L over (0, pi).
 That maximum lives in the lobe (pi/k, 2 pi/k]: L < 0 on (0, pi/k), and
 on (2 pi/k, pi) L stays below smooth_part(k, 2 pi/k), which
 max_threshold checks against the lobe peak (proofs there). max_threshold
-locates the lobe maximum on a guarded grid and refines it by golden
-section; membership_certificate decides the margin m - max L against
-that one peak, so no code here evaluates L outside [pi/k, 2 pi/k]. The
+locates the lobe maximum on a grid and refines it by golden section;
+membership_certificate decides the margin m - max L against that one
+peak, so no code here evaluates L outside [pi/k, 2 pi/k]. The
 curve has no theta -> pi - theta symmetry: L(k, 0+) = -(k^4 + 2 k^2)/3,
 while L(k, pi-) tends (logarithmically) to 0 for even k and to -1 for
 odd k.
@@ -226,9 +226,10 @@ def threshold_value(k: int, theta: float) -> float:
 class ThetaScan:
     """Scan configuration for the threshold curve.
 
-    Every scan masks the grid points within 1e-8 pi/k of a singular
-    angle (an odd multiple of pi/k), where L diverges to -inf. The peak
-    is refined to float resolution, so the grid size is the only setting.
+    The grid is right-closed on the lobe (pi/k, 2 pi/k] and masks no
+    point: next to the singular angle pi/k, where L diverges to -inf, L
+    is negative (max_threshold). The peak is refined to float
+    resolution, so the grid size is the only setting.
     """
 
     k: int
@@ -296,17 +297,13 @@ def _golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float,
     return (c, yc) if yc >= yd else (d, yd)
 
 
-# the guard radius around the singular angles is _GUARD / k
-_GUARD = 1e-8 * math.pi
-
-
 def max_threshold(scan: ThetaScan) -> ThresholdMax:
     """Locate max of the threshold curve over (pi/k, 2 pi/k], certified.
 
-    Pipeline: guarded right-closed grid scan of the lobe, then
-    golden-section refinement around the best grid point, run until the
-    bracket holds no two distinct interior floats. The lobe
-    carries the maximum over (0, pi) by two lemmas:
+    Pipeline: right-closed grid scan of the lobe, then golden-section
+    refinement around the best grid point, run until the bracket holds
+    no two distinct interior floats. The lobe carries the maximum over
+    (0, pi) by two lemmas:
 
     * On (0, pi/k), L < 0. With x = k theta/2 < pi/2, the numerator
       k^2 sin^2(theta/2) + ln cos^2 x is negative, since
@@ -321,6 +318,16 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
     the two tends to (2/pi^2)/alpha ~ 0.62751 and stays below 0.6276 at
     every k in 2..1000 and at sampled k to 10^6.
 
+    No grid point next to the singular angle pi/k holds the peak either,
+    so the scan masks none. For |theta - pi/k| <= 1e-8 pi/k, put
+    z = k theta/2: then k^2 sin^2(theta/2) < z^2 < 2.47, while
+    |cos z| <= |z - pi/2| <= 1.6e-8 gives ln cos^2 z < -35.9, so the
+    numerator of L is negative and, the gap being positive, L < 0. The
+    computed value keeps the sign: 1 - q^ is within (17.01 + z) u of
+    cos^2 z (kernels, Rounding), so log1p(-q^) < -33, or q^ rounds to 1
+    and L is the -inf sentinel. The lobe peak is positive, since the
+    grid ends at 2 pi/k, where L = smooth_part(k, 2 pi/k) > 0.
+
     min_m is the least integer m that is a member. When the maximum sits
     within 1e-6 of an integer n the ceiling is not trusted: n is decided
     by the margin n - max L in membership_certificate's bands (so the
@@ -332,7 +339,7 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
     k = scan.k
     n = scan.grid_points
     lo, hi = math.pi / k, 2.0 * math.pi / k
-    grid_val, grid_theta = kernels.grid_max_threshold(k, lo, hi, n, _GUARD / k)
+    grid_val, grid_theta = kernels.grid_max_threshold(k, lo, hi, n)
     if not math.isfinite(grid_val):
         raise ReductionViolation(f"no admissible grid point in (pi/{k}, 2pi/{k}]")
     # refine within one grid step of the best grid point, which stays if
@@ -503,7 +510,6 @@ def sandwich_check(
     up_rows: list[tuple[float, ...]] = []
     dn_rows: list[tuple[float, ...]] = []
     for theta in kernels.theta_blocks(math.pi / k, 2.0 * math.pi / k, n):
-        theta = theta[~kernels.guard_mask(theta, k, _GUARD / k)]
         ratio = kernels.threshold_values(k, theta) / k4
         d = kernels.limit_shape_values(0.5 * k * theta)
         lower = d / _squeeze(k)

@@ -15,9 +15,11 @@ branches as thunks and runs only those some element of c needs: the
 scalar lane runs one, the array lane both only for a mixed c.
 
 Grid semantics: right-closed grids theta_i = lo + (hi - lo) * (i / n)
-for i = 1..n, a guard that masks points within `guard` of the nearest
-odd multiple of pi/k, -inf sentinels where the curve diverges, and ties
-broken toward the first grid index.
+for i = 1..n, -inf sentinels where the curve diverges, and ties broken
+toward the first grid index. No point is masked: next to pi/k, the
+singular angle at the left end of the lobe, the computed L is negative
+or the -inf sentinel, so it never holds the lobe peak
+(envelope.max_threshold proves it).
 
 grid_max_threshold is a branch-and-bound over cells of GRID_CELL
 consecutive grid indices. It bounds every cell from above (the lemma
@@ -25,11 +27,10 @@ below), seeds a running best from the cell with the largest finite
 bound, then walks, in index order and in blocks of at most GRID_BLOCK
 points, every cell whose bound is not strictly below that best, always
 including the cells whose bound is not finite. A later point replaces
-the running (value, theta) only if strictly larger, and only blocks
-that may hold a guarded point are masked. A skipped cell holds only
-values below a value the walk finds, so the result, NaN and -inf
-sentinels and ties on the first index included, is bit for bit that of
-the whole-grid argmax. Bounds are computed in chunks of GRID_BLOCK
+the running (value, theta) only if strictly larger. A skipped cell
+holds only values below a value the walk finds, so the result, NaN and
+-inf sentinels and ties on the first index included, is bit for bit
+that of the whole-grid argmax. Bounds are computed in chunks of GRID_BLOCK
 cells, so memory does not grow with n.
 
 Cell bound. The grid expression is monotone in i, so the points of a
@@ -181,13 +182,6 @@ def theta_blocks(lo: float, hi: float, n: int) -> Iterator[np.ndarray]:
         yield lo + width * (i / n)
 
 
-def guard_mask(theta: np.ndarray, k: int, guard: float) -> np.ndarray:
-    """True where theta lies within guard of the nearest odd multiple of pi/k."""
-    u = theta * k / np.pi
-    o = 2.0 * np.floor((u - 1.0) / 2.0 + 0.5) + 1.0
-    return np.abs(u - o) * (np.pi / k) < guard
-
-
 def threshold_values(k: int, theta: np.ndarray) -> np.ndarray:
     """L(k, theta) elementwise; -inf where the curve diverges."""
     return threshold(k, theta, ARRAY_OPS)
@@ -196,29 +190,6 @@ def threshold_values(k: int, theta: np.ndarray) -> np.ndarray:
 def limit_shape_values(z: np.ndarray) -> np.ndarray:
     """D(z) elementwise; -inf where cos z = 0."""
     return limit_shape(z, ARRAY_OPS)
-
-
-def _may_guard(t0: float, t1: float, k: int, guard: float) -> bool:
-    """False only if guard_mask masks no theta between t0 and t1.
-
-    u = theta * k / pi is rounded by the same two correctly rounded
-    operations here as in guard_mask, and each is monotone in theta, so
-    every u guard_mask computes for a theta between t0 and t1 lies between
-    u(t0) and u(t1): the rounding of u needs no slack. A masked point has
-    |u - o| * (pi/k) < guard for an odd integer o (|u| < 2^52), with
-    pi/k, u - o and the product each rounded, so in exact arithmetic
-    |u - o| < (guard k/pi)(1 + 4 eps), eps = 2^-53. The slack is a
-    factor 2 on that radius, r = 2 guard k/pi, which its own two
-    roundings cannot bring below (1 + 4 eps) guard k/pi. The test is
-    whether the least odd integer >= u_lo - r is <= u_hi + r; rounding in
-    those sums and in the least-odd step only widens the test, since
-    round-to-nearest is monotone and never crosses an integer.
-    """
-    u0 = t0 * k / math.pi
-    u1 = t1 * k / math.pi
-    r = 2.0 * guard * k / math.pi
-    a, b = min(u0, u1) - r, max(u0, u1) + r
-    return 2.0 * math.ceil((a - 1.0) / 2.0) + 1.0 <= b
 
 
 GRID_CELL = 128
@@ -269,7 +240,7 @@ def _chunk_bounds(k, lo, width, n, c0):
     return _cell_bounds(k, lo + width * (i / n))
 
 
-def _walk_cells(k, lo, width, n, guard, cells, best):
+def _walk_cells(k, lo, width, n, cells, best):
     # scan the grid points of the ascending cells in blocks of at most
     # GRID_BLOCK points; a later point replaces best = (value, theta) only
     # if strictly larger; None on a NaN value
@@ -281,8 +252,6 @@ def _walk_cells(k, lo, width, n, guard, cells, best):
             i = i[i <= n]
         theta = lo + width * (i.astype(np.float64) / n)
         vals = threshold_values(k, theta)
-        if guard > 0.0 and _may_guard(float(theta[0]), float(theta[-1]), k, guard):
-            vals = np.where(guard_mask(theta, k, guard), -np.inf, vals)
         j = int(np.argmax(vals))
         v = float(vals[j])
         if math.isnan(v):
@@ -292,10 +261,8 @@ def _walk_cells(k, lo, width, n, guard, cells, best):
     return best
 
 
-def grid_max_threshold(
-    k: int, lo: float, hi: float, n: int, guard: float
-) -> tuple[float, float]:
-    """Max of the threshold curve over the guarded grid; (-inf, nan) if empty.
+def grid_max_threshold(k: int, lo: float, hi: float, n: int) -> tuple[float, float]:
+    """Max of the threshold curve over a right-closed grid; (-inf, nan) if empty.
 
     A NaN value empties the result, as it does in np.argmax over the whole
     grid. Only the cells whose bound does not fall below the best value
@@ -315,7 +282,7 @@ def grid_max_threshold(
                 top, seed = float(last[j]), c0 + j
     floor = -math.inf
     if seed is not None:
-        got = _walk_cells(k, lo, width, n, guard, np.array([seed]), empty)
+        got = _walk_cells(k, lo, width, n, np.array([seed]), empty)
         if got is None:
             return empty
         floor = got[0]
@@ -327,7 +294,7 @@ def grid_max_threshold(
         bound = last if c0 == starts[-1] else _chunk_bounds(k, lo, width, n, c0)
         # a NaN bound is not below floor, so its cell is walked
         cells = c0 + np.flatnonzero(~(bound < floor))
-        best = _walk_cells(k, lo, width, n, guard, cells, best)
+        best = _walk_cells(k, lo, width, n, cells, best)
         if best is None:
             return empty
     if not math.isfinite(best[0]):
@@ -335,14 +302,10 @@ def grid_max_threshold(
     return best
 
 
-def grid_min_margin(
-    m: float, k: int, lo: float, hi: float, n: int, guard: float
-) -> tuple[float, float]:
-    """Min of m - threshold over the guarded grid; (+inf, nan) if empty."""
+def grid_min_margin(m: float, k: int, lo: float, hi: float, n: int) -> tuple[float, float]:
+    """Min of m - threshold over a right-closed grid; (+inf, nan) if empty."""
     theta = theta_grid(lo, hi, n)
     margin = m - threshold_values(k, theta)
-    if guard > 0.0:
-        margin = np.where(guard_mask(theta, k, guard), np.inf, margin)
     i = int(np.argmin(margin))
     v = float(margin[i])
     if not math.isfinite(v):

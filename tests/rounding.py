@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 
 from unimodal_lab.envelope import denominator_gap
-from unimodal_lab.kernels import GAP_SERIES_BELOW, guard_mask, theta_grid, threshold_values
+from unimodal_lab.kernels import GAP_SERIES_BELOW, theta_grid, threshold_values
 
 U = 2.0**-53  # unit roundoff of a double
 
@@ -72,10 +72,7 @@ def mp_peak(k, theta, digits=50):
         return max(yc, yd)
 
 
-def count_nonneg_threshold(k: int, lo: float, hi: float, n: int, guard: float) -> int:
-    """Number of unguarded grid points where the threshold curve is >= 0."""
+def count_nonneg_threshold(k: int, lo: float, hi: float, n: int) -> int:
+    """Number of grid points where the threshold curve is >= 0."""
     theta = theta_grid(lo, hi, n)
-    keep = threshold_values(k, theta) >= 0.0
-    if guard > 0.0:
-        keep &= ~guard_mask(theta, k, guard)
-    return int(np.count_nonzero(keep))
+    return int(np.count_nonzero(threshold_values(k, theta) >= 0.0))

@@ -8,7 +8,7 @@ import mpmath
 import pytest
 
 from rounding import mp_peak
-from unimodal_lab import envelope, kernels
+from unimodal_lab import certmax, envelope, kernels
 from unimodal_lab.cli import main
 
 
@@ -102,20 +102,22 @@ class TestCheck:
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_undefined_central_ratio(self, capsys, fmt):
-        # m + k is even and (m + 2)^2 - k^2 < 0: the closed form is degenerate
-        code, out, err = run(capsys, "check", "--m", "1", "--k", "5", "--format", fmt)
-        assert code == 0
-        if fmt == "text":
-            assert "central_ratio=undefined\n" in out
-            assert "central_ratio_matches=undefined\n" in out
-        elif fmt == "csv":
-            header, row = out.splitlines()
-            assert header.endswith(",central_ratio")
-            assert row == "1,5,false,false,false,true,"
-        else:
-            doc = json.loads(out)
-            assert doc["central_ratio"] is None
-            assert doc["central_ratio_matches"] is None
+        # the closed form is degenerate: (m + 2)^2 - k^2 < 0 for m + k
+        # even (m = 1), (m + 3)^2 - k^2 <= 0 for m + k odd (m = 2)
+        for m in (1, 2):
+            code, out, err = run(capsys, "check", "--m", str(m), "--k", "5", "--format", fmt)
+            assert code == 0
+            if fmt == "text":
+                assert "central_ratio=undefined\n" in out
+                assert "central_ratio_matches=undefined\n" in out
+            elif fmt == "csv":
+                header, row = out.splitlines()
+                assert header.endswith(",central_ratio")
+                assert row == f"{m},5,false,false,false,true,"
+            else:
+                doc = json.loads(out)
+                assert doc["central_ratio"] is None
+                assert doc["central_ratio_matches"] is None
 
     def test_bad_m_exits_one(self, capsys):
         code, out, err = run(capsys, "check", "--m", "0", "--k", "3")
@@ -156,6 +158,13 @@ class TestScanTheorem1:
     def test_bad_range_exits_one(self, capsys):
         code, out, err = run(capsys, "scan-theorem1", "--k-min", "5", "--k-max", "3")
         assert code == 1
+
+    def test_zero_cap_exits_one(self, capsys):
+        code, out, err = run(
+            capsys, "scan-theorem1", "--k-min", "5", "--k-max", "5", "--cap", "0"
+        )
+        assert code == 1
+        assert "cap must be >= 1" in err
 
 
 class TestProbeInequality:
@@ -240,7 +249,7 @@ class TestEclass:
         scans = []
         for name in ("grid_max_threshold", "grid_min_margin"):
             def spy(*args, _fn=getattr(kernels, name)):
-                scans.append(args[-4:-1])
+                scans.append(args[-3:])
                 return _fn(*args)
             monkeypatch.setattr(kernels, name, spy)
         code, out, err = run(capsys, "eclass", "--k", "30", "--grid", "300000")
@@ -377,6 +386,15 @@ class TestCertmax:
             main(["certmax", "--tol", "0.1"])
         assert ei.value.code == 1
 
+    @pytest.mark.parametrize("argv", [["certmax"], ["eclass", "--k", "9"]])
+    def test_no_sign_change_exits_three(self, capsys, monkeypatch, argv):
+        # p > 0 at both ends of (pi/2, pi): no bracket, so no alpha
+        monkeypatch.setattr(certmax, "shape_deriv_factor", lambda z: 1.0)
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert "certification failure" in err
+        assert out == ""
+
 
 class TestGeneral:
     def test_happy_path(self, capsys, tmp_path):
@@ -398,6 +416,13 @@ class TestGeneral:
         f.write_text("1 0 1")
         code, out, err = run(capsys, "general", str(f), "--cap", "0")
         assert code == 4
+
+    def test_negative_cap_exits_one(self, capsys, tmp_path):
+        f = tmp_path / "coeffs.txt"
+        f.write_text("1 0 1")
+        code, out, err = run(capsys, "general", str(f), "--cap", "-1")
+        assert code == 1
+        assert "cap must be >= 0" in err
 
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, out, err = run(capsys, "general", str(tmp_path / "nope.txt"))

@@ -6,6 +6,7 @@ import warnings
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from rounding import mp_peak
@@ -296,7 +297,7 @@ class TestGoldenMax:
 
 
 class TestLobeReduction:
-    """The two lemmas behind max_threshold's reduction to (pi/k, 2 pi/k]."""
+    """The lemmas behind max_threshold's reduction to (pi/k, 2 pi/k]."""
 
     def test_violation_when_tail_bound_fails(self, monkeypatch):
         monkeypatch.setattr(envelope, "smooth_part", lambda k, theta: math.inf)
@@ -317,6 +318,26 @@ class TestLobeReduction:
             assert threshold_value(k, 1e-6 + (lobe_lo - 1e-6) * (i / 500)) < 0.0
         for i in range(1, 501):
             assert threshold_value(k, lobe_hi + (math.pi - 1e-6 - lobe_hi) * (i / 500)) <= tail
+
+    def test_negative_next_to_the_singular_angle(self):
+        # L < 0 within 1e-8 pi/k above pi/k, in both lanes, so the lobe
+        # scan needs no mask there
+        j = np.arange(1, 11)
+        for k in [*range(2, 1001), 3116, 12000, 10**6, 10**9]:
+            theta = (math.pi / k) * (1.0 + j * 1e-9)
+            assert (kernels.threshold_values(k, theta) < 0.0).all(), k
+            assert all(threshold_value(k, t) < 0.0 for t in theta.tolist()), k
+
+    def test_first_point_of_a_hundred_million_point_lobe(self):
+        # at k = 3 the first grid point lies within 1e-8 pi/k of pi/k, and
+        # the peak is found far from it
+        k, n = 3, 10**8
+        lo = math.pi / k
+        first = float(next(kernels.theta_blocks(lo, 2.0 * lo, n))[0])
+        assert abs(first - lo) < 1e-8 * lo
+        peak = max_threshold(ThetaScan(k, grid_points=n))
+        assert peak.min_m == 21
+        assert peak.argmax_theta > 1.1 * lo
 
 
 @functools.lru_cache(maxsize=None)
@@ -400,7 +421,7 @@ class TestNearInteger:
         # better, so the peak is exactly peak_value
         scans = []
 
-        def scan(k, lo, hi, n, guard):
+        def scan(k, lo, hi, n):
             scans.append((k, lo, hi, n))
             return peak_value, 0.4934809319486516
 
@@ -521,7 +542,6 @@ class TestSandwich:
     def test_matches_pointwise_reference(self, alpha, k):
         # the per-point loop sandwich_check replaced, kept as the reference
         n, keep = 10_000, 20
-        eps = 1e-8 * math.pi / k
         lo, hi = math.pi / k, 2.0 * math.pi / k
         k4 = float(k) ** 4
         slack = 1.0 + 8.0 / (k * k)
@@ -529,10 +549,6 @@ class TestSandwich:
         n_up = n_dn = 0
         for i in range(1, n + 1):
             theta = lo + (hi - lo) * (i / n)
-            u = theta * k / math.pi
-            o = 2.0 * math.floor((u - 1.0) / 2.0 + 0.5) + 1.0
-            if abs(u - o) * (math.pi / k) < eps:
-                continue
             ratio = threshold_value(k, theta) / k4
             d = limit_shape(0.5 * k * theta)
             if ratio > d + 1e-9:

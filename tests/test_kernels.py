@@ -15,24 +15,15 @@ from unimodal_lab.envelope import denominator_gap, threshold_value
 PI = math.pi
 
 
-def _guarded(theta, k, guard):
-    # pointwise form of the singular-angle guard, the reference for guard_mask
-    u = theta * k / PI
-    o = 2.0 * math.floor((u - 1.0) / 2.0 + 0.5) + 1.0
-    return abs(u - o) * (PI / k) < guard
-
-
 def _grid(lo, hi, n):
     return [lo + (hi - lo) * (i / n) for i in range(1, n + 1)]
 
 
-def _whole_grid_max(k, lo, hi, n, guard):
+def _whole_grid_max(k, lo, hi, n):
     # the whole-array form of grid_max_threshold, the reference for its
     # blocked walk
     theta = kernels.theta_grid(lo, hi, n)
     vals = kernels.threshold_values(k, theta)
-    if guard > 0.0:
-        vals = np.where(kernels.guard_mask(theta, k, guard), -np.inf, vals)
     i = int(np.argmax(vals))
     v = float(vals[i])
     if not math.isfinite(v):
@@ -48,16 +39,12 @@ def test_backend_is_pure():
 
 
 class TestAgainstScalarReference:
-    @pytest.mark.parametrize(
-        "k,guard", [(9, 1e-8 * PI / 9), (12, 0.0), (16, 1e-3), (24, 1e-8 * PI / 24)]
-    )
-    def test_max_matches_pointwise_evaluation(self, k, guard):
+    @pytest.mark.parametrize("k", [9, 12, 16, 24])
+    def test_max_matches_pointwise_evaluation(self, k):
         lo, hi, n = PI / k, 2 * PI / k, 5_000
-        got_v, got_t = kernels.grid_max_threshold(k, lo, hi, n, guard)
+        got_v, got_t = kernels.grid_max_threshold(k, lo, hi, n)
         best_v, best_t = float("-inf"), float("nan")
         for theta in _grid(lo, hi, n):
-            if _guarded(theta, k, guard):
-                continue
             v = threshold_value(k, theta)
             if v > best_v:
                 best_v, best_t = v, theta
@@ -67,13 +54,10 @@ class TestAgainstScalarReference:
     @pytest.mark.parametrize("k", [9, 24])
     def test_min_margin_matches_pointwise_evaluation(self, k):
         lo, hi, n = 1e-6, PI - 1e-6, 20_000
-        guard = 1e-8 * PI / k
         m = float(k**4 // 3)
-        got_v, got_t = kernels.grid_min_margin(m, k, lo, hi, n, guard)
+        got_v, got_t = kernels.grid_min_margin(m, k, lo, hi, n)
         best_v, best_t = float("inf"), float("nan")
         for theta in _grid(lo, hi, n):
-            if _guarded(theta, k, guard):
-                continue
             v = m - threshold_value(k, theta)
             if v < best_v:
                 best_v, best_t = v, theta
@@ -85,13 +69,8 @@ class TestAgainstScalarReference:
     @pytest.mark.parametrize("k", [9, 16, 24])
     def test_count_nonneg_matches_pointwise_evaluation(self, k):
         lo, hi, n = PI / k, 2 * PI / k, 20_000
-        guard = 1e-8 * PI / k
-        got = count_nonneg_threshold(k, lo, hi, n, guard)
-        want = sum(
-            1
-            for theta in _grid(lo, hi, n)
-            if not _guarded(theta, k, guard) and threshold_value(k, theta) >= 0.0
-        )
+        got = count_nonneg_threshold(k, lo, hi, n)
+        want = sum(1 for theta in _grid(lo, hi, n) if threshold_value(k, theta) >= 0.0)
         assert got > 0
         assert abs(got - want) <= 2
 
@@ -105,13 +84,6 @@ class TestAgainstScalarReference:
                 assert g == want
             else:
                 assert g == pytest.approx(want, rel=1e-12)
-
-    def test_guard_mask_matches_pointwise_rule(self):
-        k, guard = 9, 1e-3
-        theta = np.array([PI / k, PI / k + 5e-4, PI / k + 2e-3, 3 * PI / k - 1e-4, 0.5])
-        got = kernels.guard_mask(theta, k, guard).tolist()
-        assert got == [_guarded(float(t), k, guard) for t in theta]
-        assert got == [True, True, False, True, False]
 
     def test_grid_max_limit_shape_matches_scalar(self):
         lo, hi, n = PI / 2 + 1e-6, PI - 1e-6, 50_000
@@ -134,23 +106,9 @@ class TestBlockedGridMax:
     def test_lobe_matches_whole_grid_bit_for_bit(self, k, n):
         # repr round-trips every float and prints nan alike, so equal reprs
         # are equal bits (k = 2, n = 1 scans only theta = pi: (-inf, nan))
-        lo, hi, guard = PI / k, 2 * PI / k, 1e-8 * PI / k
-        got = kernels.grid_max_threshold(k, lo, hi, n, guard)
-        assert repr(got) == repr(_whole_grid_max(k, lo, hi, n, guard))
-
-    def test_masked_points_in_middle_blocks(self):
-        k, lo, hi, n, guard = 97, 1e-6, PI - 1e-6, 3 * B + 7, 1e-3
-        theta = kernels.theta_grid(lo, hi, n)
-        masked = np.flatnonzero(kernels.guard_mask(theta, k, guard))
-        assert ((masked >= B) & (masked < 2 * B)).any()
-        assert kernels.grid_max_threshold(k, lo, hi, n, guard) == _whole_grid_max(k, lo, hi, n, guard)
-
-    def test_all_guarded_blocks_are_empty(self):
-        k = 9
-        lo, hi = PI / k * 0.999, PI / k * 1.001
-        v, t = kernels.grid_max_threshold(k, lo, hi, 3 * B + 7, 1.0)
-        assert v == float("-inf")
-        assert math.isnan(t)
+        lo, hi = PI / k, 2 * PI / k
+        got = kernels.grid_max_threshold(k, lo, hi, n)
+        assert repr(got) == repr(_whole_grid_max(k, lo, hi, n))
 
     def test_ties_go_to_the_first_index_across_blocks(self, monkeypatch):
         # a constant curve with constant cell bounds: no bound is strictly
@@ -158,7 +116,7 @@ class TestBlockedGridMax:
         monkeypatch.setattr(kernels, "threshold_values", lambda k, theta: np.full_like(theta, 7.0))
         monkeypatch.setattr(kernels, "_cell_bounds", lambda k, ends: np.full(ends.size - 1, 7.0))
         lo, hi, n = 0.1, 0.3, 3 * B + 7
-        assert kernels.grid_max_threshold(9, lo, hi, n, 0.0) == (7.0, lo + (hi - lo) * (1 / n))
+        assert kernels.grid_max_threshold(9, lo, hi, n) == (7.0, lo + (hi - lo) * (1 / n))
 
     def test_ties_go_to_the_first_index_when_the_seed_comes_later(self, monkeypatch):
         # the seed is the cell with the largest bound, far from index 1;
@@ -171,7 +129,7 @@ class TestBlockedGridMax:
         monkeypatch.setattr(kernels, "threshold_values", lambda k, theta: np.full_like(theta, 7.0))
         monkeypatch.setattr(kernels, "_cell_bounds", bounds)
         lo, hi, n = 0.1, 0.3, 3 * B + 7
-        assert kernels.grid_max_threshold(9, lo, hi, n, 0.0) == (7.0, lo + (hi - lo) * (1 / n))
+        assert kernels.grid_max_threshold(9, lo, hi, n) == (7.0, lo + (hi - lo) * (1 / n))
 
 
 class TestPrunedScan:
@@ -179,42 +137,44 @@ class TestPrunedScan:
 
     @pytest.mark.parametrize("k", range(2, 1001, 37))
     def test_lobe_every_37th_k(self, k):
-        lo, hi, guard = PI / k, 2 * PI / k, 1e-8 * PI / k
-        got = kernels.grid_max_threshold(k, lo, hi, 100_000, guard)
-        assert repr(got) == repr(_whole_grid_max(k, lo, hi, 100_000, guard))
+        lo, hi = PI / k, 2 * PI / k
+        got = kernels.grid_max_threshold(k, lo, hi, 100_000)
+        assert repr(got) == repr(_whole_grid_max(k, lo, hi, 100_000))
 
     @pytest.mark.parametrize("k", [3116, 3397, 6500, 12000, 10**6, 10**9])
     @pytest.mark.parametrize("n", [100_000, 1_000_000])
     def test_lobe_large_k(self, k, n):
-        lo, hi, guard = PI / k, 2 * PI / k, 1e-8 * PI / k
-        got = kernels.grid_max_threshold(k, lo, hi, n, guard)
-        assert repr(got) == repr(_whole_grid_max(k, lo, hi, n, guard))
+        lo, hi = PI / k, 2 * PI / k
+        got = kernels.grid_max_threshold(k, lo, hi, n)
+        assert repr(got) == repr(_whole_grid_max(k, lo, hi, n))
 
     @pytest.mark.parametrize("k", [2, 3, 9, 97, 1000])
-    @pytest.mark.parametrize("rel_guard", [0.0, 1e-8, None])
-    def test_full_interval(self, k, rel_guard):
-        # guards 0, 1e-8 pi/k and 1e-3
-        guard = 1e-3 if rel_guard is None else rel_guard * PI / k
-        lo, hi = 1e-6, PI - 1e-6
-        got = kernels.grid_max_threshold(k, lo, hi, 100_000, guard)
-        assert repr(got) == repr(_whole_grid_max(k, lo, hi, 100_000, guard))
+    @pytest.mark.parametrize("rel_gap", [0.0, 1e-8, None])
+    def test_full_interval(self, k, rel_gap):
+        # a grid of step pi/n over (0, pi), shifted so that a point lies 0,
+        # 1e-8 pi/k or 1e-3 past each multiple of pi/k: on and next to the
+        # angles where the curve diverges, which the scan does not skip
+        gap = 1e-3 if rel_gap is None else rel_gap * PI / k
+        n = k * (100_000 // k)
+        lo, hi = gap, gap + PI * ((n - 1) / n)
+        got = kernels.grid_max_threshold(k, lo, hi, n - 1)
+        assert repr(got) == repr(_whole_grid_max(k, lo, hi, n - 1))
 
     @pytest.mark.parametrize("k", [10, 16, 24])
     def test_later_lobes(self, k):
         # the windows of acceptance check 10e
-        guard = 1e-8 * PI / k
         for t in range(2, k // 2 + 1):
             lo = (2 * t - 1) * PI / k
             hi = min((2 * t + 1) * PI / k, PI - 1e-6)
-            got = kernels.grid_max_threshold(k, lo, hi, 20_000, guard)
-            assert repr(got) == repr(_whole_grid_max(k, lo, hi, 20_000, guard)), t
+            got = kernels.grid_max_threshold(k, lo, hi, 20_000)
+            assert repr(got) == repr(_whole_grid_max(k, lo, hi, 20_000)), t
 
     @pytest.mark.parametrize("k", [9, 16, 24])
     def test_before_the_first_singularity(self, k):
         # L cancels to noise at tiny theta, and the scan still matches it
         lo, hi = 1e-9, (PI / k) * (1.0 - 1e-9)
-        got = kernels.grid_max_threshold(k, lo, hi, 20_000, 0.0)
-        assert repr(got) == repr(_whole_grid_max(k, lo, hi, 20_000, 0.0))
+        got = kernels.grid_max_threshold(k, lo, hi, 20_000)
+        assert repr(got) == repr(_whole_grid_max(k, lo, hi, 20_000))
 
     @pytest.mark.parametrize("k", [2, 9, 97, 1000])
     def test_many_bound_chunks(self, monkeypatch, k):
@@ -222,8 +182,8 @@ class TestPrunedScan:
         # candidates fall in different chunks, on either direction of grid
         monkeypatch.setattr(kernels, "GRID_BLOCK", 2 * kernels.GRID_CELL)
         for lo, hi in ((PI / k, 2 * PI / k), (1e-6, PI - 1e-6), (PI - 1e-6, 1e-6)):
-            got = kernels.grid_max_threshold(k, lo, hi, 200_001, 1e-3 / k)
-            assert repr(got) == repr(_whole_grid_max(k, lo, hi, 200_001, 1e-3 / k))
+            got = kernels.grid_max_threshold(k, lo, hi, 200_001)
+            assert repr(got) == repr(_whole_grid_max(k, lo, hi, 200_001))
 
     @settings(max_examples=200)
     @given(
@@ -231,17 +191,15 @@ class TestPrunedScan:
         st.floats(-12.0, math.log10(PI)),
         st.floats(0.0, 1.0),
         st.integers(1, 200_000),
-        st.sampled_from([0.0, 1e-8, 1e-3]),
     )
-    def test_random_windows(self, log_k, log_lo, frac, n, rel_guard):
+    def test_random_windows(self, log_k, log_lo, frac, n):
         # log-uniform k to 10^9 and lo down to 1e-12, lo < hi <= pi
         k = max(2, int(10**log_k))
         lo = 10**log_lo
         hi = min(PI, 10 ** (log_lo + frac * (math.log10(PI) - log_lo)))
         assume(lo < hi)
-        guard = rel_guard * PI / k
-        got = kernels.grid_max_threshold(k, lo, hi, n, guard)
-        assert repr(got) == repr(_whole_grid_max(k, lo, hi, n, guard))
+        got = kernels.grid_max_threshold(k, lo, hi, n)
+        assert repr(got) == repr(_whole_grid_max(k, lo, hi, n))
 
     @staticmethod
     def _assert_bounds_cover(k, lo, hi, n):
@@ -350,24 +308,22 @@ class TestAgainstMpmath:
 
 
 class TestEdgeContracts:
-    def test_all_guarded_window_is_empty(self):
-        # a guard radius wider than the window masks every point
-        k = 9
-        lo, hi = PI / k * 0.999, PI / k * 1.001
-        v, t = kernels.grid_max_threshold(k, lo, hi, 100, 1.0)
+    def test_all_sentinel_window_is_empty(self):
+        # the one grid point is theta = pi, where s rounds to 1 and L is
+        # the -inf sentinel
+        k, lo, hi = 2, PI / 2, PI
+        v, t = kernels.grid_max_threshold(k, lo, hi, 1)
         assert v == float("-inf")
         assert math.isnan(t)
-        v, t = kernels.grid_min_margin(100.0, k, lo, hi, 100, 1.0)
+        v, t = kernels.grid_min_margin(100.0, k, lo, hi, 1)
         assert v == float("inf")
         assert math.isnan(t)
-        assert count_nonneg_threshold(k, lo, hi, 100, 1.0) == 0
+        assert count_nonneg_threshold(k, lo, hi, 1) == 0
 
-    def test_zero_guard_keeps_all_points(self):
+    def test_lobe_max_over_every_point(self):
         k, n = 9, 1_000
         lo, hi = PI / k, 2 * PI / k
-        theta = kernels.theta_grid(lo, hi, n)
-        assert not kernels.guard_mask(theta, k, 0.0).any()
-        v, _ = kernels.grid_max_threshold(k, lo, hi, n, 0.0)
+        v, _ = kernels.grid_max_threshold(k, lo, hi, n)
         assert math.isfinite(v)
         assert v == pytest.approx(max(threshold_value(k, t) for t in _grid(lo, hi, n)), rel=1e-12)
 
@@ -375,7 +331,7 @@ class TestEdgeContracts:
         # a one-point grid evaluates exactly at hi
         k = 9
         theta = 0.5
-        v, t = kernels.grid_max_threshold(k, 0.4, theta, 1, 0.0)
+        v, t = kernels.grid_max_threshold(k, 0.4, theta, 1)
         assert t == theta
         assert v == pytest.approx(threshold_value(k, theta), rel=1e-12)
         assert kernels.theta_grid(0.4, theta, 7)[-1] == theta
@@ -383,4 +339,4 @@ class TestEdgeContracts:
     @pytest.mark.parametrize("k", [9, 16, 24])
     def test_count_zero_before_first_singularity(self, k):
         lo, hi = 1e-9, (PI / k) * (1.0 - 1e-9)
-        assert count_nonneg_threshold(k, lo, hi, 20_000, 0.0) == 0
+        assert count_nonneg_threshold(k, lo, hi, 20_000) == 0
