@@ -17,20 +17,19 @@ Each subcommand returns one Result, and render() writes it in one of
 three formats: json (the record, schema "unimodal-lab/1", stable key
 order), csv (the header and rows, floats at 17 significant digits) and
 text (key=value lines, one line per row for the scans). Output goes to
-stdout or --out. Rows are sorted by (k, u). UNIMODAL_LAB_THREADS caps
-the scan-eclass thread pool.
+stdout or --out. Rows are sorted by (k, u). Every subcommand runs on
+one thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (perfbench/tracer.py patches it)
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, NoReturn, Optional
+from typing import NoReturn, Optional
 
 from . import __version__, certmax, envelope, kernels, thresholds
 from .exactpoly import expand_family, unimodal_report
@@ -52,14 +51,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _threads() -> int:
-    raw = os.environ.get("UNIMODAL_LAB_THREADS", "")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValueError(f"UNIMODAL_LAB_THREADS must be an integer, got {raw!r}")
-        return max(1, min(n, 32))
-    return min(4, os.cpu_count() or 1)
+    # the thread count perfbench/run.py records; every subcommand runs on one
+    return 1
 
 
 @dataclass(frozen=True)
@@ -117,13 +110,6 @@ def render(result: Result, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _map_rows(fn: Callable, items: list, threads: int) -> list:
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _k_range(args: argparse.Namespace) -> list[int]:
     if args.k_min < 2 or args.k_max < args.k_min:
         raise ValueError(f"need 2 <= k-min <= k-max, got {args.k_min}, {args.k_max}")
@@ -177,7 +163,6 @@ def cmd_check(args: argparse.Namespace) -> Result:
 
 def cmd_scan_theorem1(args: argparse.Namespace) -> Result:
     ks = _k_range(args)
-    # serial: big-integer rows hold the GIL, so threads would not overlap
     results = [thresholds.scan_thresholds(k, args.cap) for k in ks]
     header = ["k", "min_m_strong", "min_m_unimodal", "predicted", "match"]
     rows = [[r.k, r.min_m_strong, r.min_m_unimodal, r.predicted, r.match] for r in results]
@@ -259,15 +244,12 @@ def cmd_eclass(args: argparse.Namespace) -> Result:
 def cmd_scan_eclass(args: argparse.Namespace) -> Result:
     ks = _k_range(args)
     enc = certmax.certified_alpha().value_enclosure
-
-    def one(k: int) -> list:
-        scan = envelope.ThetaScan(k, grid_points=args.grid)
-        p = envelope.max_threshold(scan)
+    rows = []
+    for k in ks:
+        p = envelope.max_threshold(envelope.ThetaScan(k, grid_points=args.grid))
         lo_b, hi_b = envelope.sandwich_bounds(k, enc.lo, enc.hi)
-        return [p.k, p.max_value, p.argmax_theta, p.min_m, p.ratio_k4,
-                lo_b, hi_b, lo_b <= p.ratio_k4 <= hi_b]
-
-    rows = _map_rows(one, ks, args.threads)
+        rows.append([p.k, p.max_value, p.argmax_theta, p.min_m, p.ratio_k4,
+                     lo_b, hi_b, lo_b <= p.ratio_k4 <= hi_b])
     header = ["k", "max_threshold", "argmax_theta", "m_of_k", "ratio_k4",
               "sandwich_lo", "sandwich_hi", "in_sandwich"]
     all_in = all(row[-1] for row in rows)
@@ -370,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.threads = _threads()  # a bad UNIMODAL_LAB_THREADS fails every subcommand
         result = _DISPATCH[args.subcommand](args)
     except thresholds.NotFoundError as e:
         print(f"unimodal-lab: not found: {e}", file=sys.stderr)

@@ -62,7 +62,9 @@ __all__ = [
 
 
 class ReductionViolation(Exception):
-    """The lobe maximum does not clear the tail bound smooth_part(k, 2 pi/k)."""
+    """The lobe scan cannot carry the maximum: k is beyond its float range,
+    no grid point is admissible, or the lobe maximum does not clear the
+    tail bound smooth_part(k, 2 pi/k)."""
 
 
 class Inconclusive(Exception):
@@ -297,6 +299,12 @@ def _golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float,
     return (c, yc) if yc >= yd else (d, yd)
 
 
+# the largest k whose lobe s = sin^2(pi/(2k)) stays above kernels._S_NORMAL,
+# the least s the cell bounds accept; k is compared as an integer, so the
+# test cannot overflow
+_K_MAX = int(math.pi / (2.0 * math.asin(math.sqrt(kernels._S_NORMAL))))
+
+
 def max_threshold(scan: ThetaScan) -> ThresholdMax:
     """Locate max of the threshold curve over (pi/k, 2 pi/k], certified.
 
@@ -334,10 +342,17 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
     band between raises Inconclusive) and the result is flagged
     near_integer. Where one float step of the maximum is wider than that
     band (max L above 2^23, from about k = 72) the bands cannot place
-    it, and Inconclusive is raised too.
+    it, and Inconclusive is raised too. Above k = _K_MAX (about 1.5708e75)
+    the lobe leaves the float range of the scan, and ReductionViolation is
+    raised before it.
     """
     k = scan.k
     n = scan.grid_points
+    if k > _K_MAX:
+        raise ReductionViolation(
+            f"k above {_K_MAX:.5e} puts sin^2(pi/(2k)) below {kernels._S_NORMAL:g}, "
+            "outside the float range of the lobe scan"
+        )
     lo, hi = math.pi / k, 2.0 * math.pi / k
     grid_val, grid_theta = kernels.grid_max_threshold(k, lo, hi, n)
     if not math.isfinite(grid_val):

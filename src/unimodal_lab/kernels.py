@@ -21,17 +21,21 @@ singular angle at the left end of the lobe, the computed L is negative
 or the -inf sentinel, so it never holds the lobe peak
 (envelope.max_threshold proves it).
 
-grid_max_threshold is a branch-and-bound over cells of GRID_CELL
-consecutive grid indices. It bounds every cell from above (the lemma
-below), seeds a running best from the cell with the largest finite
-bound, then walks, in index order and in blocks of at most GRID_BLOCK
-points, every cell whose bound is not strictly below that best, always
-including the cells whose bound is not finite. A later point replaces
-the running (value, theta) only if strictly larger. A skipped cell
-holds only values below a value the walk finds, so the result, NaN and
--inf sentinels and ties on the first index included, is bit for bit
-that of the whole-grid argmax. Bounds are computed in chunks of GRID_BLOCK
-cells, so memory does not grow with n.
+grid_max_threshold is a branch-and-bound over cells of
+max(GRID_CELL, ceil(n / GRID_BLOCK)) consecutive grid indices, so one
+array of at most GRID_BLOCK bounds covers any grid. It bounds every
+cell from above (the lemma below holds for any cell), seeds a running
+best from the cell with the largest finite bound, then walks, in index
+order and in blocks of whole cells, every cell whose bound is not
+strictly below that best, always including the cells whose bound is
+not finite. A later point replaces the running (value, theta) only if
+strictly larger. A skipped cell holds only values below a value the
+walk finds, so the result, NaN and -inf sentinels and ties on the first
+index included, is bit for bit that of the whole-grid argmax, whatever
+the cell size. A block is at most GRID_BLOCK points until n =
+GRID_BLOCK^2 (about 2.7e8), and one cell beyond: at k = 3 the
+tracemalloc peak is 1.9 MiB at n = 10^8 and 5.4 MiB at n = 10^9, whose
+cells are 61,036 points.
 
 Cell bound. The grid expression is monotone in i, so the points of a
 cell lie in [a, b], between the grid angles at its two ends. On
@@ -165,21 +169,43 @@ def backend() -> str:
     return "pure"
 
 
+def _grid_angles(lo, width, i, n):
+    # the grid expression, written once so that every grid angle has the same bits
+    return lo + width * (i / n)
+
+
 def theta_grid(lo: float, hi: float, n: int) -> np.ndarray:
     """Right-closed grid lo + (hi - lo) * (i / n) for i = 1..n."""
-    i = np.arange(1, n + 1, dtype=np.float64)
-    return lo + (hi - lo) * (i / n)
+    return _grid_angles(lo, hi - lo, np.arange(1, n + 1, dtype=np.float64), n)
 
 
 GRID_BLOCK = 16_384
+GRID_CELL = 128
+
+
+def _cell_size(n):
+    # at most GRID_BLOCK cells cover the n grid points
+    return max(GRID_CELL, -(-n // GRID_BLOCK))
+
+
+def _cell_blocks(lo, width, n, size, cells):
+    # grid angles of the ascending cells, cell c holding the indices
+    # c size + 1 .. min(c size + size, n), max(1, GRID_BLOCK // size)
+    # cells to a block
+    offsets = np.arange(1, size + 1, dtype=np.float64)
+    per = max(1, GRID_BLOCK // size)
+    for start in range(0, len(cells), per):
+        i = (cells[start : start + per, None] * size + offsets).ravel()
+        if i[-1] > n:
+            i = i[i <= n]
+        yield _grid_angles(lo, width, i, n)
 
 
 def theta_blocks(lo: float, hi: float, n: int) -> Iterator[np.ndarray]:
-    """theta_grid(lo, hi, n), bit for bit, in blocks of at most GRID_BLOCK points."""
-    width = hi - lo
-    for start in range(1, n + 1, GRID_BLOCK):
-        i = np.arange(start, min(start + GRID_BLOCK, n + 1), dtype=np.float64)
-        yield lo + width * (i / n)
+    """theta_grid(lo, hi, n), bit for bit, in blocks of whole grid cells:
+    at most GRID_BLOCK points each up to n = GRID_BLOCK^2, one cell beyond."""
+    size = _cell_size(n)
+    return _cell_blocks(lo, hi - lo, n, size, np.arange(-(-n // size)))
 
 
 def threshold_values(k: int, theta: np.ndarray) -> np.ndarray:
@@ -191,8 +217,6 @@ def limit_shape_values(z: np.ndarray) -> np.ndarray:
     """D(z) elementwise; -inf where cos z = 0."""
     return limit_shape(z, ARRAY_OPS)
 
-
-GRID_CELL = 128
 
 # relative slack of the cell bounds, 2^-40 = 8192 u (u = 2^-53), and the
 # least s they accept: above it gap(s) > s^2/2 stays a normal float
@@ -231,26 +255,11 @@ def _cell_bounds(k, ends):
     return np.where(ok, bound + r * np.abs(bound), np.inf)
 
 
-def _chunk_bounds(k, lo, width, n, c0):
-    # bounds of the cells c0 .. c0 + GRID_BLOCK - 1; cell c holds the grid
-    # indices c S + 1 .. min(c S + S, n), all between the grid angles at
-    # c S and min(c S + S, n), the angle at 0 being lo
-    c1 = min(c0 + GRID_BLOCK, -(-n // GRID_CELL))
-    i = np.minimum(np.arange(c0, c1 + 1) * GRID_CELL, n).astype(np.float64)
-    return _cell_bounds(k, lo + width * (i / n))
-
-
-def _walk_cells(k, lo, width, n, cells, best):
-    # scan the grid points of the ascending cells in blocks of at most
-    # GRID_BLOCK points; a later point replaces best = (value, theta) only
-    # if strictly larger; None on a NaN value
-    offsets = np.arange(1, GRID_CELL + 1)
-    per = GRID_BLOCK // GRID_CELL
-    for start in range(0, len(cells), per):
-        i = (cells[start : start + per, None] * GRID_CELL + offsets).ravel()
-        if i[-1] > n:
-            i = i[i <= n]
-        theta = lo + width * (i.astype(np.float64) / n)
+def _walk(k, blocks):
+    # the running best (value, theta) over the blocks; a later point
+    # replaces it only if strictly larger; None on a NaN value
+    best = (float("-inf"), float("nan"))
+    for theta in blocks:
         vals = threshold_values(k, theta)
         j = int(np.argmax(vals))
         v = float(vals[j])
@@ -270,34 +279,23 @@ def grid_max_threshold(k: int, lo: float, hi: float, n: int) -> tuple[float, flo
     """
     empty = (float("-inf"), float("nan"))
     width = hi - lo
-    starts = range(0, -(-n // GRID_CELL), GRID_BLOCK)
-    top, seed, tops = -math.inf, None, []
-    for c0 in starts:
-        last = _chunk_bounds(k, lo, width, n, c0)
-        finite = np.isfinite(last)
-        tops.append(float(last.max()) if finite.all() else math.inf)
-        if finite.any():
-            j = int(np.argmax(np.where(finite, last, -np.inf)))
-            if last[j] > top:
-                top, seed = float(last[j]), c0 + j
+    size = _cell_size(n)
+    # cell c lies between the grid angles at c size and min(c size + size, n)
+    bound = _cell_bounds(
+        k, _grid_angles(lo, width, np.minimum(np.arange(-(-n // size) + 1) * size, n), n)
+    )
+    finite = np.isfinite(bound)
     floor = -math.inf
-    if seed is not None:
-        got = _walk_cells(k, lo, width, n, np.array([seed]), empty)
+    if finite.any():
+        seed = int(np.argmax(np.where(finite, bound, -np.inf)))
+        got = _walk(k, _cell_blocks(lo, width, n, size, np.array([seed])))
         if got is None:
             return empty
         floor = got[0]
-    best = empty
-    for c0, chunk_top in zip(starts, tops):
-        if chunk_top < floor:
-            continue
-        # the last chunk's bounds are still held
-        bound = last if c0 == starts[-1] else _chunk_bounds(k, lo, width, n, c0)
-        # a NaN bound is not below floor, so its cell is walked
-        cells = c0 + np.flatnonzero(~(bound < floor))
-        best = _walk_cells(k, lo, width, n, cells, best)
-        if best is None:
-            return empty
-    if not math.isfinite(best[0]):
+    # a NaN bound is not below floor, so its cell is walked
+    cells = np.flatnonzero(~(bound < floor))
+    best = _walk(k, _cell_blocks(lo, width, n, size, cells))
+    if best is None or not math.isfinite(best[0]):
         return empty
     return best
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import threading
 import warnings
 
 import mpmath
@@ -35,16 +36,23 @@ class TestParsing:
         assert ei.value.code == 0
         assert "unimodal-lab" in capsys.readouterr().out
 
-    def test_bad_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("UNIMODAL_LAB_THREADS", "lots")
-        code, out, err = run(capsys, "check", "--m", "6", "--k", "3")
-        assert code == 1
-        assert "UNIMODAL_LAB_THREADS" in err
-
-    def test_thread_env_clamped(self, capsys, monkeypatch):
-        monkeypatch.setenv("UNIMODAL_LAB_THREADS", "9999")
-        code, out, err = run(capsys, "check", "--m", "6", "--k", "3")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--m", "6", "--k", "3"],
+            ["scan-eclass", "--k-min", "9", "--k-max", "10", "--grid", "20000"],
+        ],
+        ids=["check", "scan-eclass"],
+    )
+    def test_thread_env_is_ignored(self, capsys, monkeypatch, argv):
+        # every subcommand runs on one thread and reads no thread count
+        monkeypatch.delenv("UNIMODAL_LAB_THREADS", raising=False)
+        code, want, _ = run(capsys, *argv)
         assert code == 0
+        monkeypatch.setenv("UNIMODAL_LAB_THREADS", "lots")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == want
 
 
 class TestCheck:
@@ -360,6 +368,34 @@ class TestScanEclass:
         with pytest.raises(SystemExit) as ei:
             main(["scan-eclass", "--k-min", "9", "--k-max", "9", "--tol", "1e-20"])
         assert ei.value.code == 1
+
+    def test_rows_run_on_the_calling_thread(self, capsys, monkeypatch):
+        seen = set()
+
+        def spy(scan, _fn=envelope.max_threshold):
+            seen.add(threading.get_ident())
+            return _fn(scan)
+
+        monkeypatch.delenv("UNIMODAL_LAB_THREADS", raising=False)
+        monkeypatch.setattr(envelope, "max_threshold", spy)
+        code, out, err = run(capsys, "scan-eclass", "--k-min", "17", "--k-max", "24")
+        assert code == 0
+        assert seen == {threading.get_ident()}
+
+    @pytest.mark.parametrize("exp", [77, 80, 155, 400])
+    @pytest.mark.parametrize("cmd", ["eclass", "scan-eclass"])
+    def test_k_beyond_the_float_range_exits_three(self, capsys, cmd, exp):
+        # above about k = 1.5708e75 the lobe's sin^2(pi/(2k)) is below the
+        # least s the cell bounds accept; near 10^155 k^2 overflows a float
+        # and near 10^309 so does pi/k
+        k = str(10**exp)
+        argv = ["eclass", "--k", k] if cmd == "eclass" else ["scan-eclass", "--k-min", k, "--k-max", k]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "certification failure" in err
 
     def test_reduction_violation_exits_three(self, capsys, monkeypatch):
         monkeypatch.setattr(envelope, "smooth_part", lambda k, theta: float("inf"))

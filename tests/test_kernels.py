@@ -101,9 +101,13 @@ class TestAgainstScalarReference:
 
 
 class TestBlockedGridMax:
-    @pytest.mark.parametrize("k", [2, 3, 9, 31, 32, 97, 1000])
-    @pytest.mark.parametrize("n", [1, 1000, B - 1, B, B + 1, 3 * B + 7, 1_000_000])
-    def test_lobe_matches_whole_grid_bit_for_bit(self, k, n):
+    @pytest.mark.parametrize(
+        "n, k",
+        [(n, k) for n in (1, 1000, B - 1, B, B + 1, 3 * B + 7, 1_000_000) for k in (2, 3, 9, 31, 32, 97, 1000)]
+        # past GRID_CELL * GRID_BLOCK = 2,097,152 points a cell is wider than GRID_CELL
+        + [(n, k) for n in (2_097_153, 3_000_001) for k in (2, 9, 97, 1000)],
+    )
+    def test_lobe_matches_whole_grid_bit_for_bit(self, n, k):
         # repr round-trips every float and prints nan alike, so equal reprs
         # are equal bits (k = 2, n = 1 scans only theta = pi: (-inf, nan))
         lo, hi = PI / k, 2 * PI / k
@@ -177,13 +181,21 @@ class TestPrunedScan:
         assert repr(got) == repr(_whole_grid_max(k, lo, hi, 20_000))
 
     @pytest.mark.parametrize("k", [2, 9, 97, 1000])
-    def test_many_bound_chunks(self, monkeypatch, k):
-        # chunks of 256 cells and walk blocks of 2 cells: the seed and the
-        # candidates fall in different chunks, on either direction of grid
+    def test_cells_wider_than_grid_cell(self, monkeypatch, k):
+        # with at most 256 cells, 200,001 points make cells of 782 points,
+        # one to a walk block, on either direction of grid
         monkeypatch.setattr(kernels, "GRID_BLOCK", 2 * kernels.GRID_CELL)
-        for lo, hi in ((PI / k, 2 * PI / k), (1e-6, PI - 1e-6), (PI - 1e-6, 1e-6)):
-            got = kernels.grid_max_threshold(k, lo, hi, 200_001)
-            assert repr(got) == repr(_whole_grid_max(k, lo, hi, 200_001))
+        windows = ((PI / k, 2 * PI / k), (1e-6, PI - 1e-6), (PI - 1e-6, 1e-6))
+        want = [repr(_whole_grid_max(k, lo, hi, 200_001)) for lo, hi in windows]
+        sizes = []
+
+        def spy(k, theta, _fn=kernels.threshold_values):
+            sizes.append(theta.size)
+            return _fn(k, theta)
+
+        monkeypatch.setattr(kernels, "threshold_values", spy)
+        assert [repr(kernels.grid_max_threshold(k, lo, hi, 200_001)) for lo, hi in windows] == want
+        assert max(sizes) == 782
 
     @settings(max_examples=200)
     @given(
@@ -204,7 +216,8 @@ class TestPrunedScan:
     @staticmethod
     def _assert_bounds_cover(k, lo, hi, n):
         S = kernels.GRID_CELL
-        bounds = kernels._chunk_bounds(k, lo, hi - lo, n, 0)
+        i = np.minimum(np.arange(-(-n // S) + 1) * S, n).astype(np.float64)
+        bounds = kernels._cell_bounds(k, lo + (hi - lo) * (i / n))
         vals = kernels.threshold_values(k, kernels.theta_grid(lo, hi, n))
         vals = np.concatenate([vals, np.full(-n % S, -np.inf)]).reshape(-1, S)
         assert bounds.shape == (vals.shape[0],)
