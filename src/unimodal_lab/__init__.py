@@ -9,8 +9,9 @@ Three layers:
 * certmax: a certified enclosure of the limit-shape constant that
   governs the min_m ~ alpha k^4 growth law.
 
-Grid scans run on NumPy in unimodal_lab.kernels. The package exports
-the public names of its four layer modules.
+Grid scans run on NumPy in unimodal_lab.kernels, which loads it on the
+first grid call, so importing the package does not import NumPy. The
+package exports the public names of its four layer modules.
 """
 
 __version__ = "0.1.0"

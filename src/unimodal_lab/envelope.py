@@ -31,11 +31,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import kernels
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ReductionViolation",
@@ -517,6 +518,8 @@ def sandwich_check(
     are kept, in grid order. The grid is walked in blocks of
     kernels.GRID_BLOCK points, so memory does not grow with grid_points.
     """
+    import numpy as np
+
     k = peak.k
     scan = ThetaScan(k, grid_points=max(grid_points, 1000))
     n = scan.grid_points

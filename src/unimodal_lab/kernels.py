@@ -8,11 +8,14 @@ envelope.threshold_value, envelope.denominator_gap and
 certmax.limit_shape, which drive the golden-section and bisection
 refinements, and ARRAY_OPS (NumPy) for the grids. The lanes stay apart
 because NumPy's log1p and libm's differ in the last bit on some inputs,
-and the CLI prints scalar results to 17 digits. Both branches of every
-where are evaluated, so the formulas clamp their arguments before any
-log and select the -inf sentinels last. select(c, a, b) takes its
-branches as thunks and runs only those some element of c needs: the
-scalar lane runs one, the array lane both only for a mixed c.
+and the CLI prints scalar results to 17 digits. NumPy is imported on
+the first grid call, not with this module, so the commands that scan
+no grid start without it; ARRAY_OPS is built then, once, and every
+access returns that one namespace. Both branches of every where are
+evaluated, so the formulas clamp their arguments before any log and
+select the -inf sentinels last. select(c, a, b) takes its branches as
+thunks and runs only those some element of c needs: the scalar lane
+runs one, the array lane both only for a mixed c.
 
 Grid semantics: right-closed grids theta_i = lo + (hi - lo) * (i / n)
 for i = 1..n, -inf sentinels where the curve diverges, and ties broken
@@ -77,14 +80,18 @@ relative errors are unbounded, so those cells get no finite bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from types import SimpleNamespace
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _array_select(c, a, b):
+    import numpy as np
+
     if c.all():
         return a()
     if not c.any():
@@ -100,14 +107,29 @@ SCALAR_OPS = SimpleNamespace(
     where=lambda c, a, b: a if c else b,
     select=lambda c, a, b: a() if c else b(),
 )
-ARRAY_OPS = SimpleNamespace(
-    sin=np.sin,
-    cos=np.cos,
-    log=np.log,
-    log1p=np.log1p,
-    where=np.where,
-    select=_array_select,
-)
+
+
+@functools.cache
+def _array_ops():
+    # the array lane, built once, on the first grid call
+    import numpy as np
+
+    return SimpleNamespace(
+        sin=np.sin,
+        cos=np.cos,
+        log=np.log,
+        log1p=np.log1p,
+        where=np.where,
+        select=_array_select,
+    )
+
+
+def __getattr__(name):
+    # ARRAY_OPS is served on access (PEP 562), so importing this module
+    # does not import NumPy
+    if name == "ARRAY_OPS":
+        return _array_ops()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 GAP_SERIES_BELOW = 1e-2
@@ -176,6 +198,8 @@ def _grid_angles(lo, width, i, n):
 
 def theta_grid(lo: float, hi: float, n: int) -> np.ndarray:
     """Right-closed grid lo + (hi - lo) * (i / n) for i = 1..n."""
+    import numpy as np
+
     return _grid_angles(lo, hi - lo, np.arange(1, n + 1, dtype=np.float64), n)
 
 
@@ -192,6 +216,8 @@ def _cell_blocks(lo, width, n, size, cells):
     # grid angles of the ascending cells, cell c holding the indices
     # c size + 1 .. min(c size + size, n), max(1, GRID_BLOCK // size)
     # cells to a block
+    import numpy as np
+
     offsets = np.arange(1, size + 1, dtype=np.float64)
     per = max(1, GRID_BLOCK // size)
     for start in range(0, len(cells), per):
@@ -204,18 +230,20 @@ def _cell_blocks(lo, width, n, size, cells):
 def theta_blocks(lo: float, hi: float, n: int) -> Iterator[np.ndarray]:
     """theta_grid(lo, hi, n), bit for bit, in blocks of whole grid cells:
     at most GRID_BLOCK points each up to n = GRID_BLOCK^2, one cell beyond."""
+    import numpy as np
+
     size = _cell_size(n)
     return _cell_blocks(lo, hi - lo, n, size, np.arange(-(-n // size)))
 
 
 def threshold_values(k: int, theta: np.ndarray) -> np.ndarray:
     """L(k, theta) elementwise; -inf where the curve diverges."""
-    return threshold(k, theta, ARRAY_OPS)
+    return threshold(k, theta, _array_ops())
 
 
 def limit_shape_values(z: np.ndarray) -> np.ndarray:
     """D(z) elementwise; -inf where cos z = 0."""
-    return limit_shape(z, ARRAY_OPS)
+    return limit_shape(z, _array_ops())
 
 
 # relative slack of the cell bounds, 2^-40 = 8192 u (u = 2^-53), and the
@@ -232,8 +260,11 @@ def _cell_bounds(k, ends):
     its ends leave [0, pi] or are NaN, when the widened s leaves
     [_S_NORMAL, 1), or when the gap bound is not positive.
     """
+    import numpy as np
+
+    ops = _array_ops()
     r = _CELL_SLACK
-    s, q = _sines(k, ends, ARRAY_OPS)
+    s, q = _sines(k, ends, ops)
     a = np.minimum(ends[:-1], ends[1:])
     b = np.maximum(ends[:-1], ends[1:])
     s_lo = np.minimum(s[:-1], s[1:]) * (1.0 - r)
@@ -249,7 +280,7 @@ def _cell_bounds(k, ends):
     log_top = np.where(holds, 0.0, np.log(np.minimum(c, 1.0)) * (1.0 - r))
     ks = (k * k) * s_hi
     num = (ks + log_top) + r * (ks - log_top)
-    g = np.where(num >= 0.0, gap(s_lo, ARRAY_OPS) * (1.0 - r), gap(s_hi, ARRAY_OPS) * (1.0 + r))
+    g = np.where(num >= 0.0, gap(s_lo, ops) * (1.0 - r), gap(s_hi, ops) * (1.0 + r))
     ok &= g > 0.0
     bound = num / np.where(ok, g, 1.0)
     return np.where(ok, bound + r * np.abs(bound), np.inf)
@@ -258,6 +289,8 @@ def _cell_bounds(k, ends):
 def _walk(k, blocks):
     # the running best (value, theta) over the blocks; a later point
     # replaces it only if strictly larger; None on a NaN value
+    import numpy as np
+
     best = (float("-inf"), float("nan"))
     for theta in blocks:
         vals = threshold_values(k, theta)
@@ -277,6 +310,8 @@ def grid_max_threshold(k: int, lo: float, hi: float, n: int) -> tuple[float, flo
     grid. Only the cells whose bound does not fall below the best value
     of the most promising cell are evaluated (module docstring).
     """
+    import numpy as np
+
     empty = (float("-inf"), float("nan"))
     width = hi - lo
     size = _cell_size(n)
@@ -302,6 +337,8 @@ def grid_max_threshold(k: int, lo: float, hi: float, n: int) -> tuple[float, flo
 
 def grid_min_margin(m: float, k: int, lo: float, hi: float, n: int) -> tuple[float, float]:
     """Min of m - threshold over a right-closed grid; (+inf, nan) if empty."""
+    import numpy as np
+
     theta = theta_grid(lo, hi, n)
     margin = m - threshold_values(k, theta)
     i = int(np.argmin(margin))
@@ -313,6 +350,8 @@ def grid_min_margin(m: float, k: int, lo: float, hi: float, n: int) -> tuple[flo
 
 def grid_max_limit_shape(lo: float, hi: float, n: int) -> tuple[float, float]:
     """Max of the limit shape over a right-closed grid; (-inf, nan) if empty."""
+    import numpy as np
+
     z = theta_grid(lo, hi, n)
     vals = limit_shape_values(z)
     j = int(np.argmax(vals))
