@@ -16,7 +16,7 @@ kernels; limit_shape evaluates it on floats with libm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernels
 
@@ -34,16 +34,20 @@ class BracketFailure(Exception):
     """Sign-change bracketing or enclosure certification failed."""
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi]."""
-
+class _IntervalFields(NamedTuple):
     lo: float
     hi: float
 
-    def __post_init__(self) -> None:
-        if not self.lo <= self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+
+class Interval(_IntervalFields):
+    """Closed interval [lo, hi]."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: float, hi: float) -> "Interval":
+        if not lo <= hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        return super().__new__(cls, lo, hi)
 
     @property
     def width(self) -> float:
@@ -57,8 +61,7 @@ class Interval:
         return self.lo <= x <= self.hi
 
 
-@dataclass(frozen=True)
-class CertifiedMax:
+class CertifiedMax(NamedTuple):
     """Enclosure of the limit-shape maximum on (pi/2, pi)."""
 
     crit_bracket: Interval

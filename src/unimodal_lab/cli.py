@@ -27,12 +27,11 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (perfbench/tracer.py patches it)
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import NoReturn, Optional
+from typing import NamedTuple, NoReturn, Optional
 
 from . import __version__, certmax, envelope, kernels, thresholds
-from .exactpoly import expand_family, unimodal_report
+from .exactpoly import family_report
 
 SCHEMA = "unimodal-lab/1"
 
@@ -55,8 +54,7 @@ def _threads() -> int:
     return 1
 
 
-@dataclass(frozen=True)
-class Result:
+class Result(NamedTuple):
     """One subcommand's outcome, ready for render().
 
     `record` is the JSON body, `header`/`rows` the CSV table, and `pairs`
@@ -118,11 +116,10 @@ def _k_range(args: argparse.Namespace) -> list[int]:
 
 def cmd_check(args: argparse.Namespace) -> Result:
     m, k = args.m, args.k
-    seq = expand_family(m, k)
-    report = unimodal_report(seq)
+    report = family_report(m, k)
     predicted = m >= thresholds.predicted_threshold(k)
     try:
-        closed, raw = thresholds.ratio_vs_coefficients(m, k, seq)
+        closed, raw = thresholds.ratio_vs_coefficients(m, k)
         ratio: Optional[Fraction] = closed
         ratio_ok: Optional[bool] = closed == raw
     except ValueError:
@@ -219,8 +216,8 @@ def cmd_eclass(args: argparse.Namespace) -> Result:
         "m_of_k": peak.min_m,
         "ratio_k4": peak.ratio_k4,
         "near_integer": peak.near_integer,
-        "certificate_at_m_of_k": asdict(cert_at),
-        "certificate_below": asdict(cert_below),
+        "certificate_at_m_of_k": cert_at._asdict(),
+        "certificate_below": cert_below._asdict(),
         "sandwich": {
             "upper_ok": sandwich.upper_ok,
             "lower_ok": sandwich.lower_ok,

@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import kernels
 
@@ -80,8 +79,7 @@ class Inconclusive(Exception):
         self.witness_theta = witness_theta
 
 
-@dataclass(frozen=True)
-class VarianceInput:
+class VarianceInput(NamedTuple):
     """A normalized polynomial presented by coefficients or in closed form.
 
     kind is "coeffs" (payload: exact coefficient tuple, f(1) = 1),
@@ -225,8 +223,12 @@ def threshold_value(k: int, theta: float) -> float:
     return kernels.threshold(k, theta, kernels.SCALAR_OPS)
 
 
-@dataclass(frozen=True)
-class ThetaScan:
+class _ThetaScanFields(NamedTuple):
+    k: int
+    grid_points: int
+
+
+class ThetaScan(_ThetaScanFields):
     """Scan configuration for the threshold curve.
 
     The grid is right-closed on the lobe (pi/k, 2 pi/k] and masks no
@@ -235,18 +237,17 @@ class ThetaScan:
     resolution, so the grid size is the only setting.
     """
 
-    k: int
-    grid_points: int = 100_000
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 2:
-            raise ValueError(f"k must be an integer >= 2, got {self.k!r}")
-        if self.grid_points < 1000:
-            raise ValueError(f"grid_points must be >= 1000, got {self.grid_points}")
+    def __new__(cls, k: int, grid_points: int = 100_000) -> "ThetaScan":
+        if not isinstance(k, int) or k < 2:
+            raise ValueError(f"k must be an integer >= 2, got {k!r}")
+        if grid_points < 1000:
+            raise ValueError(f"grid_points must be >= 1000, got {grid_points}")
+        return super().__new__(cls, k, grid_points)
 
 
-@dataclass(frozen=True)
-class ThresholdMax:
+class ThresholdMax(NamedTuple):
     """Refined maximum of the threshold curve for one k, found on a lobe
     grid of grid_points points."""
 
@@ -259,8 +260,7 @@ class ThresholdMax:
     grid_points: int
 
 
-@dataclass(frozen=True)
-class MembershipCertificate:
+class MembershipCertificate(NamedTuple):
     """Membership verdict for one (m, k) against a max_threshold peak.
 
     min_margin is m - peak.max_value, witness_theta the peak's
@@ -458,8 +458,7 @@ def quartic_floor_check(psi: float) -> tuple[bool, float]:
     return margin >= 0.0, margin
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
     """Pointwise and max-level comparison against the limit shape.
 
     For theta in (pi/k, 2 pi/k) and z = k theta / 2, the limit shape

@@ -9,16 +9,15 @@ ints, never floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exactpoly import (
     FamilyParams,
-    _expand_list,
+    _neighbour_ratio,
     coefficient,
+    family_report,
     is_strongly_unimodal,
-    is_unimodal,
     poly_mul,
 )
 
@@ -84,17 +83,16 @@ def central_ratio_even(m: int, k: int) -> Fraction:
     return Fraction(m * m + k * k + 2 * m, den)
 
 
-def ratio_vs_coefficients(
-    m: int, k: int, coeffs: Optional[Sequence[int]] = None
-) -> tuple[Fraction, Fraction]:
+def ratio_vs_coefficients(m: int, k: int) -> tuple[Fraction, Fraction]:
     """Closed-form central ratio and the same ratio from raw coefficients.
 
     The coefficient ratio is c(h-1)/c(h). For even degree h = (m+k)//2,
     the true center. For odd degree the two exact middle coefficients are
     equal by symmetry, so the informative ratio is the one entering that
     plateau: h = (m+k-1)//2. Both entries are exact; they must agree
-    identically. coeffs, when given, is the expanded sequence of (m, k),
-    and the raw ratio is read from it instead of from binomials.
+    identically. The raw ratio comes from the product form of the
+    coefficients (exactpoly._neighbour_ratio), so no binomial of size m
+    is built; the closed form exists only for k <= m + 1, where h <= m.
     """
     d = m + k
     if d % 2 == 1:
@@ -103,11 +101,8 @@ def ratio_vs_coefficients(
     else:
         closed = central_ratio_even(m, k)
         h = d // 2
-    if coeffs is None:
-        raw = Fraction(coefficient(m, k, h - 1), coefficient(m, k, h))
-    else:
-        raw = Fraction(coeffs[h - 1], coeffs[h])
-    return closed, raw
+    num, den = _neighbour_ratio(m, k, h)
+    return closed, Fraction(den, num)
 
 
 def _require_k(k: int) -> None:
@@ -172,8 +167,7 @@ def _b_factor(k: int, u: int) -> Fraction:
     return Fraction((k * k - 2 - u) * (u + 1), (k * k - 3 - u) * u)
 
 
-@dataclass(frozen=True)
-class BetaProbe:
+class BetaProbe(NamedTuple):
     """Log-concavity defect beta(u) and its two-factor decomposition."""
 
     k: int
@@ -208,8 +202,7 @@ def beta_exact(k: int, u: int) -> BetaProbe:
     return BetaProbe(k, u, beta, None, None, None)
 
 
-@dataclass(frozen=True)
-class InequalityProbe:
+class InequalityProbe(NamedTuple):
     """One audit row for the key neighbor-ratio inequality."""
 
     k: int
@@ -292,8 +285,7 @@ def _probe_row(k: int, u: int, a: Fraction) -> InequalityProbe:
     return InequalityProbe(k, u, lhs, rhs, lhs >= rhs, first, second, first >= second)
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     """Measured and predicted smoothing thresholds for one k."""
 
     k: int
@@ -304,10 +296,8 @@ class ThresholdResult:
 
 
 def _passes(m: int, k: int, mode: str) -> bool:
-    seq = _expand_list(m, k)
-    if mode == "strong":
-        return is_strongly_unimodal(seq)[0]
-    return is_unimodal(seq)[0]
+    report = family_report(m, k)
+    return report.strongly_unimodal if mode == "strong" else report.unimodal
 
 
 def _dip_below(k: int) -> bool:
@@ -353,9 +343,10 @@ def minimal_m(k: int, mode: str = "strong", cap: Optional[int] = None) -> int:
 
     So p = predicted_threshold(k) is the answer exactly when p passes and
     either p == 1 (k = 2) or the dip holds at p - 1. The dip is checked
-    in exact rationals from the closed form, so one expansion and one
-    predicate call prove the answer. When p is above the cap, or p fails,
-    a binary search on the same monotonicity finds the answer.
+    in exact rationals from the closed form, so one family_report call,
+    which decides both predicates without building the row, proves the
+    answer. When p is above the cap, or p fails, a binary search on the
+    same monotonicity finds the answer.
 
     Raises NotFoundError when no m <= cap passes (cap defaults to k*k).
     """
@@ -387,7 +378,7 @@ def scan_thresholds(k: int, cap: Optional[int] = None) -> ThresholdResult:
 
     The strong threshold comes from minimal_m. When it is p = k^2 - 3 and
     the central dip of minimal_m's lemma holds at p - 1, the unimodal
-    threshold is p as well, with no second expansion: p passes the strong
+    threshold is p as well, with no second family_report call: p passes the strong
     predicate, and a positive log-concave sequence with no internal zeros
     is unimodal, while the dip makes p - 1, and by monotonicity every
     smaller m, fail unimodality. This is the paper's claim that, for this

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import threading
+import tracemalloc
 import warnings
 
 import mpmath
@@ -102,6 +103,17 @@ class TestCheck:
         assert doc["strong_witness"] == 3914
         assert doc["strong_reason"] == "log-concavity"
         assert doc["unimodal_witness"] == [3914, 3915]
+
+    def test_memory_does_not_grow_with_the_row(self, capsys):
+        # the row of m = 40000 would hold about 250 MB of integers
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "check", "--m", "40000", "--k", "5", "--format", "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(out)["agree"]
+        assert peak < 5 * 2**20
 
     def test_json_stable_roundtrip(self, capsys):
         code, out, err = run(capsys, "check", "--m", "5", "--k", "3", "--format", "json")

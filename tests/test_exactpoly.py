@@ -1,9 +1,12 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from unimodal_lab import exactpoly
 from unimodal_lab.exactpoly import (
     CoeffSeq,
     FamilyParams,
@@ -11,6 +14,7 @@ from unimodal_lab.exactpoly import (
     binomial,
     coefficient,
     expand_family,
+    family_report,
     is_strongly_unimodal,
     is_unimodal,
     poly_mul,
@@ -334,3 +338,66 @@ class TestUnimodalReport:
             assert rep.strongly_unimodal == is_strongly_unimodal(seq)[0]
             if rep.strongly_unimodal:
                 assert rep.unimodal
+
+
+def _family_grid():
+    # every m around the threshold k^2 - 3 for k <= 40; the closed-form
+    # cases k = m + 1 and k > m + 1 at m = 1, 2; seeded (m, k) with k up
+    # to a little past sqrt(m), and with k anywhere up to m + 3
+    pairs = [(m, k) for k in range(2, 41) for m in range(max(1, k * k - 6), k * k + 3)]
+    pairs += [(m, k) for m in (1, 2) for k in range(2, m + 5)]
+    rng = random.Random(28)
+    for _ in range(200):
+        m = rng.randint(1, 3000)
+        pairs.append((m, rng.randint(2, math.isqrt(m) + 10)))
+    for _ in range(100):
+        m = rng.randint(1, 3000)
+        pairs.append((m, rng.randint(2, m + 3)))
+    return pairs
+
+
+class TestFamilyReport:
+    def test_equals_the_row_and_both_predicates(self):
+        for m, k in _family_grid():
+            assert family_report(m, k) == unimodal_report(_expand_list(m, k)), (m, k)
+
+    @pytest.mark.parametrize("m", [22496, 22497, 22498])
+    def test_a_below_the_float_range(self, m):
+        # a(k) = 1/C(m, k) is below the least subnormal, 2^-1074, so the
+        # scan carries it with a binary exponent
+        k = 150
+        assert math.comb(m, k) > 2**1074
+        assert family_report(m, k) == unimodal_report(_expand_list(m, k))
+
+    def test_exact_ratio_matches_the_row(self):
+        for m, k in _family_grid()[::3]:
+            if k > m:
+                continue
+            row = _expand_list(m, k)
+            h = (m + k) // 2
+            for u in {1, k - 1, k, k + 1, h - 1, h, m} - {0}:
+                num, den = exactpoly._neighbour_ratio(m, k, u)
+                assert Fraction(num, den) == Fraction(row[u], row[u - 1]), (m, k, u)
+
+    def test_wider_filter_band_changes_nothing(self, monkeypatch):
+        # a wider band only hands more indices to the exact path, so every
+        # exact branch runs and none may change the report
+        monkeypatch.setattr(exactpoly, "_EPS", 2.0**-30)
+        for m, k in _family_grid()[::2]:
+            assert family_report(m, k) == unimodal_report(_expand_list(m, k)), (m, k)
+
+    def test_plateau_goes_to_the_exact_path(self, monkeypatch):
+        # at m = k^2 - 3 the two central coefficients are equal, a tie no
+        # float filter can decide
+        calls = []
+        exact = exactpoly._neighbour_ratio
+        monkeypatch.setattr(exactpoly, "_neighbour_ratio", lambda *a: calls.append(a) or exact(*a))
+        m, k = 88 * 88 - 3, 88
+        assert family_report(m, k).strongly_unimodal
+        assert (m, k, (m + k) // 2) in calls
+
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(ValueError):
+            family_report(0, 3)
+        with pytest.raises(ValueError):
+            family_report(5, 1)

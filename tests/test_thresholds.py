@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from unimodal_lab import thresholds
+from unimodal_lab import exactpoly, thresholds
 from unimodal_lab.exactpoly import (
     _expand_list,
     binomial,
@@ -33,7 +33,8 @@ from unimodal_lab.thresholds import (
 
 
 def _spy(monkeypatch):
-    # record each row expansion and predicate call that thresholds makes
+    # record each family_report call that thresholds makes, and every row
+    # expansion or sequence predicate call in either module
     calls = []
 
     def counting(fn):
@@ -42,8 +43,11 @@ def _spy(monkeypatch):
             return fn(*args)
         return wrapped
 
-    for fn in (_expand_list, is_strongly_unimodal, is_unimodal):
-        monkeypatch.setattr(thresholds, fn.__name__, counting(fn))
+    for fn in (_expand_list, expand_family, is_strongly_unimodal, is_unimodal):
+        for mod in (exactpoly, thresholds):
+            if hasattr(mod, fn.__name__):
+                monkeypatch.setattr(mod, fn.__name__, counting(fn))
+    monkeypatch.setattr(thresholds, "family_report", counting(exactpoly.family_report))
     return calls
 
 
@@ -343,14 +347,13 @@ class TestMinimalM:
         for k in (3, 7, 20):
             calls.clear()
             assert minimal_m(k, mode) == predicted_threshold(k)
-            want = "is_strongly_unimodal" if mode == "strong" else "is_unimodal"
-            assert calls == ["_expand_list", want]
+            assert calls == ["family_report"]
 
     @pytest.mark.parametrize("k", [2, 3, 7, 20, 80])
     def test_scan_builds_one_row(self, monkeypatch, k):
         calls = _spy(monkeypatch)
         assert scan_thresholds(k).match
-        assert calls == ["_expand_list", "is_strongly_unimodal"]
+        assert calls == ["family_report"]
 
     def test_scan_matches_the_two_mode_search(self):
         for k in [*range(2, 61), 80, 120]:
