@@ -19,18 +19,28 @@ order), csv (the header and rows, floats at 17 significant digits) and
 text (key=value lines, one line per row for the scans). Output goes to
 stdout or --out. Rows are sorted by (k, u). Every subcommand runs on
 one thread.
+
+A process enters through entry(), which the package's __main__ and the
+installed unimodal-lab script both call; main() itself has no
+process-level effect, so it can run in-process. entry() freezes the heap
+at exit, so the interpreter's final collections do not walk the module
+graph (NumPy's too, after a grid command) just before the OS reclaims
+it. json is imported only for json output. ThreadPoolExecutor is a bare
+class, not concurrent.futures' pool: no subcommand runs a pool, and
+importing one (with logging, traceback and queue) slowed the start of
+every process, but the benchmark's tracer still subclasses this name.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import atexit
+import gc
 import sys
-from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (perfbench/tracer.py patches it)
 from fractions import Fraction
 from typing import NamedTuple, NoReturn, Optional
 
-from . import __version__, certmax, envelope, kernels, thresholds
+from . import __version__, certmax, envelope, exactpoly, kernels, thresholds
 from .exactpoly import family_report
 
 SCHEMA = "unimodal-lab/1"
@@ -47,6 +57,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
         self.exit(_EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+class ThreadPoolExecutor:
+    """Never instantiated: perfbench/tracer.py subclasses it under this name.
+
+    ROADMAP item 7 deletes it together with the tracer's pool wrapper.
+    """
 
 
 def _threads() -> int:
@@ -96,6 +113,8 @@ def _jsonable(v):
 def render(result: Result, fmt: str) -> str:
     """The only place that knows the three output formats."""
     if fmt == "json":
+        import json
+
         body = {"schema": SCHEMA, **result.record}
         return json.dumps(_jsonable(body), indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
@@ -353,7 +372,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except thresholds.NotFoundError as e:
         print(f"unimodal-lab: not found: {e}", file=sys.stderr)
         return _EXIT_NOT_FOUND
-    except (envelope.Inconclusive, envelope.ReductionViolation, certmax.BracketFailure) as e:
+    except (envelope.Inconclusive, envelope.ReductionViolation, certmax.BracketFailure,
+            exactpoly.OutOfRange) as e:
         print(f"unimodal-lab: certification failure: {e}", file=sys.stderr)
         return _EXIT_CERTIFICATION
     except ValueError as e:
@@ -372,5 +392,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     return result.code
 
 
+def entry() -> int:
+    """Process entry of `python -m unimodal_lab` and the unimodal-lab script.
+
+    gc.freeze runs first at interpreter exit (atexit handlers precede the
+    final flush of stdout and stderr, the last collections and module
+    teardown), so those collections skip the whole heap on every exit
+    path, argparse's SystemExit included. os._exit would skip atexit
+    handlers, and with them profilers and coverage.
+    """
+    atexit.register(gc.freeze)
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

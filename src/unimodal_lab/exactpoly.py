@@ -28,6 +28,7 @@ __all__ = [
     "is_strongly_unimodal",
     "unimodal_report",
     "family_report",
+    "OutOfRange",
 ]
 
 
@@ -252,10 +253,16 @@ def unimodal_report(seq: Sequence[int]) -> UnimodalReport:
     return UnimodalReport(ok_u, wit_u, ok_s, wit_s, reason)
 
 
-# family_report carries a(u) as a float times 2^(-900 j), and widens its
-# filter by multiples of 2^-52; its docstring derives both
+# family_report carries a(u) as a float times 2^(-900 j), widens its
+# filter by multiples of 2^-52, and refuses a degree N >= _N_LIMIT with
+# k <= m; its docstring derives all three
 _SCALE = 2.0**-900
 _EPS = 2.0**-52
+_N_LIMIT = 2**49
+
+
+class OutOfRange(Exception):
+    """family_report's rounding bound is not proven for this (m, k)."""
 
 
 def family_report(m: int, k: int) -> UnimodalReport:
@@ -298,7 +305,7 @@ def family_report(m: int, k: int) -> UnimodalReport:
     j > 0 scales it back (j -= 1). Both are exact, and while j > 0,
     a < 2^-900, so 1 + a rounds to 1 and the float used for it is 1. The
     roundings are correctly rounded int / int divisions, products,
-    quotients and sums, all in the normal range (for m below 2^100), so
+    quotients and sums, all in the normal range (see Range), so
     each multiplies its result by a factor in [phi, 1/phi],
     phi = 1 - 2^-53. a(u) carries at most 2u of them (two per factor of
     a(k) and per step), 1 + a(u) at most 2u + 1 (with a t for a,
@@ -314,6 +321,16 @@ def family_report(m: int, k: int) -> UnimodalReport:
     * x(u) > 1 when x^(u) >= s, and x(u) < 1 when fl(x^(u) s) < 1: the
       same two tests with the exact 1 in place of one ratio.
 
+    Range. The filter needs h < 2^48 and every rounding in the normal
+    range. Both hold for N < 2^49, where h < 2^48 and, as k <= m,
+    m < 2^49. A factor i/(m-k+i) of a(k) is at least 1/m > 2^-49, so the
+    scaled a stays above 2^-949; a step r(u) is below (m+1) h < 2^97, so
+    the scaled a stays below 2^97; and (m-u+1)/u lies between 1/h and m.
+    So every rounded quantity is normal. For k <= m and N >= 2^49
+    family_report raises OutOfRange before it converts anything to a
+    float: the bound s is not proven there, and the scan would take
+    about 2^48 steps anyway.
+
     Every index the tests leave open, such as the exact plateau of
     m = k^2 - 3, is decided in integers by _neighbour_ratio, so the report
     is the exact one. Each index costs about one int / int division and
@@ -327,6 +344,9 @@ def family_report(m: int, k: int) -> UnimodalReport:
         if m == 1:
             return UnimodalReport(True, None, True, None, None)
         return UnimodalReport(False, (m + 1, m + 2), False, m, "log-concavity")
+    if n >= _N_LIMIT:
+        raise OutOfRange(f"m + k is {n.bit_length()} bits long; the ratio scan's rounding bound "
+                         "is proven only below 2^49")
     h = n // 2
     fall = (m + 1) // 2 + 1  # the first u with 2u > m + 1
     first_fall, last_fall = (fall, k - 1) if fall < k else (None, None)

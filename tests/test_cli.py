@@ -144,6 +144,16 @@ class TestCheck:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("m", [2**49, 2**100, 10**400], ids=["2^49", "2^100", "10^400"])
+    def test_refuses_beyond_the_proven_range(self, capsys, m):
+        # family_report's rounding bound is proven for m + k < 2^49; beyond
+        # it the scan would not end (2^100) or overflow a float (10^400)
+        code, out, err = run(capsys, "check", "--m", str(m), "--k", "5")
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("unimodal-lab: certification failure: ")
+
 
 class TestScanTheorem1:
     def test_frozen_csv(self, capsys):

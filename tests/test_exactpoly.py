@@ -396,6 +396,17 @@ class TestFamilyReport:
         assert family_report(m, k).strongly_unimodal
         assert (m, k, (m + k) // 2) in calls
 
+    @pytest.mark.parametrize("m", [2**49 - 5, 2**100, 10**400], ids=["N=2^49", "2^100", "10^400"])
+    def test_refuses_beyond_the_proven_range(self, m):
+        with pytest.raises(exactpoly.OutOfRange):
+            family_report(m, 5)
+
+    def test_closed_forms_hold_at_any_size(self):
+        # k > m + 1 and k = m + 1 round nothing, so no range applies
+        big = 10**400
+        assert family_report(5, big) == (False, (big - 1, big), False, 5, "internal-zero")
+        assert family_report(big, big + 1) == (False, (big + 1, big + 2), False, big, "log-concavity")
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             family_report(0, 3)

@@ -1,6 +1,10 @@
+import ast
+import atexit
+import gc
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import unimodal_lab
-from unimodal_lab import certmax, envelope, exactpoly, kernels, thresholds
+from unimodal_lab import certmax, cli, envelope, exactpoly, kernels, thresholds
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -38,6 +42,13 @@ def test_benchmark_tracer_finds_every_name(monkeypatch):
     names += [("cli", "ThreadPoolExecutor"), ("cli", "_threads"), ("kernels", "backend")]
     for mod, name in names:
         assert callable(getattr(importlib.import_module(f"unimodal_lab.{mod}"), name)), (mod, name)
+
+
+def _python(*args: str, **kw) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports the package from SRC."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120, **kw)
 
 
 # runs cli.main(argv) in the child, or only imports the package when argv
@@ -79,17 +90,102 @@ def test_only_grid_scans_import_numpy(tmp_path, argv, loads):
     coeffs.write_text("1 0 0 5 1\n")
     if argv is not None:
         argv = [a.format(coeffs=coeffs) for a in argv]
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(argv)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = _python("-c", _CHILD, json.dumps(argv), text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [str(loads)]
+
+
+# (argv, whether the run loads json): json output needs it, nothing else
+# does, and no command loads concurrent.futures or logging
+_START_UP = [
+    (["--version"], False),
+    (["check", "--m", "7741", "--k", "88"], False),
+    (["check", "--m", "141", "--k", "12", "--format", "json"], True),
+    (["scan-theorem1", "--k-min", "2", "--k-max", "12"], False),
+    (["probe-inequality", "--k", "20"], False),
+    (["general", "{coeffs}"], False),
+    (["certmax", "--format", "text"], False),
+    (["eclass", "--k", "9"], True),
+    (["eclass", "--k", "9", "--format", "csv"], False),
+    (["scan-eclass", "--k-min", "9", "--k-max", "10", "--grid", "20000"], False),
+]
+
+
+@pytest.mark.parametrize("argv, loads_json", _START_UP, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_commands_import_no_pool_logging_or_unused_json(tmp_path, argv, loads_json):
+    coeffs = tmp_path / "coeffs.txt"
+    coeffs.write_text("1 0 0 5 1\n")
+    argv = [a.format(coeffs=coeffs) for a in argv]
+    proc = _python("-X", "importtime", "-m", "unimodal_lab", *argv, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # -X importtime writes one stderr line per module imported, ending in its name
+    imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "unimodal_lab.cli" in imported
+    assert not imported & {"concurrent.futures", "logging"}
+    assert ("json" in imported) == loads_json
+
+
+# (argv, exit code); no cheap input gives 2, a verdict mismatch
+_EXITS = [
+    pytest.param(["check", "--m", "7741", "--k", "88"], 0, id="check"),
+    pytest.param(["--version"], 0, id="version"),
+    pytest.param(["check", "--m", "0", "--k", "3"], 1, id="bad-m"),
+    pytest.param(["check", "--m", "5"], 1, id="usage"),  # argparse's SystemExit
+    pytest.param(["check", "--m", str(2**100), "--k", "5"], 3, id="out-of-range"),
+    pytest.param(["scan-theorem1", "--k-min", "2", "--k-max", "3", "--cap", "5"], 4, id="not-found"),
+]
+
+
+@pytest.mark.parametrize("argv, code", _EXITS)
+def test_process_entry_keeps_exit_code_and_output(capsys, argv, code):
+    try:
+        want = cli.main(argv)
+    except SystemExit as e:
+        want = e.code
+    out, err = capsys.readouterr()
+    assert want == code
+    proc = _python("-m", "unimodal_lab", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+
+
+def test_only_the_process_entry_freezes_the_heap_at_exit(capsys, monkeypatch):
+    # main runs in-process (tests, the benchmark's tracer), so it must
+    # leave the interpreter as it found it
+    registered = []
+    monkeypatch.setattr(atexit, "register", registered.append)
+    monkeypatch.setattr(sys, "argv", ["unimodal-lab", "check", "--m", "6", "--k", "3"])
+    assert cli.main(sys.argv[1:]) == 0
+    assert registered == []
+    assert cli.entry() == 0
+    assert registered == [gc.freeze]
+    assert capsys.readouterr().out.count("agree=true") == 2
+
+
+def test_process_entry_writes_a_large_out_file_whole(tmp_path):
+    argv = ["-m", "unimodal_lab", "probe-inequality", "--k", "70", "--format", "json"]
+    out = tmp_path / "probe.json"
+    printed = _python(*argv)
+    written = _python(*argv, "--out", str(out))
+    assert printed.returncode == written.returncode == 0
+    assert written.stdout == b""
+    assert len(printed.stdout) > 10**6
+    assert out.read_bytes() == printed.stdout
+
+
+def test_script_and_module_share_the_process_entry():
+    # read as text: Python 3.10 has no tomllib
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.findall(r'^unimodal-lab = "unimodal_lab\.(\w+):(\w+)"$', pyproject, re.M)
+    assert len(scripts) == 1
+    module, func = scripts[0]
+    main_py = ast.parse((SRC / "unimodal_lab" / "__main__.py").read_text(encoding="utf-8"))
+    imports = [(node.module, alias.name) for node in ast.walk(main_py) if isinstance(node, ast.ImportFrom)
+               for alias in node.names]
+    calls = [node.func.id for node in ast.walk(main_py)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert (module, func) in imports
+    assert calls == [func]
 
 
 def test_array_ops_is_one_public_object():
