@@ -4,7 +4,7 @@ Coefficients are Python ints and every verdict is exact. Floating point
 appears in two filters, each deciding an index only when a derived
 rounding bound proves the exact comparison would give the same answer,
 and handing every other index to that exact comparison: the one in
-``is_strongly_unimodal``, and the neighbour-ratio scan of
+``is_strongly_unimodal``, and the log-concavity scan of
 ``family_report``, which decides (1+x)^m (1+x^k) without building its
 row. Sequences are indexed by degree, so ``seq[u]`` is the coefficient
 of x^u.
@@ -269,8 +269,9 @@ def family_report(m: int, k: int) -> UnimodalReport:
     """unimodal_report(expand_family(m, k)), decided without building the row.
 
     The report is the same, verdict, witness and reason, but the row of
-    m + k + 1 integers of up to m bits is never built: the scan takes
-    O(m + k) float steps and holds O(1) numbers. Write c(u) for the
+    m + k + 1 integers of up to m bits is never built: unimodality comes
+    from the lemma below in closed form, and log-concavity from a scan of
+    O(m + k) float steps that holds O(1) numbers. Write c(u) for the
     coefficients, N = m + k and h = N // 2.
 
     Closed forms. For k > m + 1, c(u) = 0 for m < u < k: the row falls
@@ -284,20 +285,48 @@ def family_report(m: int, k: int) -> UnimodalReport:
     c(N - u). With x(u) = c(u)/c(u-1), log-concavity at i is
     x(i) >= x(i+1), the same condition as at N - i, so the first failure
     lies at i <= h; at i = h it reads x(h) >= 1 for either parity of N
-    (x(h+1) is 1 on the odd-N plateau and 1/x(h) for even N). The signs
-    of x(u) - 1 right of the middle are those left of it, negated and
-    mirrored by u -> N + 1 - u. So the row is unimodal exactly when no
-    x(u) < 1 for u <= h, and otherwise its first rise after a fall is
-    the first u after the first fall with x(u) > 1, or, with none in the
-    left half, the mirror N + 1 - v of the last v <= h with x(v) < 1.
+    (x(h+1) is 1 on the odd-N plateau and 1/x(h) for even N).
+
+    Lemma (unimodality). For k <= m the row is unimodal exactly when
+    m >= k^2 - 3. Otherwise its first rise after a fall is the central
+    pair (h, h+1) for even N and (h+1, h+2) for odd N. Proof. Write
+    d(u) = c(u) - c(u-1) for 0 <= u <= N + 1, with c(-1) = c(N+1) = 0:
+    the coefficients of (1 - x) c = (1+x)^m (1 - x + x^k - x^(k+1)).
+
+    1. Multiplying by 1 + x never increases the number of sign changes
+       of a coefficient sequence (the variation-diminishing property;
+       Karlin 1968, Total Positivity; Brenti 1989, Mem. AMS 413), and
+       1 - x + x^k - x^(k+1) has 3. So d has at most 3.
+    2. d(0) = 1, d(N+1) = -1 and d(N+1-u) = -d(u) by the palindrome. So
+       the changes past the centre mirror the S changes on u <= h, and
+       the last nonzero sign on u <= h meets its negation across the
+       centre: 2S + 1 <= 3 in all, so S is 0 or 1. With S = 0, c never
+       falls on u <= h, so by the mirror the row is unimodal. With
+       S = 1, the last nonzero d(u) with u <= h is negative, and c never
+       rises on u <= h after its first fall.
+    3. The central closed forms (thresholds.central_ratio_even and
+       central_ratio_odd, whose denominators are positive for k <= m)
+       give c(h-1)/c(h) = 1/x(h), with numerator minus denominator
+       2k^2 - 2m - 4 for even N and 4k^2 - 4m - 12 for odd N. As
+       m = k^2 - 3 makes N odd, d(h) < 0 exactly when m < k^2 - 3. Then
+       S = 1, and the first rise after a fall is past the centre: for
+       even N, c(h+1) = c(h-1) > c(h); for odd N, c(h+1) = c(h) and
+       c(h+2) = c(h-1) > c(h+1). When d(h) > 0, S = 0.
+    4. d(h) = 0 only at m = k^2 - 3 (odd N) and m = k^2 - 2 (even N).
+       There c(h-2)/c(h-1) is (k-2)(k+2)(k^2+7) / ((k^2-k+2)(k^2+k+2))
+       and (k^4+3k^2-12) / ((k^2-k+2)(k^2+k+2)), whose denominators
+       exceed their numerators by 32 and 16. So d(h-1) > 0 is the last
+       nonzero sign on u <= h, and S = 0.
+
+    With the closed forms above, unimodal holds exactly when m >= k^2 - 3
+    for every m >= 1 and k >= 2.
 
     Ratios. For u <= h <= m, c(u) = C(m, u) (1 + a(u)) with
     a(u) = C(m, u-k)/C(m, u) = prod_{j<k} (u-j)/(m-u+k-j), which lies in
     [0, 1] and is 0 for u < k. So x(u) = ((m-u+1)/u) (1+a(u))/(1+a(u-1)),
     a(k) = prod_{i=1..k} i/(m-k+i), and a(u) = a(u-1) r(u) with
     r(u) = (m-u+k+1) u / ((u-k) (m-u+1)) > 1 for u > k. For u < k,
-    x(u) = (m-u+1)/u decides both tests in closed form: it falls, and
-    x(u) < 1 exactly when 2u > m + 1.
+    x(u) = (m-u+1)/u falls strictly, so the row is log-concave there.
 
     Filter. Floats carry x(u) for k - 1 <= u <= h. The float a is a
     times 2^(900 j): a factor of a(k) that takes it below 2^-900 scales it
@@ -317,9 +346,7 @@ def family_report(m: int, k: int) -> UnimodalReport:
     * x(i) >= x(i+1) when x^(i) >= fl(x^(i+1) s), since then
       x(i) >= x^(i) phi^E >= x^(i+1) s phi^(E+1) >= x(i+1) s phi^(2E+1);
     * x(i) < x(i+1) when fl(x^(i) s) < x^(i+1), since then
-      x(i) <= x^(i) phi^-E < x^(i+1) phi^-(E+1) / s <= x(i+1);
-    * x(u) > 1 when x^(u) >= s, and x(u) < 1 when fl(x^(u) s) < 1: the
-      same two tests with the exact 1 in place of one ratio.
+      x(i) <= x^(i) phi^-E < x^(i+1) phi^-(E+1) / s <= x(i+1).
 
     Range. The filter needs h < 2^48 and every rounding in the normal
     range. Both hold for N < 2^49, where h < 2^48 and, as k <= m,
@@ -331,10 +358,11 @@ def family_report(m: int, k: int) -> UnimodalReport:
     float: the bound s is not proven there, and the scan would take
     about 2^48 steps anyway.
 
-    Every index the tests leave open, such as the exact plateau of
-    m = k^2 - 3, is decided in integers by _neighbour_ratio, so the report
-    is the exact one. Each index costs about one int / int division and
-    a few float operations.
+    Every index the two tests leave open is decided in integers by
+    _log_concave_at, so the report is the exact one. The scan returns at
+    the first failure; without one before h, i = h fails exactly when
+    the row is not unimodal (x(h) < 1, step 3). Each index costs about one
+    int / int division and a few float operations.
     """
     FamilyParams(m, k)
     n = m + k
@@ -348,9 +376,8 @@ def family_report(m: int, k: int) -> UnimodalReport:
         raise OutOfRange(f"m + k is {n.bit_length()} bits long; the ratio scan's rounding bound "
                          "is proven only below 2^49")
     h = n // 2
-    fall = (m + 1) // 2 + 1  # the first u with 2u > m + 1
-    first_fall, last_fall = (fall, k - 1) if fall < k else (None, None)
-    rise = strong = None
+    witness = None if m >= k * k - 3 else (h + n % 2, h + n % 2 + 1)
+    strong = None if witness is None else h
     am, j = 1.0, 0
     for i in range(1, k + 1):
         am *= i / (m - k + i)
@@ -368,32 +395,10 @@ def family_report(m: int, k: int) -> UnimodalReport:
                 j -= 1
         b = 1.0 if j else 1.0 + am
         x = (m - u + 1) / u * b / b0
-        if strong is None and x0 < x * s and (x0 * s < x or not _log_concave_at(m, k, u - 1)):
+        if x0 < x * s and (x0 * s < x or not _log_concave_at(m, k, u - 1)):
             strong = u - 1
-        if x >= s:
-            sign = 1
-        elif x * s < 1.0:
-            sign = -1
-        else:
-            num, den = _neighbour_ratio(m, k, u)
-            sign = (num > den) - (num < den)
-        if sign < 0:
-            last_fall = u
-            if first_fall is None:
-                first_fall = u
-        elif sign > 0 and first_fall is not None and rise is None:
-            rise = u
-        if strong is not None and rise is not None:
             break
         x0, b0 = x, b
-    if strong is None and last_fall == h:
-        strong = h
-    if first_fall is None:
-        witness = None
-    elif rise is not None:
-        witness = (rise - 1, rise)
-    else:
-        witness = (n - last_fall, n - last_fall + 1)
     return UnimodalReport(witness is None, witness, strong is None, strong,
                           None if strong is None else "log-concavity")
 
@@ -404,12 +409,12 @@ def _neighbour_ratio(m: int, k: int, u: int) -> tuple[int, int]:
     For 1 <= u <= m. With q(w) = perm(m-w+k, k) and p(w) = perm(w, k),
     a(w) = p(w)/q(w) and c(w) = C(m, w) (1 + a(w)) = m! (p(w) + q(w)) /
     (w! (m-w+k)!), so x(u) = (m-u+k+1) (p(u) + q(u)) / (u (p(u-1) + q(u-1))).
+    As u p(u-1) = (u-k) p(u) and (m-u+k+1) q(u) = (m-u+1) q(u-1), both
+    parts come from p(u) and q(u-1) alone: two perm calls, not four, and
+    no division.
     """
-
-    def t(w: int) -> int:
-        return math.perm(w, k) + math.perm(m - w + k, k)
-
-    return (m - u + k + 1) * t(u), u * t(u - 1)
+    p, q = math.perm(u, k), math.perm(m - u + k + 1, k)
+    return (m - u + k + 1) * p + (m - u + 1) * q, (u - k) * p + u * q
 
 
 def _log_concave_at(m: int, k: int, i: int) -> bool:

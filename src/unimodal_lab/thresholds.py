@@ -295,18 +295,6 @@ class ThresholdResult(NamedTuple):
     match: bool
 
 
-def _passes(m: int, k: int, mode: str) -> bool:
-    report = family_report(m, k)
-    return report.strongly_unimodal if mode == "strong" else report.unimodal
-
-
-def _dip_below(k: int) -> bool:
-    # True when every m < k^2 - 3 fails both predicates: k^2 - 3 is 1, or
-    # the family dips at its centre at m = k^2 - 4 (the lemma in minimal_m)
-    p = predicted_threshold(k)
-    return p == 1 or central_ratio_even(p - 1, k) > 1
-
-
 def minimal_m(k: int, mode: str = "strong", cap: Optional[int] = None) -> int:
     """Smallest m >= 1 whose coefficient sequence passes the given predicate.
 
@@ -320,35 +308,16 @@ def minimal_m(k: int, mode: str = "strong", cap: Optional[int] = None) -> int:
     * a unimodal sequence convolved with a log-concave one stays
       unimodal (Ibragimov 1956; Keilson and Gerber 1971).
 
-    Lemma (the central dip). For k >= 3 and m = k^2 - 4, the sequence
-    c(u) falls and then rises at its centre, so m fails both predicates.
-    Proof: m + k = 2h is even, and h - k = m - h, so by the symmetry of
-    the binomials c(h) = 2 C(m, h) and c(h-1) = C(m, h-1) + C(m, h+1).
-    With j = m - h this gives
+    Unimodal mode scans nothing: the lemma in exactpoly.family_report
+    proves that the family is unimodal exactly when m >= k^2 - 3, so the
+    answer is p = predicted_threshold(k). A positive log-concave sequence
+    with no internal zeros is unimodal, so every m < p fails the strong
+    predicate too, and strong mode proves its answer with one
+    family_report call, at p. Should p fail it, a binary search on the
+    monotonicity finds the answer above p.
 
-        c(h-1)/c(h) = (h(h+1) + j(j+1)) / (2 (h+1)(j+1))
-                    = (m^2 + k^2 + 2m) / ((m+2)^2 - k^2),
-
-    the closed form of central_ratio_even, since h + j = m and
-    h - j = k. Its numerator exceeds its denominator by 2k^2 - 2m - 4,
-    which is 4 at m = k^2 - 4, so
-
-        c(h-1)/c(h) = 1 + 4 / ((k^2-2)^2 - k^2) > 1,
-
-    the denominator (k-2)(k-1)(k+1)(k+2) being positive for k >= 3. The
-    family is palindromic, so c(h+1) = c(h-1) > c(h): a strict fall and
-    then a rise, which is not unimodal. A positive log-concave sequence
-    with no internal zeros is unimodal, so the sequence is not strongly
-    unimodal either. By monotonicity every m < k^2 - 4 fails too.
-
-    So p = predicted_threshold(k) is the answer exactly when p passes and
-    either p == 1 (k = 2) or the dip holds at p - 1. The dip is checked
-    in exact rationals from the closed form, so one family_report call,
-    which decides both predicates without building the row, proves the
-    answer. When p is above the cap, or p fails, a binary search on the
-    same monotonicity finds the answer.
-
-    Raises NotFoundError when no m <= cap passes (cap defaults to k*k).
+    Raises NotFoundError when no m <= cap passes (cap defaults to k*k),
+    with no scan when cap < p.
     """
     _require_k(k)
     if mode not in ("strong", "unimodal"):
@@ -358,15 +327,15 @@ def minimal_m(k: int, mode: str = "strong", cap: Optional[int] = None) -> int:
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     p = predicted_threshold(k)
-    if p <= cap and _dip_below(k) and _passes(p, k, mode):
+    if p <= cap and (mode == "unimodal" or family_report(p, k).strongly_unimodal):
         return p
-    if not _passes(cap, k, mode):
+    if p >= cap or not family_report(cap, k).strongly_unimodal:
         raise NotFoundError(f"no m <= {cap} passes mode={mode!r} for k={k}")
-    lo, hi = 0, cap
-    # invariant: hi passes, lo does not (m = 0 treated as failing sentinel)
+    lo, hi = p, cap
+    # invariant: hi passes the strong predicate, lo does not
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _passes(mid, k, mode):
+        if family_report(mid, k).strongly_unimodal:
             hi = mid
         else:
             lo = mid
@@ -376,21 +345,15 @@ def minimal_m(k: int, mode: str = "strong", cap: Optional[int] = None) -> int:
 def scan_thresholds(k: int, cap: Optional[int] = None) -> ThresholdResult:
     """Measure both thresholds for one k and compare with k^2 - 3.
 
-    The strong threshold comes from minimal_m. When it is p = k^2 - 3 and
-    the central dip of minimal_m's lemma holds at p - 1, the unimodal
-    threshold is p as well, with no second family_report call: p passes the strong
-    predicate, and a positive log-concave sequence with no internal zeros
-    is unimodal, while the dip makes p - 1, and by monotonicity every
-    smaller m, fail unimodality. This is the paper's claim that, for this
-    family, unimodality implies strong unimodality. Otherwise the
-    unimodal threshold gets its own minimal_m search.
+    One minimal_m call per mode: the unimodal threshold comes from the
+    lemma in exactpoly.family_report with no scan, and the strong one from
+    one family_report call at k^2 - 3. That both are k^2 - 3 is the
+    paper's claim that, for this family, unimodality implies strong
+    unimodality.
     """
     predicted = predicted_threshold(k)
     strong = minimal_m(k, "strong", cap)
-    if strong == predicted and _dip_below(k):
-        uni = strong
-    else:
-        uni = minimal_m(k, "unimodal", cap)
+    uni = minimal_m(k, "unimodal", cap)
     return ThresholdResult(k, strong, uni, predicted, strong == predicted and uni == predicted)
 
 

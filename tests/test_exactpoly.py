@@ -20,6 +20,7 @@ from unimodal_lab.exactpoly import (
     poly_mul,
     unimodal_report,
 )
+from unimodal_lab.thresholds import central_ratio_even, central_ratio_odd
 
 
 def reference_strongly_unimodal(seq):
@@ -340,6 +341,77 @@ class TestUnimodalReport:
                 assert rep.unimodal
 
 
+def _difference_sign_changes(row):
+    # sign changes of d(u) = c(u) - c(u-1), 0 <= u <= len(row), with
+    # c(-1) = c(len(row)) = 0 and zeros skipped
+    signs = [a > b for a, b in zip(row + [0], [0] + row) if a != b]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _lemma_verdict(m, k):
+    # unimodal exactly when m >= k^2 - 3, else the first rise after a fall
+    # is the central pair; k = m + 1 has the same pair, k > m + 1 rises out
+    # of its zero run at (k-1, k)
+    if m >= k * k - 3:
+        return True, None
+    n = m + k
+    centre = n // 2 + n % 2
+    return False, (k - 1, k) if k > m + 1 else (centre, centre + 1)
+
+
+class TestUnimodalityLemma:
+    # re-derives each step of the lemma in family_report's docstring in
+    # exact arithmetic: unimodal exactly when m >= k^2 - 3
+
+    def test_differences_change_sign_at_most_three_times(self):
+        # step 1: (1+x)^m (1 - x + x^k - x^(k+1)) has at most 3; each row is
+        # the last one times 1 + x, and the top row of each k is checked
+        # against _expand_list. Steps 2 and 3 on the same rows: a
+        # non-member first rises after its fall at the central pair
+        for k in range(2, 41):
+            row = [1] + [0] * (k - 1) + [1]
+            for m in range(1, k * k + 31):
+                row = [a + b for a, b in zip(row + [0], [0] + row)]
+                assert _difference_sign_changes(row) <= 3, (m, k)
+                assert is_unimodal(row) == _lemma_verdict(m, k), (m, k)
+            assert row == _expand_list(m, k)
+
+    def test_unimodal_exactly_from_k_squared_minus_three(self):
+        for k in range(2, 41):
+            for m in range(1, k * k + 31):
+                assert family_report(m, k)[:2] == _lemma_verdict(m, k), (m, k)
+
+    def test_ties_rise_into_the_plateau(self):
+        # step 4: x(h) = 1 only at m = k^2 - 3 (odd N) and m = k^2 - 2
+        # (even N), and there c(h-2) < c(h-1); m = k^2 - 3 at k = 2 is the
+        # closed form k = m + 1
+        for k in range(2, 301):
+            den = (k * k - k + 2) * (k * k + k + 2)
+            ties = [(k * k - 2, k**4 + 3 * k * k - 12, 16)]
+            if k > 2:
+                ties.append((k * k - 3, (k - 2) * (k + 2) * (k * k + 7), 32))
+            for m, num, gap in ties:
+                h = (m + k) // 2
+                x_num, x_den = exactpoly._neighbour_ratio(m, k, h)
+                assert x_num == x_den, (m, k)
+                x_num, x_den = exactpoly._neighbour_ratio(m, k, h - 1)
+                assert Fraction(x_den, x_num) == Fraction(num, den), (m, k)
+                assert den - num == gap
+
+    def test_centre_numerator_minus_denominator(self):
+        # step 3: c(h-1)/c(h) - 1 in closed form, so x(h) < 1 exactly when
+        # m < k^2 - 3
+        for k in range(3, 200):
+            for m in {*range(k, k * k + 30, k), *range(k * k - 6, k * k + 3)}:
+                if (m + k) % 2:
+                    gap = Fraction(4 * k * k - 4 * m - 12, (m + 3) ** 2 - k * k)
+                    assert central_ratio_odd(m, k) == 1 + gap, (m, k)
+                else:
+                    gap = Fraction(2 * k * k - 2 * m - 4, (m + 2) ** 2 - k * k)
+                    assert central_ratio_even(m, k) == 1 + gap, (m, k)
+                assert (gap > 0) == (m < k * k - 3)
+
+
 def _family_grid():
     # every m around the threshold k^2 - 3 for k <= 40; the closed-form
     # cases k = m + 1 and k > m + 1 at m = 1, 2; seeded (m, k) with k up
@@ -386,15 +458,39 @@ class TestFamilyReport:
         for m, k in _family_grid()[::2]:
             assert family_report(m, k) == unimodal_report(_expand_list(m, k)), (m, k)
 
-    def test_plateau_goes_to_the_exact_path(self, monkeypatch):
+    def test_plateau_is_decided_by_the_lemma(self, monkeypatch):
         # at m = k^2 - 3 the two central coefficients are equal, a tie no
-        # float filter can decide
+        # float filter can decide; the lemma decides unimodality there, and
+        # log-concavity needs no exact ratio at the centre
         calls = []
         exact = exactpoly._neighbour_ratio
         monkeypatch.setattr(exactpoly, "_neighbour_ratio", lambda *a: calls.append(a) or exact(*a))
         m, k = 88 * 88 - 3, 88
-        assert family_report(m, k).strongly_unimodal
-        assert (m, k, (m + k) // 2) in calls
+        assert family_report(m, k) == (True, None, True, None, None)
+        assert (m, k, (m + k) // 2) not in calls
+
+    def test_exact_ratios_only_decide_log_concavity(self, monkeypatch):
+        # with a wide band many indices go to the exact path; each
+        # _log_concave_at takes two exact neighbour ratios, and
+        # family_report takes none itself
+        monkeypatch.setattr(exactpoly, "_EPS", 2.0**-30)
+        calls = []
+        for name in ("_neighbour_ratio", "_log_concave_at"):
+            fn = getattr(exactpoly, name)
+            monkeypatch.setattr(exactpoly, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        for m, k in _family_grid()[::4]:
+            family_report(m, k)
+        assert calls.count("_log_concave_at") > 0
+        assert calls.count("_neighbour_ratio") == 2 * calls.count("_log_concave_at")
+
+    def test_neighbour_ratio_takes_two_perms(self, monkeypatch):
+        calls = []
+        perm = math.perm
+        monkeypatch.setattr(math, "perm", lambda *a: calls.append(a) or perm(*a))
+        for m, k, u in ((7741, 88, 3914), (999996, 1000, 500498), (30, 40, 3)):
+            calls.clear()
+            exactpoly._neighbour_ratio(m, k, u)
+            assert len(calls) == 2
 
     @pytest.mark.parametrize("m", [2**49 - 5, 2**100, 10**400], ids=["N=2^49", "2^100", "10^400"])
     def test_refuses_beyond_the_proven_range(self, m):

@@ -51,21 +51,25 @@ def _spy(monkeypatch):
     return calls
 
 
+def _passes(m, k, mode):
+    report = exactpoly.family_report(m, k)
+    return report.strongly_unimodal if mode == "strong" else report.unimodal
+
+
 def _two_mode_minimal_m(k, mode, cap):
-    # minimal_m before the dip lemma: p passes and p - 1 fails, both by
-    # expansion, else a binary search on the monotonicity
+    # minimal_m before any lemma: p passes and p - 1 fails, both measured,
+    # else a binary search on the monotonicity
     if cap is None:
         cap = k * k
     p = predicted_threshold(k)
-    passes = thresholds._passes
-    if p <= cap and passes(p, k, mode) and (p == 1 or not passes(p - 1, k, mode)):
+    if p <= cap and _passes(p, k, mode) and (p == 1 or not _passes(p - 1, k, mode)):
         return p
-    if not passes(cap, k, mode):
+    if not _passes(cap, k, mode):
         raise NotFoundError(k)
     lo, hi = 0, cap
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if passes(mid, k, mode):
+        if _passes(mid, k, mode):
             hi = mid
         else:
             lo = mid
@@ -125,7 +129,8 @@ class TestCentralRatios:
 
 
 class TestCentralDip:
-    # minimal_m's lemma: at m = k^2 - 4 the centre dips, c(h-1) = c(h+1) > c(h)
+    # at m = k^2 - 4 the centre dips, c(h-1) = c(h+1) > c(h): step 3 of the
+    # unimodality lemma in exactpoly.family_report
 
     def test_closed_form(self):
         for k in range(3, 151):
@@ -329,7 +334,7 @@ class TestMinimalM:
     @pytest.mark.parametrize("mode", ["strong", "unimodal"])
     def test_passes_is_monotone_in_m(self, mode):
         for k in range(2, 8):
-            verdicts = [thresholds._passes(m, k, mode) for m in range(1, k * k + 1)]
+            verdicts = [_passes(m, k, mode) for m in range(1, k * k + 1)]
             first = verdicts.index(True)
             assert all(verdicts[first:])
 
@@ -343,11 +348,12 @@ class TestMinimalM:
 
     @pytest.mark.parametrize("mode", ["strong", "unimodal"])
     def test_one_predicate_call(self, monkeypatch, mode):
+        # the unimodal threshold comes from the lemma, with no call at all
         calls = _spy(monkeypatch)
         for k in (3, 7, 20):
             calls.clear()
             assert minimal_m(k, mode) == predicted_threshold(k)
-            assert calls == ["family_report"]
+            assert calls == (["family_report"] if mode == "strong" else [])
 
     @pytest.mark.parametrize("k", [2, 3, 7, 20, 80])
     def test_scan_builds_one_row(self, monkeypatch, k):
@@ -367,15 +373,25 @@ class TestMinimalM:
                 with pytest.raises(NotFoundError):
                     scan(k, cap=p - 1)
 
-    def test_searches_without_the_dip(self, monkeypatch):
-        # without the dip lemma minimal_m falls back to its binary search
-        # and scan_thresholds to a second, unimodal search
-        fast = [scan_thresholds(k) for k in range(2, 31)]
-        monkeypatch.setattr(thresholds, "_dip_below", lambda k: False)
-        assert [scan_thresholds(k) for k in range(2, 31)] == fast
-        for k in range(3, 31):
-            with pytest.raises(NotFoundError):
-                minimal_m(k, "strong", k * k - 4)
+    def test_binary_search_when_the_prediction_fails(self, monkeypatch):
+        # a family_report that makes k^2 - 3 fail the strong predicate and
+        # first pass it at q sends strong-mode minimal_m to its binary
+        # search above k^2 - 3, and scan_thresholds to match: false
+        def patched(q):
+            def report(m, k):
+                return exactpoly.family_report(m, k)._replace(strongly_unimodal=m >= q)
+            return report
+
+        for k in range(3, 21):
+            p = predicted_threshold(k)
+            for q in (p + 1, p + 2, (p + k * k) // 2, k * k):
+                monkeypatch.setattr(thresholds, "family_report", patched(q))
+                assert minimal_m(k, "strong") == q
+                assert minimal_m(k, "unimodal") == p
+                row = scan_thresholds(k)
+                assert (row.min_m_strong, row.min_m_unimodal, row.match) == (q, p, False)
+                with pytest.raises(NotFoundError):
+                    minimal_m(k, "strong", cap=q - 1)
 
     @pytest.mark.parametrize("k", [60, 80, 120, 200])
     def test_square_law_at_stress_sizes(self, k):
