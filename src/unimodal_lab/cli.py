@@ -29,6 +29,18 @@ it. json is imported only for json output. ThreadPoolExecutor is a bare
 class, not concurrent.futures' pool: no subcommand runs a pool, and
 importing one (with logging, traceback and queue) slowed the start of
 every process, but the benchmark's tracer still subclasses this name.
+
+The layer modules are bound here unexecuted (the package registers them
+lazily) and are read only as module attributes inside the commands, so
+each process compiles and runs only the layers its command calls:
+--version none, check, scan-theorem1, probe-inequality and general
+exactpoly and thresholds, certmax certmax and kernels, eclass and
+scan-eclass envelope, kernels and certmax. A from-import of a layer
+name would execute the layer with this module. fractions is not
+imported here either: a Fraction is rendered only once a layer has
+imported it, so --version and certmax never load fractions or decimal.
+main's except clauses name exceptions of four layers and may execute
+them, but only when a command fails.
 """
 
 from __future__ import annotations
@@ -37,11 +49,12 @@ import argparse
 import atexit
 import gc
 import sys
-from fractions import Fraction
-from typing import NamedTuple, NoReturn, Optional
+from typing import TYPE_CHECKING, NamedTuple, NoReturn, Optional
 
 from . import __version__, certmax, envelope, exactpoly, kernels, thresholds
-from .exactpoly import family_report
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 SCHEMA = "unimodal-lab/1"
 
@@ -86,19 +99,29 @@ class Result(NamedTuple):
     pairs: Optional[list[tuple[str, object]]] = None
 
 
+def _fraction_text(v) -> Optional[str]:
+    # "p/q" for a Fraction, else None; a Fraction exists only once some
+    # layer imported fractions, so a command that computes none (--version,
+    # certmax) never loads fractions or the decimal module it imports
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(v, fractions.Fraction):
+        return f"{v.numerator}/{v.denominator}"
+    return None
+
+
 def _fmt_scalar(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.17g}"
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return str(v)
+    text = _fraction_text(v)
+    return str(v) if text is None else text
 
 
 def _jsonable(v):
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+    text = _fraction_text(v)
+    if text is not None:
+        return text
     if isinstance(v, tuple):
         return [_jsonable(x) for x in v]
     if isinstance(v, list):
@@ -135,7 +158,7 @@ def _k_range(args: argparse.Namespace) -> list[int]:
 
 def cmd_check(args: argparse.Namespace) -> Result:
     m, k = args.m, args.k
-    report = family_report(m, k)
+    report = exactpoly.family_report(m, k)
     predicted = m >= thresholds.predicted_threshold(k)
     try:
         closed, raw = thresholds.ratio_vs_coefficients(m, k)

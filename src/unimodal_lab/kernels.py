@@ -2,7 +2,7 @@
 NumPy grid kernels that scan them.
 
 Each formula is written once, as a function of its argument and an ops
-namespace that supplies sin, cos, log, log1p, where and select:
+namespace that supplies sin, cos, log, log1p, where, select and any:
 SCALAR_OPS (libm through math) for the scalar evaluators
 envelope.threshold_value, envelope.denominator_gap and
 certmax.limit_shape, which drive the golden-section and bisection
@@ -15,7 +15,9 @@ access returns that one namespace. Both branches of every where are
 evaluated, so the formulas clamp their arguments before any log and
 select the -inf sentinels last. select(c, a, b) takes its branches as
 thunks and runs only those some element of c needs: the scalar lane
-runs one, the array lane both only for a mixed c.
+runs one, the array lane both only for a mixed c. threshold clamps s and
+q only when some point needs it (ops.any), so a lobe block, which
+holds no such point, skips the clamps and the sentinel.
 
 Grid semantics: right-closed grids theta_i = lo + (hi - lo) * (i / n)
 for i = 1..n, -inf sentinels where the curve diverges, and ties broken
@@ -106,6 +108,7 @@ SCALAR_OPS = SimpleNamespace(
     log1p=math.log1p,
     where=lambda c, a, b: a if c else b,
     select=lambda c, a, b: a() if c else b(),
+    any=bool,
 )
 
 
@@ -121,6 +124,7 @@ def _array_ops():
         log1p=np.log1p,
         where=np.where,
         select=_array_select,
+        any=np.any,
     )
 
 
@@ -169,11 +173,17 @@ def threshold(k, theta, ops):
     s = sin^2(theta/2) and q = sin^2(k theta/2).
     """
     s, sk2 = _sines(k, theta, ops)
+
+    def formula(s, sk2):
+        return ((k * k) * s + ops.log1p(-sk2)) / gap(s, ops)
+
     bad = (s >= 1.0) | (sk2 >= 1.0)
+    if not ops.any(bad):
+        # the clamps and the sentinel would change no value
+        return formula(s, sk2)
     s_c = ops.where(s >= 1.0, 0.5, s)
     sk2_c = ops.where(sk2 >= 1.0, 0.0, sk2)
-    num = (k * k) * s_c + ops.log1p(-sk2_c)
-    return ops.where(bad, -math.inf, num / gap(s_c, ops))
+    return ops.where(bad, -math.inf, formula(s_c, sk2_c))
 
 
 def limit_shape(z, ops):

@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -282,6 +283,58 @@ class TestSelect:
         assert select(np.array([True, False]), one, lambda: np.zeros(2)).tolist() == [1.0, 0.0]
         assert kernels.SCALAR_OPS.select(True, lambda: 1.0, boom) == 1.0
         assert kernels.SCALAR_OPS.select(False, boom, lambda: 2.0) == 2.0
+
+
+
+def _clamped_threshold(k, theta, ops):
+    # the formula that clamps s and q at every point, the reference for
+    # threshold's unclamped path
+    s, sk2 = kernels._sines(k, theta, ops)
+    bad = (s >= 1.0) | (sk2 >= 1.0)
+    s_c = ops.where(s >= 1.0, 0.5, s)
+    sk2_c = ops.where(sk2 >= 1.0, 0.0, sk2)
+    num = (k * k) * s_c + ops.log1p(-sk2_c)
+    return ops.where(bad, -math.inf, num / kernels.gap(s_c, ops))
+
+
+def _same_bits_both_lanes(k, theta):
+    # the array lane on the whole grid, the scalar lane at each point;
+    # a divide or invalid value, as log1p(-1) on an unclamped point, raises
+    with np.errstate(divide="raise", invalid="raise"):
+        got = kernels.threshold(k, theta, kernels.ARRAY_OPS)
+    want = _clamped_threshold(k, theta, kernels.ARRAY_OPS)
+    assert got.tobytes() == want.tobytes()
+    for t in theta.tolist():
+        got = kernels.threshold(k, t, kernels.SCALAR_OPS)
+        assert got.hex() == _clamped_threshold(k, t, kernels.SCALAR_OPS).hex()
+
+
+class TestThresholdClamps:
+    @pytest.mark.parametrize("k", [3, 9, 88, 500, 1000])
+    def test_lobe_block_skips_the_clamps(self, k):
+        # a lobe block holds no point where s or q rounds to 1
+        theta = next(kernels.theta_blocks(PI / k, 2 * PI / k, kernels.GRID_BLOCK - 1))
+        wheres = []
+
+        def where(c, a, b):
+            wheres.append(c)
+            return np.where(c, a, b)
+
+        ops = SimpleNamespace(**{**vars(kernels.ARRAY_OPS), "where": where})
+        with np.errstate(divide="raise", invalid="raise"):
+            kernels.threshold(k, theta, ops)
+        assert wheres == []
+        _same_bits_both_lanes(k, theta)
+
+    @pytest.mark.parametrize("k", [2, 3, 9, 88])
+    def test_grid_with_pi_and_singular_angles_keeps_the_clamped_values(self, k):
+        theta = np.concatenate([
+            kernels.theta_grid(0.0, PI, 64 * k),
+            [(2 * j + 1) * PI / k for j in range(k)],
+            kernels.theta_grid(PI / k, 2 * PI / k, 1000),
+        ])
+        assert np.isneginf(_clamped_threshold(k, theta, kernels.ARRAY_OPS)).any()
+        _same_bits_both_lanes(k, theta)
 
 
 class TestAgainstMpmath:

@@ -51,23 +51,50 @@ def _python(*args: str, **kw) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120, **kw)
 
 
-# runs cli.main(argv) in the child, or only imports the package when argv
-# is None, and prints whether NumPy was imported
-_CHILD = """
-import contextlib, io, json, sys
+# the start of a child script: executed() names the package modules whose
+# bodies have run (the import system executes a module body through exec,
+# which raises an audit event)
+_EXEC_HOOK = """
+import contextlib, io, json, os, sys
+bodies = []
+sys.addaudithook(lambda event, args: bodies.append(args[0].co_filename)
+                 if event == "exec" and getattr(args[0], "co_name", "") == "<module>" else None)
+
+def executed():
+    pkg = os.path.dirname(sys.modules["unimodal_lab"].__file__)
+    return sorted(os.path.splitext(os.path.basename(f))[0] for f in bodies if os.path.dirname(f) == pkg)
+"""
+
+# imports unimodal_lab.cli in a fresh interpreter and runs cli.main(argv)
+# unless argv is None, then prints a JSON report: whether NumPy, fractions
+# and decimal were imported, the package modules registered in
+# sys.modules, and the package modules executed
+_CHILD = _EXEC_HOOK + """
 argv = json.loads(sys.argv[1])
-if argv is None:
-    import unimodal_lab
-else:
-    from unimodal_lab import cli
+import unimodal_lab.cli
+if argv is not None:
     with contextlib.redirect_stdout(io.StringIO()):
         try:
-            code = cli.main(argv)
+            code = unimodal_lab.cli.main(argv)
         except SystemExit as e:
             code = e.code
     assert code == 0, code
-print("numpy" in sys.modules)
+print(json.dumps({
+    **{name: name in sys.modules for name in ("numpy", "fractions", "decimal")},
+    "registered": sorted(name for name in sys.modules if name.startswith("unimodal_lab.")),
+    "executed": executed(),
+}))
 """
+
+
+def _child_report(tmp_path, argv) -> dict:
+    coeffs = tmp_path / "coeffs.txt"
+    coeffs.write_text("1 0 0 5 1\n")
+    if argv is not None:
+        argv = [a.format(coeffs=coeffs) for a in argv]
+    proc = _python("-c", _CHILD, json.dumps(argv), text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize(
@@ -86,13 +113,78 @@ print("numpy" in sys.modules)
     ids=lambda v: " ".join(v) if isinstance(v, list) else repr(v),
 )
 def test_only_grid_scans_import_numpy(tmp_path, argv, loads):
-    coeffs = tmp_path / "coeffs.txt"
-    coeffs.write_text("1 0 0 5 1\n")
-    if argv is not None:
-        argv = [a.format(coeffs=coeffs) for a in argv]
-    proc = _python("-c", _CHILD, json.dumps(argv), text=True)
+    assert _child_report(tmp_path, argv)["numpy"] is loads
+
+
+_LAYERS = ["certmax", "envelope", "exactpoly", "kernels", "thresholds"]
+_EXACT = ["exactpoly", "thresholds"]
+_GRID = ["certmax", "envelope", "kernels"]
+
+
+# (argv, the layers the command executes, whether it loads fractions and
+# decimal); NumPy itself imports fractions, so the grid commands load it
+_LAYER_TABLE = [
+    (None, [], False),  # import unimodal_lab.cli, as the benchmark's tracer does
+    (["--version"], [], False),
+    (["check", "--m", "7741", "--k", "88"], _EXACT, True),
+    (["scan-theorem1", "--k-min", "2", "--k-max", "12"], _EXACT, True),
+    (["probe-inequality", "--k", "20"], _EXACT, True),
+    (["general", "{coeffs}"], _EXACT, True),
+    (["certmax", "--format", "text"], ["certmax", "kernels"], False),
+    (["certmax"], ["certmax", "kernels"], False),
+    (["eclass", "--k", "9"], _GRID, True),
+    (["scan-eclass", "--k-min", "9", "--k-max", "10", "--grid", "20000"], _GRID, True),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, layers, loads_fractions",
+    [pytest.param(*row, id=" ".join(row[0]) if row[0] else "import cli") for row in _LAYER_TABLE],
+)
+def test_commands_execute_only_their_layers(tmp_path, argv, layers, loads_fractions):
+    report = _child_report(tmp_path, argv)
+    # every layer stays registered, so the tracer finds each by name
+    assert report["registered"] == sorted(["unimodal_lab.cli", *(f"unimodal_lab.{m}" for m in _LAYERS)])
+    assert report["executed"] == sorted(["__init__", "cli", *layers])
+    assert report["fractions"] is report["decimal"] is loads_fractions
+
+
+# the package surface in a fresh interpreter, so that no earlier test has
+# executed a layer: the submodule import first, then every way of listing
+# and reading the exported names
+_SURFACE = _EXEC_HOOK + """
+from unimodal_lab import cli
+import unimodal_lab
+after_cli = executed()
+exported = list(unimodal_lab.__all__)
+listed = dir(unimodal_lab)
+star = {}
+exec("from unimodal_lab import *", star)
+layers = [sys.modules[f"unimodal_lab.{m}"] for m in ("exactpoly", "thresholds", "envelope", "certmax")]
+own = {name: vars(mod)[name] for mod in layers for name in mod.__all__}
+print(json.dumps({
+    "executed": after_cli,
+    "all": exported,
+    "layer_all": ["__version__", *(name for mod in layers for name in mod.__all__)],
+    "dir": listed,
+    "star": sorted(set(star) - {"__builtins__"}),
+    "foreign": [name for name in own if not (getattr(unimodal_lab, name) is star[name] is own[name])],
+}))
+"""
+
+
+def test_package_surface_in_a_fresh_interpreter():
+    proc = _python("-c", _SURFACE, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(loads)]
+    report = json.loads(proc.stdout)
+    # the pitfall: probing the package for cli must execute no layer
+    assert report["executed"] == ["__init__", "cli"]
+    assert report["all"] == report["layer_all"]
+    assert report["star"] == sorted(report["all"])
+    public = {name for name in report["dir"] if not name.startswith("_")}
+    assert public - {"cli", *_LAYERS} == set(report["all"]) - {"__version__"}
+    assert "__version__" in report["dir"]
+    assert report["foreign"] == []
 
 
 # (argv, whether the run loads json): json output needs it, nothing else
