@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from . import kernels
+from . import Refusal, kernels
 
 __all__ = [
     "BracketFailure",
@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-class BracketFailure(Exception):
+class BracketFailure(Refusal):
     """Sign-change bracketing or enclosure certification failed."""
 
 

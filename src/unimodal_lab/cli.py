@@ -11,7 +11,9 @@ Subcommands:
 * general: minimal smoothing exponent for a coefficient file
 
 Exit codes: 0 success, 1 usage or input error, 2 verdict mismatch,
-3 numeric certification failure, 4 nothing found below the cap.
+3 numeric certification failure, 4 nothing found below the cap. A
+layer's refusal is a unimodal_lab.Refusal, which carries its exit code
+(3, or 4 for thresholds.NotFoundError) and its stderr label.
 
 Each subcommand returns one Result, and render() writes it in one of
 three formats: json (the record, schema "unimodal-lab/1", stable key
@@ -39,8 +41,8 @@ scan-eclass envelope, kernels and certmax. A from-import of a layer
 name would execute the layer with this module. fractions is not
 imported here either: a Fraction is rendered only once a layer has
 imported it, so --version and certmax never load fractions or decimal.
-main's except clauses name exceptions of four layers and may execute
-them, but only when a command fails.
+main catches the package's Refusal, which every layer's refusal
+derives from, so a failing command executes no layer it did not reach.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import gc
 import sys
 from typing import TYPE_CHECKING, NamedTuple, NoReturn, Optional
 
-from . import __version__, certmax, envelope, exactpoly, kernels, thresholds
+from . import Refusal, __version__, certmax, envelope, exactpoly, kernels, thresholds
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -62,7 +64,6 @@ _EXIT_OK = 0
 _EXIT_USAGE = 1
 _EXIT_MISMATCH = 2
 _EXIT_CERTIFICATION = 3
-_EXIT_NOT_FOUND = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -392,13 +393,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result = _DISPATCH[args.subcommand](args)
-    except thresholds.NotFoundError as e:
-        print(f"unimodal-lab: not found: {e}", file=sys.stderr)
-        return _EXIT_NOT_FOUND
-    except (envelope.Inconclusive, envelope.ReductionViolation, certmax.BracketFailure,
-            exactpoly.OutOfRange) as e:
-        print(f"unimodal-lab: certification failure: {e}", file=sys.stderr)
-        return _EXIT_CERTIFICATION
+    except Refusal as e:
+        print(f"unimodal-lab: {e.label}: {e}", file=sys.stderr)
+        return e.exit_code
     except ValueError as e:
         print(f"unimodal-lab: error: {e}", file=sys.stderr)
         return _EXIT_USAGE

@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from . import kernels
+from . import Refusal, kernels
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,13 +61,13 @@ __all__ = [
 ]
 
 
-class ReductionViolation(Exception):
+class ReductionViolation(Refusal):
     """The lobe scan cannot carry the maximum: k is beyond its float range,
     no grid point is admissible, or the lobe maximum does not clear the
     tail bound smooth_part(k, 2 pi/k)."""
 
 
-class Inconclusive(Exception):
+class Inconclusive(Refusal):
     """Membership margin fell inside the undecidable numeric band."""
 
     def __init__(self, min_margin: float, witness_theta: float):

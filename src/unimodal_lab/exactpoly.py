@@ -16,6 +16,8 @@ import math
 import sys
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from . import Refusal
+
 __all__ = [
     "FamilyParams",
     "CoeffSeq",
@@ -261,7 +263,7 @@ _EPS = 2.0**-52
 _N_LIMIT = 2**49
 
 
-class OutOfRange(Exception):
+class OutOfRange(Refusal):
     """family_report's rounding bound is not proven for this (m, k)."""
 
 

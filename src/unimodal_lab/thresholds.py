@@ -9,9 +9,11 @@ ints, never floats.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
+from . import Refusal
 from .exactpoly import (
     FamilyParams,
     _neighbour_ratio,
@@ -44,8 +46,11 @@ __all__ = [
 ]
 
 
-class NotFoundError(Exception):
+class NotFoundError(Refusal):
     """No admissible value exists below the search cap."""
+
+    exit_code = 4
+    label = "not found"
 
 
 def predicted_threshold(k: int) -> int:
@@ -113,21 +118,15 @@ def _require_k(k: int) -> None:
 def a_of_u(k: int, u: int) -> Fraction:
     """Coefficient ratio C(m, u-k) / C(m, u) at the critical m = k^2 - 3.
 
-    Computed as the telescoping product prod_{i<k} (u-i)/(k^2-2-u+i), which
-    avoids the huge binomials. Zero for u < k by convention.
+    Computed as perm(u, k) / perm(m - u + k, k), the p(u)/q(u) of
+    exactpoly._neighbour_ratio, which avoids the huge binomials. Zero for
+    u < k, where perm(u, k) = 0.
     """
     _require_k(k)
     m = k * k - 3
     if u < 0 or u > m:
         raise ValueError(f"u must lie in [0, {m}] for k={k}, got {u}")
-    if u < k:
-        return Fraction(0)
-    num = 1
-    den = 1
-    for i in range(k):
-        num *= u - i
-        den *= k * k - 2 - u + i
-    return Fraction(num, den)
+    return Fraction(math.perm(u, k), math.perm(m - u + k, k))
 
 
 def _c_terms(k: int, u: int) -> tuple[int, int, int, int]:

@@ -17,20 +17,20 @@ from unimodal_lab import certmax, cli, envelope, exactpoly, kernels, thresholds
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_all_is_the_union_of_the_layer_modules():
-    want = ["__version__"]
-    for mod in (exactpoly, thresholds, envelope, certmax):
-        want += mod.__all__
-    assert unimodal_lab.__all__ == want
-    assert len(set(want)) == len(want)
-
-
-def test_every_exported_name_resolves():
-    for name in unimodal_lab.__all__:
-        assert getattr(unimodal_lab, name) is not None
+def test_version():
     assert unimodal_lab.__version__ == "0.1.0"
-    assert unimodal_lab.defect_general is envelope.defect_general
-    assert unimodal_lab.poly_eval_circle is envelope.poly_eval_circle
+
+
+@pytest.mark.parametrize(
+    "refusal, code",
+    [(exactpoly.OutOfRange, 3), (envelope.Inconclusive, 3), (envelope.ReductionViolation, 3),
+     (certmax.BracketFailure, 3), (thresholds.NotFoundError, 4)],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_every_refusal_is_a_package_refusal(refusal, code):
+    # cli.main catches only unimodal_lab.Refusal and exits with its code
+    assert issubclass(refusal, unimodal_lab.Refusal)
+    assert refusal.exit_code == code
 
 
 def test_benchmark_tracer_finds_every_name(monkeypatch):
@@ -66,20 +66,21 @@ def executed():
 """
 
 # imports unimodal_lab.cli in a fresh interpreter and runs cli.main(argv)
-# unless argv is None, then prints a JSON report: whether NumPy, fractions
-# and decimal were imported, the package modules registered in
-# sys.modules, and the package modules executed
+# unless argv is None, then prints a JSON report: the exit code, whether
+# NumPy, fractions and decimal were imported, the package modules
+# registered in sys.modules, and the package modules executed
 _CHILD = _EXEC_HOOK + """
 argv = json.loads(sys.argv[1])
 import unimodal_lab.cli
+code = 0
 if argv is not None:
     with contextlib.redirect_stdout(io.StringIO()):
         try:
             code = unimodal_lab.cli.main(argv)
         except SystemExit as e:
             code = e.code
-    assert code == 0, code
 print(json.dumps({
+    "code": code,
     **{name: name in sys.modules for name in ("numpy", "fractions", "decimal")},
     "registered": sorted(name for name in sys.modules if name.startswith("unimodal_lab.")),
     "executed": executed(),
@@ -113,7 +114,9 @@ def _child_report(tmp_path, argv) -> dict:
     ids=lambda v: " ".join(v) if isinstance(v, list) else repr(v),
 )
 def test_only_grid_scans_import_numpy(tmp_path, argv, loads):
-    assert _child_report(tmp_path, argv)["numpy"] is loads
+    report = _child_report(tmp_path, argv)
+    assert report["code"] == 0
+    assert report["numpy"] is loads
 
 
 _LAYERS = ["certmax", "envelope", "exactpoly", "kernels", "thresholds"]
@@ -121,70 +124,45 @@ _EXACT = ["exactpoly", "thresholds"]
 _GRID = ["certmax", "envelope", "kernels"]
 
 
-# (argv, the layers the command executes, whether it loads fractions and
-# decimal); NumPy itself imports fractions, so the grid commands load it
+# (argv, exit code, the layers the command executes, whether it loads
+# fractions and decimal); NumPy itself imports fractions, so the grid
+# commands load it. A failing command executes only the layers it reached.
 _LAYER_TABLE = [
-    (None, [], False),  # import unimodal_lab.cli, as the benchmark's tracer does
-    (["--version"], [], False),
-    (["check", "--m", "7741", "--k", "88"], _EXACT, True),
-    (["scan-theorem1", "--k-min", "2", "--k-max", "12"], _EXACT, True),
-    (["probe-inequality", "--k", "20"], _EXACT, True),
-    (["general", "{coeffs}"], _EXACT, True),
-    (["certmax", "--format", "text"], ["certmax", "kernels"], False),
-    (["certmax"], ["certmax", "kernels"], False),
-    (["eclass", "--k", "9"], _GRID, True),
-    (["scan-eclass", "--k-min", "9", "--k-max", "10", "--grid", "20000"], _GRID, True),
+    (None, 0, [], False),  # import unimodal_lab.cli, as the benchmark's tracer does
+    (["--version"], 0, [], False),
+    (["check", "--m", "7741", "--k", "88"], 0, _EXACT, True),
+    (["scan-theorem1", "--k-min", "2", "--k-max", "12"], 0, _EXACT, True),
+    (["probe-inequality", "--k", "20"], 0, _EXACT, True),
+    (["general", "{coeffs}"], 0, _EXACT, True),
+    (["certmax", "--format", "text"], 0, ["certmax", "kernels"], False),
+    (["certmax"], 0, ["certmax", "kernels"], False),
+    (["eclass", "--k", "9"], 0, _GRID, True),
+    (["scan-eclass", "--k-min", "9", "--k-max", "10", "--grid", "20000"], 0, _GRID, True),
+    (["check", "--m", "0", "--k", "3"], 1, ["exactpoly"], False),
+    (["scan-theorem1", "--k-min", "2", "--k-max", "3", "--cap", "5"], 4, _EXACT, True),
+    (["eclass", "--k", "0"], 1, ["envelope", "kernels"], True),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, layers, loads_fractions",
+    "argv, code, layers, loads_fractions",
     [pytest.param(*row, id=" ".join(row[0]) if row[0] else "import cli") for row in _LAYER_TABLE],
 )
-def test_commands_execute_only_their_layers(tmp_path, argv, layers, loads_fractions):
+def test_commands_execute_only_their_layers(tmp_path, argv, code, layers, loads_fractions):
     report = _child_report(tmp_path, argv)
+    assert report["code"] == code
     # every layer stays registered, so the tracer finds each by name
     assert report["registered"] == sorted(["unimodal_lab.cli", *(f"unimodal_lab.{m}" for m in _LAYERS)])
     assert report["executed"] == sorted(["__init__", "cli", *layers])
     assert report["fractions"] is report["decimal"] is loads_fractions
 
 
-# the package surface in a fresh interpreter, so that no earlier test has
-# executed a layer: the submodule import first, then every way of listing
-# and reading the exported names
-_SURFACE = _EXEC_HOOK + """
-from unimodal_lab import cli
-import unimodal_lab
-after_cli = executed()
-exported = list(unimodal_lab.__all__)
-listed = dir(unimodal_lab)
-star = {}
-exec("from unimodal_lab import *", star)
-layers = [sys.modules[f"unimodal_lab.{m}"] for m in ("exactpoly", "thresholds", "envelope", "certmax")]
-own = {name: vars(mod)[name] for mod in layers for name in mod.__all__}
-print(json.dumps({
-    "executed": after_cli,
-    "all": exported,
-    "layer_all": ["__version__", *(name for mod in layers for name in mod.__all__)],
-    "dir": listed,
-    "star": sorted(set(star) - {"__builtins__"}),
-    "foreign": [name for name in own if not (getattr(unimodal_lab, name) is star[name] is own[name])],
-}))
-"""
-
-
-def test_package_surface_in_a_fresh_interpreter():
-    proc = _python("-c", _SURFACE, text=True)
+def test_from_import_cli_executes_no_layer():
+    # the pitfall: the from-import probes the package for a cli attribute
+    # before importing the submodule, and the probe must execute no layer
+    proc = _python("-c", _EXEC_HOOK + "from unimodal_lab import cli\nprint(json.dumps(executed()))", text=True)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    # the pitfall: probing the package for cli must execute no layer
-    assert report["executed"] == ["__init__", "cli"]
-    assert report["all"] == report["layer_all"]
-    assert report["star"] == sorted(report["all"])
-    public = {name for name in report["dir"] if not name.startswith("_")}
-    assert public - {"cli", *_LAYERS} == set(report["all"]) - {"__version__"}
-    assert "__version__" in report["dir"]
-    assert report["foreign"] == []
+    assert json.loads(proc.stdout) == ["__init__", "cli"]
 
 
 # (argv, whether the run loads json): json output needs it, nothing else
@@ -226,6 +204,8 @@ _EXITS = [
     pytest.param(["check", "--m", "5"], 1, id="usage"),  # argparse's SystemExit
     pytest.param(["check", "--m", str(2**100), "--k", "5"], 3, id="out-of-range"),
     pytest.param(["scan-theorem1", "--k-min", "2", "--k-max", "3", "--cap", "5"], 4, id="not-found"),
+    pytest.param(["eclass", "--k", "0"], 1, id="bad-k"),
+    pytest.param(["eclass", "--k", str(10**80)], 3, id="k-beyond-float-range"),
 ]
 
 
