@@ -40,7 +40,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ReductionViolation",
     "Inconclusive",
-    "VarianceInput",
     "ThetaScan",
     "ThresholdMax",
     "MembershipCertificate",
@@ -79,55 +78,26 @@ class Inconclusive(Refusal):
         self.witness_theta = witness_theta
 
 
-class VarianceInput(NamedTuple):
-    """A normalized polynomial presented by coefficients or in closed form.
+def _normalized(coeffs: Sequence) -> tuple:
+    # the exact coefficients scaled to f(1) = 1
+    vals = [Fraction(c) for c in coeffs]
+    total = sum(vals)
+    if total == 0:
+        raise ValueError("cannot normalize: coefficients sum to 0")
+    return tuple(c / total for c in vals)
 
-    kind is "coeffs" (payload: exact coefficient tuple, f(1) = 1),
-    "binomial-power" (((1+z)/2)^m, payload m) or "spike" ((1+z^k)/2,
-    payload k).
+
+def variance(coeffs: Sequence) -> Fraction:
+    """V(f) = f''(1) + f'(1) - f'(1)^2, exact, for f = sum c_u z^u
+    normalized to f(1) = 1.
+
+    It is m/4 for ((1+z)/2)^m and k^2/4 for (1+z^k)/2, and additive over
+    products of normalized factors.
     """
-
-    kind: str
-    payload: tuple
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence) -> "VarianceInput":
-        vals = [Fraction(c) for c in coeffs]
-        total = sum(vals)
-        if total == 0:
-            raise ValueError("cannot normalize: coefficients sum to 0")
-        return cls("coeffs", tuple(c / total for c in vals))
-
-    @classmethod
-    def binomial_power(cls, m: int) -> "VarianceInput":
-        if m < 0:
-            raise ValueError(f"m must be >= 0, got {m}")
-        return cls("binomial-power", (m,))
-
-    @classmethod
-    def spike(cls, k: int) -> "VarianceInput":
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        return cls("spike", (k,))
-
-
-def variance(vi: VarianceInput) -> Fraction:
-    """V(f) = f''(1) + f'(1) - f'(1)^2, exact.
-
-    Closed forms: m/4 for ((1+z)/2)^m and k^2/4 for (1+z^k)/2; both match
-    the coefficient route. V is additive over products of normalized
-    factors.
-    """
-    if vi.kind == "binomial-power":
-        return Fraction(vi.payload[0], 4)
-    if vi.kind == "spike":
-        k = vi.payload[0]
-        return Fraction(k * k, 4)
-    if vi.kind == "coeffs":
-        d1 = sum(Fraction(u) * c for u, c in enumerate(vi.payload))
-        d2 = sum(Fraction(u * (u - 1)) * c for u, c in enumerate(vi.payload))
-        return d2 + d1 - d1 * d1
-    raise ValueError(f"unknown variance input kind: {vi.kind!r}")
+    c = _normalized(coeffs)
+    d1 = sum(u * x for u, x in enumerate(c))
+    d2 = sum(u * (u - 1) * x for u, x in enumerate(c))
+    return d2 + d1 - d1 * d1
 
 
 def poly_eval_circle(coeffs: Sequence[float], theta: float) -> complex:
@@ -153,10 +123,10 @@ def envelope_defect(m: int, k: int, theta: float) -> float:
 
 def defect_general(coeffs: Sequence[float], theta: float) -> float:
     """H for an arbitrary coefficient vector (normalized to f(1) = 1)."""
-    vi = VarianceInput.from_coeffs(coeffs)
-    v = float(variance(vi))
+    c = _normalized(coeffs)
+    v = float(variance(c))
     w = 4.0 * math.sin(0.5 * theta) ** 2
-    val = poly_eval_circle([float(c) for c in vi.payload], theta)
+    val = poly_eval_circle([float(x) for x in c], theta)
     return math.exp(-v * w) - abs(val) ** 2
 
 
@@ -168,15 +138,15 @@ def product_identity_residual(
     Inputs are normalized internally; the residual is scaled by the
     largest term magnitude (floor 1), so ~1e-16 means exact to noise.
     """
-    fn = [float(c) for c in VarianceInput.from_coeffs(f).payload]
-    gn = [float(c) for c in VarianceInput.from_coeffs(g).payload]
+    fn = [float(c) for c in _normalized(f)]
+    gn = [float(c) for c in _normalized(g)]
     prod = [0.0] * (len(fn) + len(gn) - 1)
     for i, cf in enumerate(fn):
         for j, cg in enumerate(gn):
             prod[i + j] += cf * cg
     h_fg = defect_general(prod, theta)
     w = 4.0 * math.sin(0.5 * theta) ** 2
-    vf = float(variance(VarianceInput.from_coeffs(fn)))
+    vf = float(variance(fn))
     t1 = math.exp(-vf * w) * defect_general(gn, theta)
     t2 = abs(poly_eval_circle(gn, theta)) ** 2 * defect_general(fn, theta)
     scale = max(1.0, abs(h_fg), abs(t1), abs(t2))

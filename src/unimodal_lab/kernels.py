@@ -2,8 +2,8 @@
 NumPy grid kernels that scan them.
 
 Each formula is written once, as a function of its argument and an ops
-namespace that supplies sin, cos, log, log1p, where, select and any:
-SCALAR_OPS (libm through math) for the scalar evaluators
+namespace that supplies sin, cos, log, log1p and select: SCALAR_OPS
+(libm through math) for the scalar evaluators
 envelope.threshold_value, envelope.denominator_gap and
 certmax.limit_shape, which drive the golden-section and bisection
 refinements, and ARRAY_OPS (NumPy) for the grids. The lanes stay apart
@@ -11,13 +11,15 @@ because NumPy's log1p and libm's differ in the last bit on some inputs,
 and the CLI prints scalar results to 17 digits. NumPy is imported on
 the first grid call, not with this module, so the commands that scan
 no grid start without it; ARRAY_OPS is built then, once, and every
-access returns that one namespace. Both branches of every where are
-evaluated, so the formulas clamp their arguments before any log and
-select the -inf sentinels last. select(c, a, b) takes its branches as
-thunks and runs only those some element of c needs: the scalar lane
-runs one, the array lane both only for a mixed c. threshold clamps s and
-q only when some point needs it (ops.any), so a lobe block, which
-holds no such point, skips the clamps and the sentinel.
+access returns that one namespace.
+
+select(c, a, b, *args) is the one branch: a(*args) where c holds and
+b(*args) where it does not. The scalar lane calls one branch. The array
+lane calls one branch on the whole arrays when c is uniform, filling an
+all-true result to c's shape, and otherwise each branch on the elements
+of args it keeps, so no branch ever sees a point it would discard: the
+formulas need no clamps before a log and raise no floating-point
+warning.
 
 Grid semantics: right-closed grids theta_i = lo + (hi - lo) * (i / n)
 for i = 1..n, -inf sentinels where the curve diverges, and ties broken
@@ -40,7 +42,9 @@ index included, is bit for bit that of the whole-grid argmax, whatever
 the cell size. A block is at most GRID_BLOCK points until n =
 GRID_BLOCK^2 (about 2.7e8), and one cell beyond: at k = 3 the
 tracemalloc peak is 1.9 MiB at n = 10^8 and 5.4 MiB at n = 10^9, whose
-cells are 61,036 points.
+cells are 61,036 points. grid_min_margin and grid_max_limit_shape make
+the same walk over every block of theta_blocks, with no bounds: at
+n = 10^7 each peaks at about 1.4 MiB.
 
 Cell bound. The grid expression is monotone in i, so the points of a
 cell lie in [a, b], between the grid angles at its two ends. On
@@ -91,14 +95,18 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def _array_select(c, a, b):
+def _array_select(c, a, b, *args):
     import numpy as np
 
-    if c.all():
-        return a()
     if not c.any():
-        return b()
-    return np.where(c, a(), b())
+        return b(*args)
+    if c.all():
+        return np.full(c.shape, a(*args))
+    out = np.empty(c.shape)
+    out[c] = a(*(x[c] for x in args))
+    c = ~c
+    out[c] = b(*(x[c] for x in args))
+    return out
 
 
 SCALAR_OPS = SimpleNamespace(
@@ -106,9 +114,7 @@ SCALAR_OPS = SimpleNamespace(
     cos=math.cos,
     log=math.log,
     log1p=math.log1p,
-    where=lambda c, a, b: a if c else b,
-    select=lambda c, a, b: a() if c else b(),
-    any=bool,
+    select=lambda c, a, b, *args: a(*args) if c else b(*args),
 )
 
 
@@ -122,9 +128,7 @@ def _array_ops():
         cos=np.cos,
         log=np.log,
         log1p=np.log1p,
-        where=np.where,
         select=_array_select,
-        any=np.any,
     )
 
 
@@ -148,7 +152,7 @@ def gap(s, ops):
     place.
     """
 
-    def series():
+    def series(s):
         acc = s / 9.0
         for n in range(8, 1, -1):
             acc += 1.0 / n
@@ -156,7 +160,7 @@ def gap(s, ops):
         acc *= s
         return acc
 
-    return ops.select(s < GAP_SERIES_BELOW, series, lambda: -ops.log1p(-s) - s)
+    return ops.select(s < GAP_SERIES_BELOW, series, lambda s: -ops.log1p(-s) - s, s)
 
 
 def _sines(k, theta, ops):
@@ -167,33 +171,34 @@ def _sines(k, theta, ops):
     return s * s, sk * sk
 
 
+def _diverged(*args):
+    # the sentinel of a curve at a point where it diverges
+    return -math.inf
+
+
 def threshold(k, theta, ops):
     """L(k, theta) = (k^2 s + ln(1 - q)) / gap(s); -inf where s or q rounds to 1.
 
     s = sin^2(theta/2) and q = sin^2(k theta/2).
     """
-    s, sk2 = _sines(k, theta, ops)
+    s, q = _sines(k, theta, ops)
 
-    def formula(s, sk2):
-        return ((k * k) * s + ops.log1p(-sk2)) / gap(s, ops)
+    def formula(s, q):
+        return ((k * k) * s + ops.log1p(-q)) / gap(s, ops)
 
-    bad = (s >= 1.0) | (sk2 >= 1.0)
-    if not ops.any(bad):
-        # the clamps and the sentinel would change no value
-        return formula(s, sk2)
-    s_c = ops.where(s >= 1.0, 0.5, s)
-    sk2_c = ops.where(sk2 >= 1.0, 0.0, sk2)
-    return ops.where(bad, -math.inf, formula(s_c, sk2_c))
+    return ops.select((s >= 1.0) | (q >= 1.0), _diverged, formula, s, q)
 
 
 def limit_shape(z, ops):
     """D(z) = 2/z^2 + 2 ln(cos^2 z)/z^4; -inf where cos z = 0."""
     c = ops.cos(z)
     c2 = c * c
-    bad = c2 <= 0.0
-    c2s = ops.where(bad, 1.0, c2)
-    z2 = z * z
-    return ops.where(bad, -math.inf, 2.0 / z2 + 2.0 * ops.log(c2s) / (z2 * z2))
+
+    def formula(z, c2):
+        z2 = z * z
+        return 2.0 / z2 + 2.0 * ops.log(c2) / (z2 * z2)
+
+    return ops.select(c2 <= 0.0, _diverged, formula, z, c2)
 
 
 def backend() -> str:
@@ -296,21 +301,23 @@ def _cell_bounds(k, ends):
     return np.where(ok, bound + r * np.abs(bound), np.inf)
 
 
-def _walk(k, blocks):
-    # the running best (value, theta) over the blocks; a later point
-    # replaces it only if strictly larger; None on a NaN value
+def _walk(values, blocks):
+    # the first largest values(theta) over the blocks of angles and its
+    # theta: a later point replaces the running best only if strictly
+    # larger; (-inf, nan) if that value is not finite or any value is NaN
     import numpy as np
 
-    best = (float("-inf"), float("nan"))
+    empty = (-math.inf, math.nan)
+    best = empty
     for theta in blocks:
-        vals = threshold_values(k, theta)
+        vals = values(theta)
         j = int(np.argmax(vals))
         v = float(vals[j])
         if math.isnan(v):
-            return None
+            return empty
         if v > best[0]:
             best = (v, float(theta[j]))
-    return best
+    return best if math.isfinite(best[0]) else empty
 
 
 def grid_max_threshold(k: int, lo: float, hi: float, n: int) -> tuple[float, float]:
@@ -322,7 +329,6 @@ def grid_max_threshold(k: int, lo: float, hi: float, n: int) -> tuple[float, flo
     """
     import numpy as np
 
-    empty = (float("-inf"), float("nan"))
     width = hi - lo
     size = _cell_size(n)
     # cell c lies between the grid angles at c size and min(c size + size, n)
@@ -331,41 +337,25 @@ def grid_max_threshold(k: int, lo: float, hi: float, n: int) -> tuple[float, flo
     )
     finite = np.isfinite(bound)
     floor = -math.inf
+    values = functools.partial(threshold_values, k)
     if finite.any():
         seed = int(np.argmax(np.where(finite, bound, -np.inf)))
-        got = _walk(k, _cell_blocks(lo, width, n, size, np.array([seed])))
-        if got is None:
-            return empty
-        floor = got[0]
+        floor = _walk(values, _cell_blocks(lo, width, n, size, np.array([seed])))[0]
     # a NaN bound is not below floor, so its cell is walked
     cells = np.flatnonzero(~(bound < floor))
-    best = _walk(k, _cell_blocks(lo, width, n, size, cells))
-    if best is None or not math.isfinite(best[0]):
-        return empty
-    return best
+    return _walk(values, _cell_blocks(lo, width, n, size, cells))
 
 
 def grid_min_margin(m: float, k: int, lo: float, hi: float, n: int) -> tuple[float, float]:
-    """Min of m - threshold over a right-closed grid; (+inf, nan) if empty."""
-    import numpy as np
+    """Min of m - threshold over a right-closed grid; (+inf, nan) if empty.
 
-    theta = theta_grid(lo, hi, n)
-    margin = m - threshold_values(k, theta)
-    i = int(np.argmin(margin))
-    v = float(margin[i])
-    if not math.isfinite(v):
-        return float("inf"), float("nan")
-    return v, float(theta[i])
+    The walk takes the first largest -(m - L), an exact negation, so the
+    result is the first smallest margin.
+    """
+    v, theta = _walk(lambda theta: -(m - threshold_values(k, theta)), theta_blocks(lo, hi, n))
+    return -v, theta
 
 
 def grid_max_limit_shape(lo: float, hi: float, n: int) -> tuple[float, float]:
     """Max of the limit shape over a right-closed grid; (-inf, nan) if empty."""
-    import numpy as np
-
-    z = theta_grid(lo, hi, n)
-    vals = limit_shape_values(z)
-    j = int(np.argmax(vals))
-    v = float(vals[j])
-    if not math.isfinite(v):
-        return float("-inf"), float("nan")
-    return v, float(z[j])
+    return _walk(limit_shape_values, theta_blocks(lo, hi, n))

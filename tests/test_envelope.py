@@ -18,7 +18,6 @@ from unimodal_lab.envelope import (
     ReductionViolation,
     ThetaScan,
     ThresholdMax,
-    VarianceInput,
     _decide_margin,
     _golden_max,
     _quartic_margin_small,
@@ -40,45 +39,31 @@ from unimodal_lab.exactpoly import binomial, expand_family, poly_mul
 
 
 class TestVariance:
-    def test_closed_forms(self):
-        assert variance(VarianceInput.binomial_power(12)) == 3
-        assert variance(VarianceInput.spike(7)) == Fraction(49, 4)
-
     def test_closed_forms_match_coefficients(self):
-        for m in (1, 4, 9):
+        for m in (1, 4, 9, 12):
             row = [binomial(m, r) for r in range(m + 1)]
-            assert variance(VarianceInput.from_coeffs(row)) == Fraction(m, 4)
-        for k in (2, 5, 8):
+            assert variance(row) == Fraction(m, 4)
+        for k in (2, 5, 7, 8):
             spike = [1] + [0] * (k - 1) + [1]
-            assert variance(VarianceInput.from_coeffs(spike)) == Fraction(k * k, 4)
+            assert variance(spike) == Fraction(k * k, 4)
 
     def test_small_examples(self):
-        assert variance(VarianceInput.from_coeffs([1, 1])) == Fraction(1, 4)
-        assert variance(VarianceInput.from_coeffs([0, 1, 1])) == Fraction(1, 4)
+        assert variance([1, 1]) == Fraction(1, 4)
+        assert variance([0, 1, 1]) == Fraction(1, 4)
 
     def test_additive_over_products(self):
         for f, g in (([1, 2, 3], [2, 1]), ([1, 1, 1], [1, 0, 0, 4]), ([3], [1, 5])):
             prod = list(poly_mul(f, g))
-            vf = variance(VarianceInput.from_coeffs(f))
-            vg = variance(VarianceInput.from_coeffs(g))
-            assert variance(VarianceInput.from_coeffs(prod)) == vf + vg
+            assert variance(prod) == variance(f) + variance(g)
 
     def test_family_variance(self):
         seq = list(expand_family(7, 4))
         expect = Fraction(7, 4) + Fraction(16, 4)
-        assert variance(VarianceInput.from_coeffs(seq)) == expect
+        assert variance(seq) == expect
 
     def test_zero_sum_rejected(self):
         with pytest.raises(ValueError):
-            VarianceInput.from_coeffs([1, -1])
-
-    def test_bad_payloads(self):
-        with pytest.raises(ValueError):
-            VarianceInput.binomial_power(-1)
-        with pytest.raises(ValueError):
-            VarianceInput.spike(0)
-        with pytest.raises(ValueError):
-            variance(VarianceInput("nonsense", ()))
+            variance([1, -1])
 
 
 class TestDefect:

@@ -1,5 +1,9 @@
+import ast
+import inspect
 import math
 import random
+import textwrap
+import tracemalloc
 from types import SimpleNamespace
 
 import mpmath
@@ -262,6 +266,19 @@ class TestPrunedScan:
 
 
 class TestSelect:
+    def test_ops_hold_exactly_the_five_entries(self):
+        want = {"sin", "cos", "log", "log1p", "select"}
+        assert set(vars(kernels.SCALAR_OPS)) == want
+        assert set(vars(kernels.ARRAY_OPS)) == want
+
+    @pytest.mark.parametrize("name", ["threshold", "gap", "limit_shape"])
+    def test_formulas_branch_only_through_select(self, name):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(kernels, name))))
+        assert not [node for node in ast.walk(tree) if isinstance(node, (ast.If, ast.IfExp))]
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not names & {"where", "any"}
+
     def test_gap_straddling_the_cutoff_is_the_where_of_both_branches(self):
         cut = kernels.GAP_SERIES_BELOW
         s = np.linspace(0.5 * cut, 2.0 * cut, 1001)
@@ -273,68 +290,173 @@ class TestSelect:
         assert np.array_equal(kernels.gap(s, kernels.ARRAY_OPS), want)
 
     def test_runs_only_the_branches_needed(self):
-        def boom():
+        # a uniform c runs one branch on the whole arrays; a mixed c runs
+        # each branch on the elements it keeps, and no other
+        def boom(*args):
             raise AssertionError("branch not needed")
 
-        one = lambda: np.ones(2)  # noqa: E731
+        seen = []
+
+        def spy(f):
+            def branch(*args):
+                seen.append([x.tolist() for x in args])
+                return f(*args)
+
+            return branch
+
         select = kernels.ARRAY_OPS.select
-        assert select(np.array([True, True]), one, boom).tolist() == [1.0, 1.0]
-        assert select(np.array([False, False]), boom, one).tolist() == [1.0, 1.0]
-        assert select(np.array([True, False]), one, lambda: np.zeros(2)).tolist() == [1.0, 0.0]
-        assert kernels.SCALAR_OPS.select(True, lambda: 1.0, boom) == 1.0
-        assert kernels.SCALAR_OPS.select(False, boom, lambda: 2.0) == 2.0
+        x, y = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])
+        got = select(np.array([True, False, True]), spy(np.add), spy(np.subtract), x, y)
+        assert got.tolist() == [5.0, -3.0, 9.0]
+        assert seen == [[[1.0, 3.0], [4.0, 6.0]], [[2.0], [5.0]]]
+        assert select(np.zeros(3, bool), boom, np.add, x, y).tolist() == [5.0, 7.0, 9.0]
+        # an all-true result is filled to c's shape
+        got = select(np.ones(3, bool), lambda *args: -math.inf, boom, x, y)
+        assert got.dtype == np.float64 and got.tolist() == [-math.inf] * 3
+        assert kernels.SCALAR_OPS.select(True, lambda a: a + 1.0, boom, 1.0) == 2.0
+        assert kernels.SCALAR_OPS.select(False, boom, lambda a, b: a - b, 1.0, 3.0) == -2.0
+
+    def test_threshold_at_pi_alone_is_the_float_sentinel(self):
+        got = kernels.threshold_values(2, np.array([PI]))
+        assert got.dtype == np.float64
+        assert got.tolist() == [-math.inf]
 
 
+_LANES = {
+    "array": (kernels.ARRAY_OPS, np.where),
+    "scalar": (kernels.SCALAR_OPS, lambda c, a, b: a if c else b),
+}
 
-def _clamped_threshold(k, theta, ops):
-    # the formula that clamps s and q at every point, the reference for
-    # threshold's unclamped path
-    s, sk2 = kernels._sines(k, theta, ops)
-    bad = (s >= 1.0) | (sk2 >= 1.0)
-    s_c = ops.where(s >= 1.0, 0.5, s)
-    sk2_c = ops.where(sk2 >= 1.0, 0.0, sk2)
-    num = (k * k) * s_c + ops.log1p(-sk2_c)
-    return ops.where(bad, -math.inf, num / kernels.gap(s_c, ops))
+
+def _clamped(k, theta, ops, where):
+    # the formulas with every branch evaluated at every point, their
+    # arguments clamped so that no log sees 0 or less, and the sentinels
+    # selected last: the reference for select. Returns L(k, theta), the gap
+    # at the clamped s, and D(theta).
+    half = 0.5 * theta
+    s, q = ops.sin(half), ops.sin(k * half)
+    s, q = s * s, q * q
+    s_c = where(s >= 1.0, 0.5, s)
+    q_c = where(q >= 1.0, 0.0, q)
+    series = s_c / 9.0
+    for n in range(8, 1, -1):
+        series = (series + 1.0 / n) * s_c
+    series = series * s_c
+    g = where(s_c < kernels.GAP_SERIES_BELOW, series, -ops.log1p(-s_c) - s_c)
+    L = where((s >= 1.0) | (q >= 1.0), -math.inf, ((k * k) * s_c + ops.log1p(-q_c)) / g)
+    c = ops.cos(theta)
+    c2 = c * c
+    z2 = theta * theta
+    D = where(c2 <= 0.0, -math.inf, 2.0 / z2 + 2.0 * ops.log(where(c2 <= 0.0, 1.0, c2)) / (z2 * z2))
+    return L, s_c, g, D
 
 
 def _same_bits_both_lanes(k, theta):
-    # the array lane on the whole grid, the scalar lane at each point;
-    # a divide or invalid value, as log1p(-1) on an unclamped point, raises
-    with np.errstate(divide="raise", invalid="raise"):
-        got = kernels.threshold(k, theta, kernels.ARRAY_OPS)
-    want = _clamped_threshold(k, theta, kernels.ARRAY_OPS)
-    assert got.tobytes() == want.tobytes()
-    for t in theta.tolist():
-        got = kernels.threshold(k, t, kernels.SCALAR_OPS)
-        assert got.hex() == _clamped_threshold(k, t, kernels.SCALAR_OPS).hex()
+    # the array lane on the whole grid, the scalar lane at each point; any
+    # floating-point error, as log1p(-1) at a point select should have
+    # kept from its branch, raises
+    with np.errstate(all="raise"):
+        for lane, points in (("array", [theta]), ("scalar", theta.tolist())):
+            ops, where = _LANES[lane]
+            bits = (lambda x: x.tobytes()) if lane == "array" else float.hex
+            for t in points:
+                L, s_c, g, D = _clamped(k, t, ops, where)
+                assert bits(kernels.threshold(k, t, ops)) == bits(L), (lane, t)
+                assert bits(kernels.gap(s_c, ops)) == bits(g), (lane, t)
+                assert bits(kernels.limit_shape(t, ops)) == bits(D), (lane, t)
 
 
 class TestThresholdClamps:
     @pytest.mark.parametrize("k", [3, 9, 88, 500, 1000])
     def test_lobe_block_skips_the_clamps(self, k):
-        # a lobe block holds no point where s or q rounds to 1
+        # a lobe block holds no point where s or q rounds to 1, so the
+        # formula runs once on the whole block and the sentinel never
         theta = next(kernels.theta_blocks(PI / k, 2 * PI / k, kernels.GRID_BLOCK - 1))
-        wheres = []
+        calls = []
 
-        def where(c, a, b):
-            wheres.append(c)
-            return np.where(c, a, b)
+        def select(c, a, b, *args):
+            calls.append((a.__name__, b.__name__, c.size, int(c.sum())))
+            return kernels.ARRAY_OPS.select(c, a, b, *args)
 
-        ops = SimpleNamespace(**{**vars(kernels.ARRAY_OPS), "where": where})
-        with np.errstate(divide="raise", invalid="raise"):
+        ops = SimpleNamespace(**{**vars(kernels.ARRAY_OPS), "select": select})
+        with np.errstate(all="raise"):
             kernels.threshold(k, theta, ops)
-        assert wheres == []
+        assert calls[0] == ("_diverged", "formula", theta.size, 0)
+        assert [size for _, _, size, _ in calls] == [theta.size, theta.size]
         _same_bits_both_lanes(k, theta)
 
-    @pytest.mark.parametrize("k", [2, 3, 9, 88])
+    @pytest.mark.parametrize("k", [2, 3, 9, 88, 500])
     def test_grid_with_pi_and_singular_angles_keeps_the_clamped_values(self, k):
         theta = np.concatenate([
             kernels.theta_grid(0.0, PI, 64 * k),
             [(2 * j + 1) * PI / k for j in range(k)],
             kernels.theta_grid(PI / k, 2 * PI / k, 1000),
         ])
-        assert np.isneginf(_clamped_threshold(k, theta, kernels.ARRAY_OPS)).any()
+        assert theta.max() >= PI and PI in theta
+        assert np.isneginf(_clamped(k, theta, *_LANES["array"])[0]).any()
         _same_bits_both_lanes(k, theta)
+
+
+def _whole_grid_min_margin(m, k, lo, hi, n):
+    # the whole-array form of grid_min_margin, the reference for its walk
+    theta = kernels.theta_grid(lo, hi, n)
+    margin = m - kernels.threshold_values(k, theta)
+    i = int(np.argmin(margin))
+    v = float(margin[i])
+    if not math.isfinite(v):
+        return float("inf"), float("nan")
+    return v, float(theta[i])
+
+
+def _whole_grid_max_limit_shape(lo, hi, n):
+    # the whole-array form of grid_max_limit_shape, the reference for its walk
+    z = kernels.theta_grid(lo, hi, n)
+    vals = kernels.limit_shape_values(z)
+    j = int(np.argmax(vals))
+    v = float(vals[j])
+    if not math.isfinite(v):
+        return float("-inf"), float("nan")
+    return v, float(z[j])
+
+
+class TestGridWalks:
+    """grid_min_margin and grid_max_limit_shape against the whole-grid
+    reduction, bit for bit."""
+
+    @staticmethod
+    def _windows(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            lo = 10 ** rng.uniform(-12.0, math.log10(PI))
+            hi = min(PI, lo + 10 ** rng.uniform(-9.0, 0.6))
+            yield lo, hi, rng.randint(1, 20_000), rng
+
+    def test_min_margin_on_random_windows(self):
+        for lo, hi, n, rng in self._windows(35, 300):
+            k = max(2, int(10 ** rng.uniform(0.3, 9.0)))
+            m = rng.choice([0.0, 5.0, float(k**4 // 3), rng.uniform(-1e3, 1e40)])
+            want = _whole_grid_min_margin(m, k, lo, hi, n)
+            assert repr(kernels.grid_min_margin(m, k, lo, hi, n)) == repr(want), (m, k, lo, hi, n)
+
+    def test_max_limit_shape_on_random_windows(self):
+        for lo, hi, n, rng in self._windows(36, 300):
+            lo, hi = rng.choice([(lo, hi), (lo + PI / 2 - 1e-3, hi + PI / 2)])
+            want = _whole_grid_max_limit_shape(lo, hi, n)
+            assert repr(kernels.grid_max_limit_shape(lo, hi, n)) == repr(want), (lo, hi, n)
+
+    def test_ten_million_point_walks_stay_small(self):
+        # the whole-grid forms peaked at about 550 and 620 MiB
+        for scan, args in (
+            (kernels.grid_min_margin, (1e6, 500, 1e-6, PI - 1e-6, 10**7)),
+            (kernels.grid_max_limit_shape, (PI / 2 + 1e-6, PI - 1e-6, 10**7)),
+        ):
+            tracemalloc.start()
+            try:
+                scan(*args)
+                peak_bytes = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak_bytes < 8 * 2**20, scan.__name__
 
 
 class TestAgainstMpmath:
@@ -385,6 +507,16 @@ class TestEdgeContracts:
         assert v == float("inf")
         assert math.isnan(t)
         assert count_nonneg_threshold(k, lo, hi, 1) == 0
+
+    def test_all_nan_window_is_empty(self):
+        # on (0, 1e-300] the gap underflows to 0 and so does the numerator,
+        # so every L is NaN; a NaN empties the result, as np.argmax and
+        # np.argmin over the whole grid would
+        k, lo, hi, n = 9, 0.0, 1e-300, 5
+        with np.errstate(all="ignore"):
+            assert np.isnan(kernels.threshold_values(k, kernels.theta_grid(lo, hi, n))).all()
+            assert repr(kernels.grid_max_threshold(k, lo, hi, n)) == "(-inf, nan)"
+            assert repr(kernels.grid_min_margin(5.0, k, lo, hi, n)) == "(inf, nan)"
 
     def test_lobe_max_over_every_point(self):
         k, n = 9, 1_000
