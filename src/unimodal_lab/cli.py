@@ -129,8 +129,6 @@ def _jsonable(v):
         return [_jsonable(x) for x in v]
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, float) and v != v:  # NaN has no JSON spelling
-        return None
     return v
 
 

@@ -11,15 +11,13 @@ curve: H >= 0 at theta exactly when m >= threshold_value(k, theta).
 The family has real coefficients, so |f(conj z)| = |f(z)|, and the curve
 is symmetric under theta -> 2 pi - theta: L(k, theta) = L(k, 2 pi - theta).
 Membership is therefore the one comparison m >= max L over (0, pi).
-That maximum lives in the lobe (pi/k, 2 pi/k]: L < 0 on (0, pi/k), and
-on (2 pi/k, pi) L stays below smooth_part(k, 2 pi/k), which
-max_threshold checks against the lobe peak (proofs there). max_threshold
-locates the lobe maximum on a grid and refines it by golden section;
-membership_certificate decides the margin m - max L against that one
-peak, so no code here evaluates L outside [pi/k, 2 pi/k]. The
-curve has no theta -> pi - theta symmetry: L(k, 0+) = -(k^4 + 2 k^2)/3,
-while L(k, pi-) tends (logarithmically) to 0 for even k and to -1 for
-odd k.
+That maximum lives in the lobe (pi/k, 2 pi/k] (proof in max_threshold).
+max_threshold locates the lobe maximum on a grid and refines it by
+golden section; membership_certificate decides the margin m - max L
+against that one peak, so no code here evaluates L outside
+[pi/k, 2 pi/k]. The curve has no theta -> pi - theta symmetry:
+L(k, 0+) = -(k^4 + 2 k^2)/3, while L(k, pi-) tends (logarithmically)
+to 0 for even k and to -1 for odd k.
 
 The curve and its denominator gap are written once, in kernels;
 threshold_value and denominator_gap evaluate them on floats with libm.
@@ -61,9 +59,8 @@ __all__ = [
 
 
 class ReductionViolation(Refusal):
-    """The lobe scan cannot carry the maximum: k is beyond its float range,
-    no grid point is admissible, or the lobe maximum does not clear the
-    tail bound smooth_part(k, 2 pi/k)."""
+    """The lobe scan cannot run: k is beyond its float range, or no grid
+    point is admissible."""
 
 
 class Inconclusive(Refusal):
@@ -287,15 +284,15 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
     * On (0, pi/k), L < 0. With x = k theta/2 < pi/2, the numerator
       k^2 sin^2(theta/2) + ln cos^2 x is negative, since
       k^2 sin^2(theta/2) < x^2 <= -ln cos^2 x by cos x <= exp(-x^2/2).
-    * On (2 pi/k, pi), L <= smooth_part(k, theta) < smooth_part(k, 2 pi/k),
-      because the log part is <= 0 and s/gap(s) = 1/sum_{n>=2} s^(n-1)/n
-      decreases in s = sin^2(theta/2). The tail is empty at k = 2.
+    * On (2 pi/k, pi),
+      L <= smooth_part(k, theta) < smooth_part(k, 2 pi/k) = L(k, 2 pi/k),
+      because the log part is <= 0, vanishes at 2 pi/k (ln cos^2 pi = 0),
+      and s/gap(s) = 1/sum_{n>=2} s^(n-1)/n decreases in
+      s = sin^2(theta/2). The point 2 pi/k lies in the right-closed lobe,
+      so the tail never beats the lobe maximum. The tail is empty at k = 2.
 
-    Neither lemma needs k to be large, so at every k >= 2 the reduction
-    holds once smooth_part(k, 2 pi/k) lies below the lobe peak, which is
-    checked at 1e-9 relative (ReductionViolation otherwise). The ratio of
-    the two tends to (2/pi^2)/alpha ~ 0.62751 and stays below 0.6276 at
-    every k in 2..1000 and at sampled k to 10^6.
+    Neither lemma needs k to be large, so the reduction is exact at every
+    k >= 2.
 
     No grid point next to the singular angle pi/k holds the peak either,
     so the scan masks none. For |theta - pi/k| <= 1e-8 pi/k, put
@@ -336,12 +333,6 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
     )
     if top < grid_val:
         theta, top = grid_theta, grid_val
-    tail = smooth_part(k, hi)
-    if not tail < top - 1e-9 * max(1.0, abs(top)):
-        raise ReductionViolation(
-            f"tail bound smooth_part(k, 2pi/k) = {tail:.12g} does not clear "
-            f"the lobe maximum {top:.12g}"
-        )
     nearest = round(top)
     near = abs(top - nearest) < 1e-6
     if near:

@@ -313,17 +313,28 @@ class TestEclass:
             doc = json.loads(out)
             assert doc["m_of_k"] == int(mpmath.ceil(mp_peak(k, doc["argmax_theta"])))
 
+    # the float peak lands on the wrong side of an integer at these k, so
+    # eclass prints an m(k) one or two too high and exits 0 (ROADMAP
+    # Found 1); strict, so the fix has to drop the mark
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="float peak rounds m(k) up")
+    @pytest.mark.parametrize("k", [6500, 7868, 8006, 10029])
+    def test_prints_the_true_ceiling(self, capsys, k):
+        code, out, err = run(capsys, "eclass", "--k", str(k))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["m_of_k"] == int(mpmath.ceil(mp_peak(k, doc["argmax_theta"], 80)))
+
     def test_tol_is_gone(self, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["eclass", "--k", "9", "--tol", "1e-10"])
         assert ei.value.code == 1
 
-    def test_reduction_violation_exits_three(self, capsys, monkeypatch):
+    def test_verdict_ignores_smooth_part(self, capsys, monkeypatch):
+        # the lobe reduction is exact, so a broken smooth_part changes nothing
+        want = run(capsys, "eclass", "--k", "30")
         monkeypatch.setattr(envelope, "smooth_part", lambda k, theta: float("inf"))
-        code, out, err = run(capsys, "eclass", "--k", "30")
-        assert code == 3
-        assert "certification failure" in err
-        assert out == ""
+        assert run(capsys, "eclass", "--k", "30") == want
+        assert want[0] == 0
 
     def test_small_k_is_silent(self, capsys):
         with warnings.catch_warnings():
@@ -404,6 +415,12 @@ class TestScanEclass:
         assert code == 0
         assert seen == {threading.get_ident()}
 
+    def test_verdicts_ignore_smooth_part(self, capsys, monkeypatch):
+        want = run(capsys, "scan-eclass", "--k-min", "9", "--k-max", "10")
+        monkeypatch.setattr(envelope, "smooth_part", lambda k, theta: float("inf"))
+        assert run(capsys, "scan-eclass", "--k-min", "9", "--k-max", "10") == want
+        assert want[0] == 0
+
     @pytest.mark.parametrize("exp", [77, 80, 155, 400])
     @pytest.mark.parametrize("cmd", ["eclass", "scan-eclass"])
     def test_k_beyond_the_float_range_exits_three(self, capsys, cmd, exp):
@@ -418,13 +435,6 @@ class TestScanEclass:
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1 and "certification failure" in err
-
-    def test_reduction_violation_exits_three(self, capsys, monkeypatch):
-        monkeypatch.setattr(envelope, "smooth_part", lambda k, theta: float("inf"))
-        code, out, err = run(capsys, "scan-eclass", "--k-min", "9", "--k-max", "10")
-        assert code == 3
-        assert "certification failure" in err
-        assert out == ""
 
 
 class TestCertmax:

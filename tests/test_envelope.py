@@ -284,10 +284,24 @@ class TestGoldenMax:
 class TestLobeReduction:
     """The lemmas behind max_threshold's reduction to (pi/k, 2 pi/k]."""
 
-    def test_violation_when_tail_bound_fails(self, monkeypatch):
-        monkeypatch.setattr(envelope, "smooth_part", lambda k, theta: math.inf)
-        with pytest.raises(ReductionViolation, match="tail bound"):
-            max_threshold(ThetaScan(30, grid_points=20_000))
+    def test_refused_only_beyond_the_float_range(self):
+        # the reduction itself never refuses; only a lobe below the least s
+        # the cell bounds accept does, and _K_MAX is the last k inside
+        with pytest.raises(ReductionViolation, match="float range"):
+            max_threshold(ThetaScan(envelope._K_MAX + 1, 1000))
+        with pytest.raises(Inconclusive):
+            max_threshold(ThetaScan(envelope._K_MAX, 1000))
+
+    def test_reduction_never_consults_smooth_part(self, monkeypatch):
+        # the lobe lemmas are exact, so no runtime tail check exists:
+        # max_threshold gives the same peak with smooth_part unusable
+        want = max_threshold(ThetaScan(30, grid_points=20_000))
+
+        def forbidden(k, theta):
+            raise AssertionError("max_threshold called smooth_part")
+
+        monkeypatch.setattr(envelope, "smooth_part", forbidden)
+        assert max_threshold(ThetaScan(30, grid_points=20_000)) == want
 
     @pytest.mark.parametrize("k", [3, 4, 5, 9, 12, 30, 97, 200, 1000, 3397])
     def test_negative_before_and_bounded_after_the_lobe(self, k):
