@@ -70,7 +70,8 @@ class CertifiedMax(NamedTuple):
 
 
 def limit_shape(z: float) -> float:
-    """D(z) = 2/z^2 + 2 ln(cos^2 z)/z^4; -inf where cos z = 0."""
+    """D(z) = 2/z^2 + 2 ln(cos^2 z)/z^4; finite at every positive double
+    (kernels.limit_shape)."""
     if z <= 0.0:
         raise ValueError(f"z must be positive, got {z}")
     return kernels.limit_shape(z, kernels.SCALAR_OPS)
@@ -81,15 +82,13 @@ def shape_deriv_factor(z: float) -> float:
 
     D'(z) = -4 p(z) / z^5, and p is strictly increasing on (pi/2, pi)
     (p' = 2z - 3 tan z + z sec^2 z > 0), so D has exactly one critical
-    point there: the root of p, a maximum.
+    point there: the root of p, a maximum. No double z has cos z = 0
+    (kernels.limit_shape), so the log is finite.
     """
     if z <= 0.0:
         raise ValueError(f"z must be positive, got {z}")
     c = math.cos(z)
-    c2 = c * c
-    if c2 <= 0.0:
-        return float("-inf")
-    return z * z + z * math.tan(z) + 2.0 * math.log(c2)
+    return z * z + z * math.tan(z) + 2.0 * math.log(c * c)
 
 
 _LO = 0.5 * math.pi + 1e-6

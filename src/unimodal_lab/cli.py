@@ -27,10 +27,12 @@ installed unimodal-lab script both call; main() itself has no
 process-level effect, so it can run in-process. entry() freezes the heap
 at exit, so the interpreter's final collections do not walk the module
 graph (NumPy's too, after a grid command) just before the OS reclaims
-it. json is imported only for json output. ThreadPoolExecutor is a bare
-class, not concurrent.futures' pool: no subcommand runs a pool, and
-importing one (with logging, traceback and queue) slowed the start of
-every process, but the benchmark's tracer still subclasses this name.
+it. json is imported only for json output; json.dumps walks the record
+itself, and its default hook writes each Fraction as "p/q".
+ThreadPoolExecutor is a bare class, not concurrent.futures' pool: no
+subcommand runs a pool, and importing one (with logging, traceback and
+queue) slowed the start of every process, but the benchmark's tracer
+still subclasses this name.
 
 The layer modules are bound here unexecuted (the package registers them
 lazily) and are read only as module attributes inside the commands, so
@@ -40,7 +42,8 @@ exactpoly and thresholds, certmax certmax and kernels, eclass and
 scan-eclass envelope, kernels and certmax. A from-import of a layer
 name would execute the layer with this module. fractions is not
 imported here either: a Fraction is rendered only once a layer has
-imported it, so --version and certmax never load fractions or decimal.
+imported it, and only the exact lane computes one, so --version,
+certmax, eclass and scan-eclass never load fractions or decimal.
 main catches the package's Refusal, which every layer's refusal
 derives from, so a failing command executes no layer it did not reach.
 """
@@ -103,7 +106,8 @@ class Result(NamedTuple):
 def _fraction_text(v) -> Optional[str]:
     # "p/q" for a Fraction, else None; a Fraction exists only once some
     # layer imported fractions, so a command that computes none (--version,
-    # certmax) never loads fractions or the decimal module it imports
+    # certmax and the grid commands) never loads fractions or the decimal
+    # module it imports
     fractions = sys.modules.get("fractions")
     if fractions is not None and isinstance(v, fractions.Fraction):
         return f"{v.numerator}/{v.denominator}"
@@ -119,17 +123,12 @@ def _fmt_scalar(v) -> str:
     return str(v) if text is None else text
 
 
-def _jsonable(v):
+def _json_default(v) -> str:
+    # json.dumps calls this only for what it cannot encode: a Fraction
     text = _fraction_text(v)
-    if text is not None:
-        return text
-    if isinstance(v, tuple):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, list):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    return v
+    if text is None:
+        raise TypeError(f"{type(v).__name__} is not JSON serializable")
+    return text
 
 
 def render(result: Result, fmt: str) -> str:
@@ -138,7 +137,7 @@ def render(result: Result, fmt: str) -> str:
         import json
 
         body = {"schema": SCHEMA, **result.record}
-        return json.dumps(_jsonable(body), indent=2, sort_keys=True) + "\n"
+        return json.dumps(body, indent=2, sort_keys=True, default=_json_default) + "\n"
     if fmt == "csv":
         lines = [result.header, *result.rows]
         return "".join(",".join(_fmt_scalar(v) for v in line) + "\n" for line in lines)
@@ -246,7 +245,7 @@ def cmd_eclass(args: argparse.Namespace) -> Result:
     cert_at = envelope.membership_certificate(peak.min_m, peak)
     cert_below = envelope.membership_certificate(peak.min_m - 1, peak)
     enc = certmax.certified_alpha().value_enclosure
-    sandwich = envelope.sandwich_check(peak, enc.lo, enc.hi, grid_points=max(1000, grid // 10))
+    sandwich = envelope.sandwich_check(peak, enc.lo, enc.hi, grid_points=grid // 10)
     ok = cert_at.member and not cert_below.member
     record = {
         "command": "eclass",

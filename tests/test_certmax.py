@@ -29,8 +29,8 @@ class TestLimitShape:
         assert limit_shape(math.pi) == 2.0 / math.pi**2
 
     def test_plunges_near_half_pi(self):
-        # float cos(pi/2) is not exactly 0, so the pole shows up as a very
-        # large negative value rather than the -inf sentinel
+        # float cos(pi/2) is not exactly 0, nor is any double's cosine, so
+        # the pole shows up as a very large negative value
         assert limit_shape(math.pi / 2) < -20.0
         assert limit_shape(math.pi / 2 + 1e-9) < limit_shape(2.0)
 

@@ -501,17 +501,8 @@ class TestSandwich:
         assert rep.n_upper_violations == 0
         assert not rep.lower_ok
         assert rep.n_lower_violations > 0
-        assert len(rep.lower_violations) <= 20
-        # violations cluster just past the left singular angle
-        first_theta = rep.lower_violations[0][0]
-        assert math.pi / 9 < first_theta < 1.2 * math.pi / 9
         assert rep.max_in_enclosure
         assert rep.enclosure_lo <= rep.max_ratio <= rep.enclosure_hi
-
-    def test_keep_cap(self, alpha):
-        rep = sandwich_check(_peak(9), alpha[0], alpha[1], keep=5)
-        assert len(rep.lower_violations) == 5
-        assert rep.n_lower_violations > 5
 
     def test_k16_in_enclosure(self, alpha):
         peak = _peak(16)
@@ -540,30 +531,21 @@ class TestSandwich:
     @pytest.mark.parametrize("k", [9, 12, 16, 30])
     def test_matches_pointwise_reference(self, alpha, k):
         # the per-point loop sandwich_check replaced, kept as the reference
-        n, keep = 10_000, 20
+        n = 10_000
         lo, hi = math.pi / k, 2.0 * math.pi / k
         k4 = float(k) ** 4
         slack = 1.0 + 8.0 / (k * k)
-        up_bad, dn_bad = [], []
-        n_up = n_dn = 0
+        n_up = 0
+        dn = []
         for i in range(1, n + 1):
             theta = lo + (hi - lo) * (i / n)
             ratio = threshold_value(k, theta) / k4
             d = limit_shape(0.5 * k * theta)
-            if ratio > d + 1e-9:
-                n_up += 1
-                if len(up_bad) < keep:
-                    up_bad.append((theta, ratio, d))
-            lower = d / slack
-            if ratio < lower - 1e-9:
-                n_dn += 1
-                if len(dn_bad) < keep:
-                    dn_bad.append((theta, ratio, lower))
-        rep = sandwich_check(_peak(k), alpha[0], alpha[1], grid_points=n, keep=keep)
-        assert rep.n_upper_violations == n_up
-        assert rep.n_lower_violations == n_dn
-        # NumPy's log1p is not libm's, so kept values agree to a few ulps
-        for got, want in ((rep.upper_violations, up_bad), (rep.lower_violations, dn_bad)):
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert g == pytest.approx(w, rel=1e-12)
+            n_up += ratio > d + 1e-9
+            if ratio < d / slack - 1e-9:
+                dn.append(theta)
+        rep = sandwich_check(_peak(k), alpha[0], alpha[1], grid_points=n)
+        assert (rep.n_upper_violations, rep.n_lower_violations) == (n_up, len(dn))
+        if k == 9:
+            # the lower squeeze fails just past the left singular angle
+            assert math.pi / 9 < dn[0] < 1.2 * math.pi / 9

@@ -2,6 +2,7 @@ import ast
 import inspect
 import math
 import random
+import sys
 import textwrap
 import tracemalloc
 from types import SimpleNamespace
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from rounding import count_nonneg_threshold, mp_threshold, threshold_rounding_bound
 from unimodal_lab import kernels
 from unimodal_lab.certmax import limit_shape
-from unimodal_lab.envelope import denominator_gap, threshold_value
+from unimodal_lab.envelope import _K_MAX, denominator_gap, threshold_value
 
 PI = math.pi
 
@@ -271,13 +272,16 @@ class TestSelect:
         assert set(vars(kernels.SCALAR_OPS)) == want
         assert set(vars(kernels.ARRAY_OPS)) == want
 
-    @pytest.mark.parametrize("name", ["threshold", "gap", "limit_shape"])
-    def test_formulas_branch_only_through_select(self, name):
+    # limit_shape has no branch: no double's cosine is 0
+    @pytest.mark.parametrize("name, selects", [("threshold", 1), ("gap", 1), ("limit_shape", 0)],
+                             ids=["threshold", "gap", "limit_shape"])
+    def test_formulas_branch_only_through_select(self, name, selects):
         tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(kernels, name))))
         assert not [node for node in ast.walk(tree) if isinstance(node, (ast.If, ast.IfExp))]
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        assert not names & {"where", "any"}
+        attrs = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+        assert not (names | set(attrs)) & {"where", "any"}
+        assert attrs.count("select") == selects
 
     def test_gap_straddling_the_cutoff_is_the_where_of_both_branches(self):
         cut = kernels.GAP_SERIES_BELOW
@@ -332,7 +336,8 @@ def _clamped(k, theta, ops, where):
     # the formulas with every branch evaluated at every point, their
     # arguments clamped so that no log sees 0 or less, and the sentinels
     # selected last: the reference for select. Returns L(k, theta), the gap
-    # at the clamped s, and D(theta).
+    # at the clamped s, and D(theta), which has no branch (no double's
+    # cosine is 0).
     half = 0.5 * theta
     s, q = ops.sin(half), ops.sin(k * half)
     s, q = s * s, q * q
@@ -345,9 +350,8 @@ def _clamped(k, theta, ops, where):
     g = where(s_c < kernels.GAP_SERIES_BELOW, series, -ops.log1p(-s_c) - s_c)
     L = where((s >= 1.0) | (q >= 1.0), -math.inf, ((k * k) * s_c + ops.log1p(-q_c)) / g)
     c = ops.cos(theta)
-    c2 = c * c
     z2 = theta * theta
-    D = where(c2 <= 0.0, -math.inf, 2.0 / z2 + 2.0 * ops.log(where(c2 <= 0.0, 1.0, c2)) / (z2 * z2))
+    D = 2.0 / z2 + 2.0 * ops.log(c * c) / (z2 * z2)
     return L, s_c, g, D
 
 
@@ -538,3 +542,46 @@ class TestEdgeContracts:
     def test_count_zero_before_first_singularity(self, k):
         lo, hi = 1e-9, (PI / k) * (1.0 - 1e-9)
         assert count_nonneg_threshold(k, lo, hi, 20_000) == 0
+
+
+def _doubles_next_to_odd_half_pi(j):
+    # the two doubles on either side of (2j + 1) pi/2
+    with mpmath.workprec(256):
+        exact = (2 * j + 1) * mpmath.pi / 2
+        z = float(exact)
+        if z < exact:
+            return z, math.nextafter(z, math.inf)
+        return math.nextafter(z, -math.inf), z
+
+
+class TestBranchesNoInputReaches:
+    """The facts that let max_threshold and limit_shape go without a branch."""
+
+    @pytest.mark.parametrize("n", [1000, 100_000])
+    @pytest.mark.parametrize("k", [2, 3, _K_MAX], ids=["2", "3", "K_MAX"])
+    def test_lobe_grid_max_is_finite_and_positive(self, k, n):
+        # max_threshold refuses no grid: every lobe grid holds a point
+        # where L is finite and positive
+        v, theta = kernels.grid_max_threshold(k, PI / k, 2 * PI / k, n)
+        assert math.isfinite(v) and v > 0.0
+        assert PI / k < theta <= 2 * PI / k
+        if k == 2:
+            # the last grid point, theta = pi, is the -inf sentinel
+            # (test_threshold_at_pi_alone_is_the_float_sentinel), so the
+            # peak lies inside the lobe
+            assert theta < PI
+
+    @pytest.mark.parametrize("j", [0, 1, 2, 50, 500_000, 5 * 10**14])
+    def test_limit_shape_is_finite_next_to_odd_multiples_of_half_pi(self, j):
+        z = np.array(_doubles_next_to_odd_half_pi(j))
+        with np.errstate(all="raise"):
+            assert np.isfinite(kernels.limit_shape_values(z)).all()
+        for t in z.tolist():
+            assert math.isfinite(kernels.limit_shape(t, kernels.SCALAR_OPS))
+
+    def test_no_double_has_a_zero_cosine(self):
+        # the double nearest an odd multiple of pi/2 (Muller, Elementary
+        # Functions) still has cos^2 z a positive normal float
+        z = float(6381956970095103 * 2**797)
+        assert math.cos(z) ** 2 > 0.0
+        assert math.cos(z) ** 2 >= sys.float_info.min
