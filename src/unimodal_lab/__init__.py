@@ -11,8 +11,8 @@ Three layers:
 
 Grid scans run on NumPy in unimodal_lab.kernels, which loads it on the
 first grid call, so importing the package does not import NumPy. The
-package exports only its layer modules, __version__ and Refusal; each
-layer's public names are read from the layer.
+package exports only its layer modules, __version__, Refusal and
+OutOfRange; each layer's public names are read from the layer.
 
 Importing the package executes none of its layers. Each of kernels,
 exactpoly, thresholds, envelope and certmax is registered in sys.modules
@@ -35,6 +35,12 @@ class Refusal(Exception):
 
     exit_code = 3
     label = "certification failure"
+
+
+class OutOfRange(Refusal):
+    """An input lies beyond the range a layer's verdict is proven for:
+    exactpoly.family_report at m + k >= 2^49, envelope.max_threshold
+    above envelope._K_MAX."""
 
 
 def _lazy(name: str):

@@ -13,7 +13,11 @@ Subcommands:
 Exit codes: 0 success, 1 usage or input error, 2 verdict mismatch,
 3 numeric certification failure, 4 nothing found below the cap. A
 layer's refusal is a unimodal_lab.Refusal, which carries its exit code
-(3, or 4 for thresholds.NotFoundError) and its stderr label.
+and its stderr label; there are three: unimodal_lab.OutOfRange (3, an
+input beyond the proven range), envelope.Inconclusive (3, a margin in
+the undecidable band) and thresholds.NotFoundError (4). eclass and
+scan-eclass also exit 3, with their output written, when a maximum lies
+outside the max-level alpha sandwich.
 
 Each subcommand returns one Result, and render() writes it in one of
 three formats: json (the record, schema "unimodal-lab/1", stable key
@@ -245,8 +249,9 @@ def cmd_eclass(args: argparse.Namespace) -> Result:
     cert_at = envelope.membership_certificate(peak.min_m, peak)
     cert_below = envelope.membership_certificate(peak.min_m - 1, peak)
     enc = certmax.certified_alpha().value_enclosure
-    sandwich = envelope.sandwich_check(peak, enc.lo, enc.hi, grid_points=grid // 10)
-    ok = cert_at.member and not cert_below.member
+    sandwich = envelope.sandwich_check(k, grid_points=grid // 10)
+    lo_b, hi_b = envelope.sandwich_bounds(k, enc.lo, enc.hi)
+    in_sandwich = lo_b <= peak.ratio_k4 <= hi_b
     record = {
         "command": "eclass",
         "k": k,
@@ -263,18 +268,24 @@ def cmd_eclass(args: argparse.Namespace) -> Result:
             "lower_ok": sandwich.lower_ok,
             "n_upper_violations": sandwich.n_upper_violations,
             "n_lower_violations": sandwich.n_lower_violations,
-            "max_ratio": sandwich.max_ratio,
-            "enclosure_lo": sandwich.enclosure_lo,
-            "enclosure_hi": sandwich.enclosure_hi,
-            "max_in_enclosure": sandwich.max_in_enclosure,
+            "max_ratio": peak.ratio_k4,
+            "enclosure_lo": lo_b,
+            "enclosure_hi": hi_b,
+            "max_in_enclosure": in_sandwich,
         },
     }
     header = ["k", "max_threshold", "argmax_theta", "m_of_k", "ratio_k4", "near_integer"]
     pairs = [(key, record[key]) for key in ["k", "backend", *header[1:]]]
     pairs += [("member_at_m_of_k", cert_at.member), ("margin_at_m_of_k", cert_at.min_margin)]
     pairs += [("member_below", cert_below.member), ("margin_below", cert_below.min_margin)]
-    pairs += [("max_in_enclosure", sandwich.max_in_enclosure)]
-    code = _EXIT_OK if ok and sandwich.max_in_enclosure else _EXIT_CERTIFICATION
+    pairs += [("max_in_enclosure", in_sandwich)]
+    # The two certificates re-apply the band max_threshold already applied,
+    # so they cannot refute min_m. min_m is either ceil(top), with top at
+    # least 1e-6 from every integer, or n or n + 1 as _decide_margin(n - top)
+    # chose. m - top is exact (Sterbenz: m < 2^53 and top > 2 at every
+    # k >= 2), so the margin at min_m is >= -1e-12 and the one at min_m - 1
+    # is <= -1e-9. Only the max-level sandwich can fail.
+    code = _EXIT_OK if in_sandwich else _EXIT_CERTIFICATION
     return Result(code, record, header, [[record[key] for key in header]], pairs)
 
 

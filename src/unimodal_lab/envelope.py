@@ -28,13 +28,12 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from . import Refusal, kernels
+from . import OutOfRange, Refusal, kernels
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 __all__ = [
-    "ReductionViolation",
     "Inconclusive",
     "ThetaScan",
     "ThresholdMax",
@@ -54,10 +53,6 @@ __all__ = [
     "sandwich_bounds",
     "sandwich_check",
 ]
-
-
-class ReductionViolation(Refusal):
-    """The lobe scan cannot run: k is beyond its float range."""
 
 
 class Inconclusive(Refusal):
@@ -323,13 +318,13 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
     near_integer. Where one float step of the maximum is wider than that
     band (max L above 2^23, from about k = 72) the bands cannot place
     it, and Inconclusive is raised too. Above k = _K_MAX (about 1.5708e75)
-    the lobe leaves the float range of the scan, and ReductionViolation is
-    raised before it.
+    the lobe leaves the float range of the scan, and unimodal_lab.OutOfRange
+    is raised before it.
     """
     k = scan.k
     n = scan.grid_points
     if k > _K_MAX:
-        raise ReductionViolation(
+        raise OutOfRange(
             f"k above {_K_MAX:.5e} puts sin^2(pi/(2k)) below {kernels._S_NORMAL:g}, "
             "outside the float range of the lobe scan"
         )
@@ -430,14 +425,14 @@ def quartic_floor_check(psi: float) -> tuple[bool, float]:
 
 
 class SandwichReport(NamedTuple):
-    """Pointwise and max-level comparison against the limit shape.
+    """Pointwise comparison against the limit shape.
 
     For theta in (pi/k, 2 pi/k) and z = k theta / 2, the limit shape
     D(z) should squeeze L/k^4 between D/(1 + 8/k^2) and D. Violations
     are counted, not asserted away: the lower squeeze genuinely fails
     near theta = pi/k, where the log part blows up faster than the
-    8/k^2 slack absorbs. The max-level enclosure (the quantity that
-    matters for min_m scaling) uses the refined maximum.
+    8/k^2 slack absorbs. The max-level sandwich (the quantity that
+    matters for min_m scaling) is sandwich_bounds.
     """
 
     k: int
@@ -446,10 +441,6 @@ class SandwichReport(NamedTuple):
     lower_ok: bool
     n_upper_violations: int
     n_lower_violations: int
-    max_ratio: float
-    enclosure_lo: float
-    enclosure_hi: float
-    max_in_enclosure: bool
 
 
 def _squeeze(k: int) -> float:
@@ -465,24 +456,14 @@ def sandwich_bounds(k: int, alpha_lo: float, alpha_hi: float) -> tuple[float, fl
     return alpha_lo / _squeeze(k) - 1e-9, alpha_hi + 1e-9
 
 
-def sandwich_check(
-    peak: ThresholdMax,
-    alpha_lo: float,
-    alpha_hi: float,
-    grid_points: int = 10_000,
-) -> SandwichReport:
+def sandwich_check(k: int, grid_points: int = 10_000) -> SandwichReport:
     """Compare L/k^4 against the limit-shape sandwich on (pi/k, 2 pi/k).
 
-    alpha_lo/alpha_hi is a certified enclosure of the limit-shape
-    maximum. `peak` is max_threshold's result for the k under test;
-    its ratio_k4 is the max(L)/k^4 checked against
-    sandwich_bounds(k, alpha_lo, alpha_hi). Pointwise slack is 1e-9
-    absolute on the ratio scale, on a grid of max(grid_points, 1000)
-    points; the violations of each kind are counted, not kept. The grid is
-    walked in blocks of kernels.GRID_BLOCK points, so memory does not
-    grow with grid_points.
+    Pointwise slack is 1e-9 absolute on the ratio scale, on a grid of
+    max(grid_points, 1000) points; the violations of each kind are
+    counted, not kept. The grid is walked in blocks of kernels.GRID_BLOCK
+    points, so memory does not grow with grid_points.
     """
-    k = peak.k
     n = max(grid_points, 1000)
     k4 = float(k) ** 4
     n_up = n_dn = 0
@@ -491,16 +472,5 @@ def sandwich_check(
         d = kernels.limit_shape_values(0.5 * k * theta)
         n_up += int((ratio > d + 1e-9).sum())
         n_dn += int((ratio < d / _squeeze(k) - 1e-9).sum())
-    lo_bound, hi_bound = sandwich_bounds(k, alpha_lo, alpha_hi)
-    return SandwichReport(
-        k=k,
-        grid_points=n,
-        upper_ok=n_up == 0,
-        lower_ok=n_dn == 0,
-        n_upper_violations=n_up,
-        n_lower_violations=n_dn,
-        max_ratio=peak.ratio_k4,
-        enclosure_lo=lo_bound,
-        enclosure_hi=hi_bound,
-        max_in_enclosure=lo_bound <= peak.ratio_k4 <= hi_bound,
-    )
+    return SandwichReport(k=k, grid_points=n, upper_ok=n_up == 0, lower_ok=n_dn == 0,
+                          n_upper_violations=n_up, n_lower_violations=n_dn)

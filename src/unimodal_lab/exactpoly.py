@@ -16,7 +16,7 @@ import math
 import sys
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from . import Refusal
+from . import OutOfRange
 
 __all__ = [
     "FamilyParams",
@@ -30,7 +30,6 @@ __all__ = [
     "is_strongly_unimodal",
     "unimodal_report",
     "family_report",
-    "OutOfRange",
 ]
 
 
@@ -263,10 +262,6 @@ _EPS = 2.0**-52
 _N_LIMIT = 2**49
 
 
-class OutOfRange(Refusal):
-    """family_report's rounding bound is not proven for this (m, k)."""
-
-
 def family_report(m: int, k: int) -> UnimodalReport:
     """unimodal_report(expand_family(m, k)), decided without building the row.
 
@@ -356,9 +351,9 @@ def family_report(m: int, k: int) -> UnimodalReport:
     scaled a stays above 2^-949; a step r(u) is below (m+1) h < 2^97, so
     the scaled a stays below 2^97; and (m-u+1)/u lies between 1/h and m.
     So every rounded quantity is normal. For k <= m and N >= 2^49
-    family_report raises OutOfRange before it converts anything to a
-    float: the bound s is not proven there, and the scan would take
-    about 2^48 steps anyway.
+    family_report raises unimodal_lab.OutOfRange before it converts
+    anything to a float: the bound s is not proven there, and the scan
+    would take about 2^48 steps anyway.
 
     Every index the two tests leave open is decided in integers by
     _log_concave_at, so the report is the exact one. The scan returns at

@@ -3,8 +3,8 @@ import math
 import mpmath
 import pytest
 
+from unimodal_lab import certmax
 from unimodal_lab.certmax import (
-    BracketFailure,
     CertifiedMax,
     Interval,
     certified_alpha,
@@ -96,6 +96,11 @@ class TestInterval:
 
 
 class TestBracketCritical:
+    def test_constant_ends_change_sign(self):
+        # certified_alpha bisects from these ends without evaluating them
+        assert shape_deriv_factor(certmax._LO) < -1e6
+        assert shape_deriv_factor(certmax._HI) > 9.8
+
     def test_bracket(self):
         iv = certified_alpha().crit_bracket
         assert iv.width <= 1e-10
@@ -114,8 +119,8 @@ def result():
 class TestCertifiedAlpha:
     def test_structure(self, result):
         assert isinstance(result, CertifiedMax)
-        # the bisection's 36 evaluations of p, then p(a), D(a) and D(b)
-        assert result.evaluations == 39
+        # the bisection's 34 evaluations of p, then p(a), D(a) and D(b)
+        assert result.evaluations == 37
         assert result.crit_bracket.width <= 1e-10
 
     def test_enclosure_is_tight(self, result):

@@ -10,7 +10,7 @@ import mpmath
 import pytest
 
 from rounding import mp_peak
-from unimodal_lab import certmax, envelope, kernels
+from unimodal_lab import envelope, kernels
 from unimodal_lab.cli import main
 
 
@@ -261,6 +261,22 @@ class TestEclass:
         doc = json.loads(out)
         assert doc["sandwich"]["max_ratio"] == doc["ratio_k4"]
 
+    def test_maximum_outside_the_sandwich_exits_three(self, capsys, monkeypatch):
+        # the one exit 3 of eclass and scan-eclass that is not a refusal:
+        # the record is still written
+        monkeypatch.setattr(envelope, "sandwich_bounds", lambda k, lo, hi: (1.0, 2.0))
+        code, out, err = run(capsys, "eclass", "--k", "9", "--format", "json")
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["sandwich"]["max_in_enclosure"] is False
+        assert (doc["sandwich"]["enclosure_lo"], doc["sandwich"]["enclosure_hi"]) == (1.0, 2.0)
+        assert doc["certificate_at_m_of_k"]["member"] is True
+        assert err == ""
+        code, out, err = run(capsys, "scan-eclass", "--k-min", "9", "--k-max", "10", "--format", "json")
+        assert code == 3
+        assert json.loads(out)["all_in_sandwich"] is False
+        assert err == ""
+
     def test_text_format(self, capsys):
         code, out, err = run(capsys, "eclass", "--k", "9", "--format", "text", "--grid", "20000")
         assert code == 0
@@ -453,15 +469,6 @@ class TestCertmax:
         with pytest.raises(SystemExit) as ei:
             main(["certmax", "--tol", "0.1"])
         assert ei.value.code == 1
-
-    @pytest.mark.parametrize("argv", [["certmax"], ["eclass", "--k", "9"]])
-    def test_no_sign_change_exits_three(self, capsys, monkeypatch, argv):
-        # p > 0 at both ends of (pi/2, pi): no bracket, so no alpha
-        monkeypatch.setattr(certmax, "shape_deriv_factor", lambda z: 1.0)
-        code, out, err = run(capsys, *argv)
-        assert code == 3
-        assert "certification failure" in err
-        assert out == ""
 
 
 class TestGeneral:

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from rounding import mp_peak
+import unimodal_lab
 from unimodal_lab import envelope, kernels
 from unimodal_lab.certmax import certified_alpha, limit_shape
 from unimodal_lab.envelope import (
     Inconclusive,
     MembershipCertificate,
-    ReductionViolation,
     ThetaScan,
     ThresholdMax,
     _decide_margin,
@@ -287,7 +287,7 @@ class TestLobeReduction:
     def test_refused_only_beyond_the_float_range(self):
         # the reduction itself never refuses; only a lobe below the least s
         # the cell bounds accept does, and _K_MAX is the last k inside
-        with pytest.raises(ReductionViolation, match="float range"):
+        with pytest.raises(unimodal_lab.OutOfRange, match="float range"):
             max_threshold(ThetaScan(envelope._K_MAX + 1, 1000))
         with pytest.raises(Inconclusive):
             max_threshold(ThetaScan(envelope._K_MAX, 1000))
@@ -409,6 +409,14 @@ class TestMarginShift:
         assert not membership_certificate(1, peak).member
         assert membership_certificate(10 * m_of_k, peak).member
 
+    def test_certificates_agree_with_min_m_at_every_small_k(self):
+        # max_threshold already decided min_m in the certificate's bands,
+        # and m - max_value is exact, so eclass re-checks neither certificate
+        for k in range(2, 201):
+            peak = max_threshold(ThetaScan(k))
+            assert membership_certificate(peak.min_m, peak).member, k
+            assert not membership_certificate(peak.min_m - 1, peak).member, k
+
 
 class TestNearInteger:
     """max_threshold decides a peak within 1e-6 of an integer n by the margin n - peak."""
@@ -441,6 +449,8 @@ class TestNearInteger:
         peak = max_threshold(ThetaScan(9))
         assert peak.near_integer is True
         assert peak.min_m == min_m
+        assert membership_certificate(peak.min_m, peak).member
+        assert not membership_certificate(peak.min_m - 1, peak).member
         assert scans == [(9, math.pi / 9, 2 * math.pi / 9, 100_000)]
 
     @pytest.mark.parametrize(
@@ -496,40 +506,36 @@ def alpha():
 
 class TestSandwich:
     def test_k9_report(self, alpha):
-        rep = sandwich_check(_peak(9), alpha[0], alpha[1])
+        rep = sandwich_check(9)
         assert rep.upper_ok
         assert rep.n_upper_violations == 0
         assert not rep.lower_ok
         assert rep.n_lower_violations > 0
-        assert rep.max_in_enclosure
-        assert rep.enclosure_lo <= rep.max_ratio <= rep.enclosure_hi
+        lo_b, hi_b = sandwich_bounds(9, alpha[0], alpha[1])
+        assert lo_b <= _peak(9).ratio_k4 <= hi_b
 
     def test_k16_in_enclosure(self, alpha):
-        peak = _peak(16)
-        rep = sandwich_check(peak, alpha[0], alpha[1])
-        assert rep.upper_ok
-        assert rep.max_in_enclosure
-        assert rep.max_ratio == peak.ratio_k4
+        assert sandwich_check(16).upper_ok
+        lo_b, hi_b = sandwich_bounds(16, alpha[0], alpha[1])
+        assert lo_b <= _peak(16).ratio_k4 <= hi_b
 
     def test_bounds_are_the_max_level_sandwich(self, alpha):
-        rep = sandwich_check(_peak(12), alpha[0], alpha[1])
-        assert (rep.enclosure_lo, rep.enclosure_hi) == sandwich_bounds(12, alpha[0], alpha[1])
-        assert rep.enclosure_lo == alpha[0] / (1.0 + 8.0 / 144) - 1e-9
-        assert rep.enclosure_hi == alpha[1] + 1e-9
+        lo_b, hi_b = sandwich_bounds(12, alpha[0], alpha[1])
+        assert lo_b == alpha[0] / (1.0 + 8.0 / 144) - 1e-9
+        assert hi_b == alpha[1] + 1e-9
 
-    def test_hundred_thousand_points_stay_small(self, alpha):
+    def test_hundred_thousand_points_stay_small(self):
         # the grid is walked in blocks; the whole-grid arrays peaked at 7.7 MiB
-        peak = _peak(500)
         tracemalloc.start()
         try:
-            sandwich_check(peak, alpha[0], alpha[1], grid_points=100_000)
+            sandwich_check(500, grid_points=100_000)
             peak_bytes = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak_bytes < 3e6
 
     @pytest.mark.parametrize("k", [9, 12, 16, 30])
-    def test_matches_pointwise_reference(self, alpha, k):
+    def test_matches_pointwise_reference(self, k):
         # the per-point loop sandwich_check replaced, kept as the reference
         n = 10_000
         lo, hi = math.pi / k, 2.0 * math.pi / k
@@ -544,7 +550,7 @@ class TestSandwich:
             n_up += ratio > d + 1e-9
             if ratio < d / slack - 1e-9:
                 dn.append(theta)
-        rep = sandwich_check(_peak(k), alpha[0], alpha[1], grid_points=n)
+        rep = sandwich_check(k, grid_points=n)
         assert (rep.n_upper_violations, rep.n_lower_violations) == (n_up, len(dn))
         if k == 9:
             # the lower squeeze fails just past the left singular angle

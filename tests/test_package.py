@@ -21,16 +21,21 @@ def test_version():
     assert unimodal_lab.__version__ == "0.1.0"
 
 
-@pytest.mark.parametrize(
-    "refusal, code",
-    [(exactpoly.OutOfRange, 3), (envelope.Inconclusive, 3), (envelope.ReductionViolation, 3),
-     (certmax.BracketFailure, 3), (thresholds.NotFoundError, 4)],
-    ids=lambda v: getattr(v, "__name__", None),
-)
+_REFUSALS = [(unimodal_lab.OutOfRange, 3), (envelope.Inconclusive, 3), (thresholds.NotFoundError, 4)]
+
+
+@pytest.mark.parametrize("refusal, code", _REFUSALS, ids=lambda v: getattr(v, "__name__", None))
 def test_every_refusal_is_a_package_refusal(refusal, code):
     # cli.main catches only unimodal_lab.Refusal and exits with its code
     assert issubclass(refusal, unimodal_lab.Refusal)
     assert refusal.exit_code == code
+
+
+def test_the_package_has_three_refusals():
+    # each remaining refusal has a cause some CLI input reaches
+    for layer in (certmax, envelope, exactpoly, kernels, thresholds):
+        layer.__name__  # the first attribute read executes a layer
+    assert set(unimodal_lab.Refusal.__subclasses__()) == {refusal for refusal, _ in _REFUSALS}
 
 
 def test_benchmark_tracer_finds_every_name(monkeypatch):
