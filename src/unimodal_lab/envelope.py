@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from . import OutOfRange, Refusal, kernels
+from . import OutOfRange, Refusal, exactpoly, kernels
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -134,11 +134,7 @@ def product_identity_residual(
     """
     fn = [float(c) for c in _normalized(f)]
     gn = [float(c) for c in _normalized(g)]
-    prod = [0.0] * (len(fn) + len(gn) - 1)
-    for i, cf in enumerate(fn):
-        for j, cg in enumerate(gn):
-            prod[i + j] += cf * cg
-    h_fg = defect_general(prod, theta)
+    h_fg = defect_general(exactpoly.poly_mul(fn, gn), theta)
     w = 4.0 * math.sin(0.5 * theta) ** 2
     vf = float(variance(fn))
     t1 = math.exp(-vf * w) * defect_general(gn, theta)

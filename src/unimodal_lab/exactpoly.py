@@ -6,21 +6,19 @@ rounding bound proves the exact comparison would give the same answer,
 and handing every other index to that exact comparison: the one in
 ``is_strongly_unimodal``, and the log-concavity scan of
 ``family_report``, which decides (1+x)^m (1+x^k) without building its
-row. Sequences are indexed by degree, so ``seq[u]`` is the coefficient
-of x^u.
+row. Sequences are plain lists of ints indexed by degree, so ``seq[u]``
+is the coefficient of x^u.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import OutOfRange
 
 __all__ = [
-    "FamilyParams",
-    "CoeffSeq",
     "UnimodalReport",
     "binomial",
     "coefficient",
@@ -33,77 +31,31 @@ __all__ = [
 ]
 
 
-class _FamilyFields(NamedTuple):
-    m: int
-    k: int
+def _require_k(k: int) -> None:
+    if not isinstance(k, int) or k < 2:
+        raise ValueError(f"k must be an integer >= 2, got {k!r}")
 
 
-class FamilyParams(_FamilyFields):
-    """Parameters (m, k) of the product (1+x)^m (1+x^k)."""
-
-    __slots__ = ()
-
-    def __new__(cls, m: int, k: int) -> "FamilyParams":
-        if not isinstance(m, int) or m < 1:
-            raise ValueError(f"m must be a positive integer, got {m!r}")
-        if not isinstance(k, int) or k < 2:
-            raise ValueError(f"k must be an integer >= 2, got {k!r}")
-        return super().__new__(cls, m, k)
-
-    @property
-    def degree(self) -> int:
-        return self.m + self.k
-
-
-class CoeffSeq:
-    """Nonnegative integer coefficient sequence, held as a tuple.
-
-    The tuple is kept verbatim (no trimming), so witness indices reported
-    by the predicates always refer to the caller's positions.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[int, ...]) -> None:
-        if not coeffs:
-            raise ValueError("coefficient sequence must be nonempty")
-        for i, c in enumerate(coeffs):
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-                raise ValueError(f"coefficient at index {i} is not a nonnegative int: {c!r}")
-        self.coeffs = coeffs
-
-    @classmethod
-    def from_iterable(cls, values: Iterable[int]) -> "CoeffSeq":
-        return cls(tuple(values))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __getitem__(self, i):
-        return self.coeffs[i]
-
-    def __iter__(self):
-        return iter(self.coeffs)
+def _check_family(m: int, k: int) -> None:
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"m must be a positive integer, got {m!r}")
+    _require_k(k)
 
 
 def binomial(n: int, r: int) -> int:
     """C(n, r), with the convention that out-of-range r gives 0."""
-    if r < 0 or r > n:
-        return 0
-    return math.comb(n, r)
+    return math.comb(n, r) if r >= 0 else 0
 
 
 def coefficient(m: int, k: int, u: int) -> int:
     """Coefficient of x^u in (1+x)^m (1+x^k): C(m, u) + C(m, u-k)."""
-    FamilyParams(m, k)
+    _check_family(m, k)
     return binomial(m, u) + binomial(m, u - k)
 
 
-def _expand_list(m: int, k: int) -> list[int]:
+def expand_family(m: int, k: int) -> list[int]:
+    """Full coefficient sequence of (1+x)^m (1+x^k), degree m + k."""
+    _check_family(m, k)
     # binomial row for (1+x)^m by the multiplicative recurrence up to the
     # middle, mirrored by C(m, r) = C(m, m - r); then add the copy shifted
     # by k
@@ -118,14 +70,8 @@ def _expand_list(m: int, k: int) -> list[int]:
     return out
 
 
-def expand_family(m: int, k: int) -> CoeffSeq:
-    """Full coefficient sequence of (1+x)^m (1+x^k), degree m + k."""
-    FamilyParams(m, k)
-    return CoeffSeq(tuple(_expand_list(m, k)))
-
-
-def poly_mul(a: Sequence[int], b: Sequence[int]) -> CoeffSeq:
-    """Schoolbook product of two nonnegative integer coefficient sequences."""
+def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Schoolbook product of two coefficient sequences."""
     pa = list(a)
     pb = list(b)
     if not pa or not pb:
@@ -136,7 +82,7 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> CoeffSeq:
             continue
         for j, cb in enumerate(pb):
             out[i + j] += ca * cb
-    return CoeffSeq.from_iterable(out)
+    return out
 
 
 def is_unimodal(seq: Sequence[int]) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -361,7 +307,7 @@ def family_report(m: int, k: int) -> UnimodalReport:
     the row is not unimodal (x(h) < 1, step 3). Each index costs about one
     int / int division and a few float operations.
     """
-    FamilyParams(m, k)
+    _check_family(m, k)
     n = m + k
     if k > m + 1:
         return UnimodalReport(False, (k - 1, k), False, m, "internal-zero")

@@ -15,8 +15,9 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import Refusal
 from .exactpoly import (
-    FamilyParams,
+    _check_family,
     _neighbour_ratio,
+    _require_k,
     coefficient,
     family_report,
     is_strongly_unimodal,
@@ -64,7 +65,7 @@ def central_ratio_odd(m: int, k: int) -> Fraction:
     Closed form (m^2 + 2m + 3(k^2 - 1)) / ((m + 3)^2 - k^2). Equals 1
     exactly at m = k^2 - 3 and exceeds 1 below it.
     """
-    FamilyParams(m, k)
+    _check_family(m, k)
     if (m + k) % 2 != 1:
         raise ValueError(f"m + k must be odd, got m={m}, k={k}")
     den = (m + 3) ** 2 - k * k
@@ -79,7 +80,7 @@ def central_ratio_even(m: int, k: int) -> Fraction:
     Closed form (m^2 + k^2 + 2m) / ((m + 2)^2 - k^2). Equals 1 exactly at
     m = k^2 - 2.
     """
-    FamilyParams(m, k)
+    _check_family(m, k)
     if (m + k) % 2 != 0:
         raise ValueError(f"m + k must be even, got m={m}, k={k}")
     den = (m + 2) ** 2 - k * k
@@ -108,11 +109,6 @@ def ratio_vs_coefficients(m: int, k: int) -> tuple[Fraction, Fraction]:
         h = d // 2
     num, den = _neighbour_ratio(m, k, h)
     return closed, Fraction(den, num)
-
-
-def _require_k(k: int) -> None:
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"k must be an integer >= 2, got {k!r}")
 
 
 def a_of_u(k: int, u: int) -> Fraction:
@@ -374,5 +370,5 @@ def generic_min_N(p: Sequence[int], cap: int = 64) -> int:
     for n in range(cap + 1):
         if is_strongly_unimodal(current)[0]:
             return n
-        current = list(poly_mul(current, [1, 1]))
+        current = poly_mul(current, [1, 1])
     raise NotFoundError(f"no N <= {cap} smooths the given sequence")

@@ -71,7 +71,7 @@ def test_criterion_03_central_plateau_at_threshold():
     bad = []
     for k in range(2, 21):
         m = k * k - 3
-        seq = list(expand_family(m, k))
+        seq = expand_family(m, k)
         d = m + k
         mid = [seq[(d - 3) // 2], seq[(d - 1) // 2], seq[(d + 1) // 2], seq[(d + 3) // 2]]
         if len(set(mid)) != 1 or central_ratio_odd(m, k) != 1:

@@ -254,12 +254,7 @@ class TestEclass:
         sw = doc["sandwich"]
         assert sw["max_in_enclosure"] is True
         assert sw["upper_ok"] is True
-
-    def test_sandwich_checks_the_reported_peak(self, capsys):
-        code, out, err = run(capsys, "eclass", "--k", "30", "--grid", "20000")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["sandwich"]["max_ratio"] == doc["ratio_k4"]
+        assert sw["max_ratio"] == doc["ratio_k4"]
 
     def test_maximum_outside_the_sandwich_exits_three(self, capsys, monkeypatch):
         # the one exit 3 of eclass and scan-eclass that is not a refusal:

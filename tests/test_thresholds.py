@@ -4,7 +4,6 @@ import pytest
 
 from unimodal_lab import exactpoly, thresholds
 from unimodal_lab.exactpoly import (
-    _expand_list,
     binomial,
     expand_family,
     is_strongly_unimodal,
@@ -43,7 +42,7 @@ def _spy(monkeypatch):
             return fn(*args)
         return wrapped
 
-    for fn in (_expand_list, expand_family, is_strongly_unimodal, is_unimodal):
+    for fn in (expand_family, is_strongly_unimodal, is_unimodal):
         for mod in (exactpoly, thresholds):
             if hasattr(mod, fn.__name__):
                 monkeypatch.setattr(mod, fn.__name__, counting(fn))
@@ -140,14 +139,14 @@ class TestCentralDip:
         # every k to 60, then sampled: expanding all of 3..150 takes ~3 s
         for k in [*range(3, 61), 88, 120, 150]:
             m = k * k - 4
-            seq = _expand_list(m, k)
+            seq = expand_family(m, k)
             h = (m + k) // 2
             assert Fraction(seq[h - 1], seq[h]) == central_ratio_even(m, k)
             assert seq[h + 1] == seq[h - 1] > seq[h]
 
     def test_dip_fails_both_predicates(self):
         for k in range(3, 30):
-            seq = _expand_list(k * k - 4, k)
+            seq = expand_family(k * k - 4, k)
             assert not is_unimodal(seq)[0]
             assert not is_strongly_unimodal(seq)[0]
 
@@ -441,10 +440,10 @@ class TestGenericMinN:
             n = generic_min_N(coeffs)
             prod = list(coeffs)
             for _ in range(n):
-                prod = list(poly_mul(prod, [1, 1]))
+                prod = poly_mul(prod, [1, 1])
             assert is_strongly_unimodal(prod)[0]
             if n > 0:
                 prev = list(coeffs)
                 for _ in range(n - 1):
-                    prev = list(poly_mul(prev, [1, 1]))
+                    prev = poly_mul(prev, [1, 1])
                 assert not is_strongly_unimodal(prev)[0]
