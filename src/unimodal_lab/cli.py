@@ -13,11 +13,11 @@ Subcommands:
 Exit codes: 0 success, 1 usage or input error, 2 verdict mismatch,
 3 numeric certification failure, 4 nothing found below the cap. A
 layer's refusal is a unimodal_lab.Refusal, which carries its exit code
-and its stderr label; there are three: unimodal_lab.OutOfRange (3, an
-input beyond the proven range), envelope.Inconclusive (3, a margin in
-the undecidable band) and thresholds.NotFoundError (4). eclass and
-scan-eclass also exit 3, with their output written, when a maximum lies
-outside the max-level alpha sandwich.
+and its stderr label; there are two: unimodal_lab.OutOfRange (3, an
+input beyond the proven range, such as eclass or scan-eclass at
+k > 1000) and thresholds.NotFoundError (4). eclass and scan-eclass also
+exit 3, with their output written, when a maximum lies outside the
+max-level alpha sandwich.
 
 Each subcommand returns one Result, and render() writes it in one of
 three formats: json (the record, schema "unimodal-lab/1", stable key
@@ -279,12 +279,9 @@ def cmd_eclass(args: argparse.Namespace) -> Result:
     pairs += [("member_at_m_of_k", cert_at.member), ("margin_at_m_of_k", cert_at.min_margin)]
     pairs += [("member_below", cert_below.member), ("margin_below", cert_below.min_margin)]
     pairs += [("max_in_enclosure", in_sandwich)]
-    # The two certificates re-apply the band max_threshold already applied,
-    # so they cannot refute min_m. min_m is either ceil(top), with top at
-    # least 1e-6 from every integer, or n or n + 1 as _decide_margin(n - top)
-    # chose. m - top is exact (Sterbenz: m < 2^53 and top > 2 at every
-    # k >= 2), so the margin at min_m is >= -1e-12 and the one at min_m - 1
-    # is <= -1e-9. Only the max-level sandwich can fail.
+    # min_m = ceil(top), and the certificates decide the exact sign of
+    # m - top, so the one at min_m is a member and the one below is not.
+    # Only the max-level sandwich can fail.
     code = _EXIT_OK if in_sandwich else _EXIT_CERTIFICATION
     return Result(code, record, header, [[record[key] for key in header]], pairs)
 

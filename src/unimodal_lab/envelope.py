@@ -28,13 +28,12 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from . import OutOfRange, Refusal, exactpoly, kernels
+from . import OutOfRange, exactpoly, kernels
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 __all__ = [
-    "Inconclusive",
     "ThetaScan",
     "ThresholdMax",
     "MembershipCertificate",
@@ -53,18 +52,6 @@ __all__ = [
     "sandwich_bounds",
     "sandwich_check",
 ]
-
-
-class Inconclusive(Refusal):
-    """Membership margin fell inside the undecidable numeric band."""
-
-    def __init__(self, min_margin: float, witness_theta: float):
-        super().__init__(
-            f"min margin {min_margin:.3e} at theta={witness_theta:.12g} is inside the "
-            "inconclusive band (-1e-9, -1e-12] or below the float resolution of max L"
-        )
-        self.min_margin = min_margin
-        self.witness_theta = witness_theta
 
 
 def _normalized(coeffs: Sequence) -> tuple:
@@ -225,7 +212,7 @@ class MembershipCertificate(NamedTuple):
 
     min_margin is m - peak.max_value, witness_theta the peak's
     argmax_theta and grid_points the size of the lobe grid that found
-    it; see membership_certificate for the verdict bands.
+    it; member is min_margin >= 0.
     """
 
     m: int
@@ -260,10 +247,10 @@ def _golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float,
     return (c, yc) if yc >= yd else (d, yd)
 
 
-# the largest k whose lobe s = sin^2(pi/(2k)) stays above kernels._S_NORMAL,
-# the least s the cell bounds accept; k is compared as an integer, so the
-# test cannot overflow
-_K_MAX = int(math.pi / (2.0 * math.asin(math.sqrt(kernels._S_NORMAL))))
+# the largest k whose float verdict is checked against a proven enclosure
+# of max L at every k (tests/proven_peak.py); k is compared as an integer,
+# so the test cannot overflow
+_K_VERIFIED = 1000
 
 
 def max_threshold(scan: ThetaScan) -> ThresholdMax:
@@ -296,34 +283,34 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
     cos^2 z (kernels, Rounding), so log1p(-q^) < -33, or q^ rounds to 1
     and L is the -inf sentinel.
 
-    Every lobe grid of n >= 1000 points at 2 <= k <= _K_MAX holds a point
-    where the computed L is finite and positive, so the grid maximum is
-    never the -inf sentinel and the peak is positive. For k >= 3 the last
-    grid point is 2 pi/k to within an ulp: there s^ = sin^2(pi/k) lies in
-    [4 _S_NORMAL, 3/4], so the gap is a positive normal float, and q^ is
-    about 1.5e-32, so L is smooth_part(k, 2 pi/k) > 0 to rounding. At
+    Every lobe grid of n >= 1000 points at 2 <= k <= _K_VERIFIED holds a
+    point where the computed L is finite and positive, so the grid maximum
+    is never the -inf sentinel and the peak is positive. For k >= 3 the
+    last grid point is 2 pi/k to within an ulp: there s^ = sin^2(pi/k)
+    lies in [9.8e-6, 3/4], so the gap is a positive normal float, and q^
+    is about 1.5e-32, so L is smooth_part(k, 2 pi/k) > 0 to rounding. At
     k = 2 that point is pi, where s^ rounds to 1 (the sentinel), but on
     [3 pi/4, pi) the numerator 4 s + ln cos^2 theta exceeds
     4 sin^2(3 pi/8) - ln 2 > 2.7, and the grid step pi/(2n) <= pi/2000
     puts grid points in [3 pi/4, pi - pi/2000], where s^ < 1.
 
-    min_m is the least integer m that is a member. When the maximum sits
-    within 1e-6 of an integer n the ceiling is not trusted: n is decided
-    by the margin n - max L in membership_certificate's bands (so the
-    band between raises Inconclusive) and the result is flagged
-    near_integer. Where one float step of the maximum is wider than that
-    band (max L above 2^23, from about k = 72) the bands cannot place
-    it, and Inconclusive is raised too. Above k = _K_MAX (about 1.5708e75)
-    the lobe leaves the float range of the scan, and unimodal_lab.OutOfRange
-    is raised before it.
+    min_m = ceil(max L) is the least integer m that is a member, proven
+    for 2 <= k <= _K_VERIFIED = 1000 only; above it unimodal_lab.OutOfRange
+    is raised before any scan. At every k there ceil of the float peak
+    equals the m(k) of a proven interval enclosure of max L
+    (tests/proven_peak.py), and the peak lies at least 7.92e-4 from its
+    nearest integer (the least is at k = 393, on grids of 10^3, 10^5 and
+    10^6 points), while its float error is at most 4.4 % of that distance
+    (the most at k = 756: 4.4e-5 against 9.9e-4). So a last-bit change in
+    libm or NumPy cannot move min_m, and near_integer, a peak within 1e-6
+    of an integer, is false at every such k. Above k = 1000 the float
+    peak is off by a few ulp of max L, and from k = 2480 that moves
+    ceil(max L).
     """
     k = scan.k
     n = scan.grid_points
-    if k > _K_MAX:
-        raise OutOfRange(
-            f"k above {_K_MAX:.5e} puts sin^2(pi/(2k)) below {kernels._S_NORMAL:g}, "
-            "outside the float range of the lobe scan"
-        )
+    if k > _K_VERIFIED:
+        raise OutOfRange(f"the envelope verdict is proven only for k <= {_K_VERIFIED}")
     lo, hi = math.pi / k, 2.0 * math.pi / k
     grid_val, grid_theta = kernels.grid_max_threshold(k, lo, hi, n)
     # refine within one grid step of the best grid point, which stays if
@@ -334,19 +321,8 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
     )
     if top < grid_val:
         theta, top = grid_theta, grid_val
-    nearest = round(top)
-    near = abs(top - nearest) < 1e-6
-    if near:
-        cand = int(nearest)
-        margin = cand - top
-        if math.ulp(top) > 1e-9:
-            # one float step of the peak is wider than the inconclusive
-            # band, so the band cannot place the peak against cand
-            raise Inconclusive(margin, theta)
-        min_m = cand if _decide_margin(margin, theta) else cand + 1
-    else:
-        min_m = math.ceil(top)
-    return ThresholdMax(k, top, theta, min_m, top / k**4, near, n)
+    near = abs(top - round(top)) < 1e-6
+    return ThresholdMax(k, top, theta, math.ceil(top), top / k**4, near, n)
 
 
 def _check_m(m: int) -> None:
@@ -354,29 +330,21 @@ def _check_m(m: int) -> None:
         raise ValueError(f"m must be a positive integer, got {m!r}")
 
 
-def _decide_margin(margin: float, witness_theta: float) -> bool:
-    if margin >= -1e-12:
-        return True
-    if margin <= -1e-9:
-        return False
-    raise Inconclusive(margin, witness_theta)
-
-
 def membership_certificate(m: int, peak: ThresholdMax) -> MembershipCertificate:
     """Decide whether (m, peak.k) is in the class from the margin m - max L.
 
     peak is max_threshold's result for k: its max_value is max L over
     (0, pi), by the lobe reduction proven there, so the certificate scans
-    nothing. Verdict bands on the margin m - peak.max_value: >= -1e-12
-    is a member, <= -1e-9 is not (witness_theta, the peak's argmax,
-    locates the violation), and the band between raises Inconclusive
-    rather than guessing.
+    nothing. The verdict is the sign of the margin m - peak.max_value,
+    and witness_theta, the peak's argmax, locates a violation. max_threshold
+    refuses k above 1000, and there the peak lies at least 7.92e-4 from
+    every integer with a float error of at most 4.4 % of that distance,
+    so the sign is that of m - max L at every integer m.
     """
     _check_m(m)
     margin = m - peak.max_value
-    theta = peak.argmax_theta
     return MembershipCertificate(
-        m, peak.k, _decide_margin(margin, theta), margin, theta, peak.grid_points
+        m, peak.k, margin >= 0.0, margin, peak.argmax_theta, peak.grid_points
     )
 
 

@@ -6,10 +6,9 @@ import threading
 import tracemalloc
 import warnings
 
-import mpmath
 import pytest
 
-from rounding import mp_peak
+from proven_peak import proven_peak
 from unimodal_lab import envelope, kernels
 from unimodal_lab.cli import main
 
@@ -303,37 +302,30 @@ class TestEclass:
             assert cert["witness_theta"] == doc["argmax_theta"]
             assert cert["grid_points"] == 300_000
 
-    def test_inconclusive_near_integer_exits_three(self, capsys, monkeypatch):
-        # a lobe peak 1e-10 above an integer leaves the margin inside the
-        # undecidable band
-        monkeypatch.setattr(kernels, "grid_max_threshold", lambda *args: (2065 + 1e-10, 0.49))
-        monkeypatch.setattr(envelope, "threshold_value", lambda k, theta: float("-inf"))
-        code, out, err = run(capsys, "eclass", "--k", "9")
-        assert code == 3
-        assert "inconclusive band" in err
-        assert out == ""
-
-    @pytest.mark.parametrize("k", [3116, 3397, 3545, 12000])
-    def test_large_k_prints_the_true_ceiling_or_refuses(self, capsys, k):
-        # L sits 0.01-0.03 above an integer at the first three, so a peak a
-        # few hundredths low gives an m(k) one too small; at 12000 one ulp
-        # of L is 1 and the float peak is 2 above the true maximum
+    @pytest.mark.parametrize("k", [1001, 3116, 3397, 3545, 12000])
+    def test_large_k_is_refused(self, capsys, k):
+        # no float verdict above k = 1000 is checked against a proven
+        # enclosure (L sits 0.01-0.03 above an integer at 3116, 3397 and
+        # 3545, and one ulp of L is 1 at 12000): exit 3, nothing on stdout,
+        # one line on stderr
         code, out, err = run(capsys, "eclass", "--k", str(k))
-        assert code in (0, 3)
-        if code == 0:
-            doc = json.loads(out)
-            assert doc["m_of_k"] == int(mpmath.ceil(mp_peak(k, doc["argmax_theta"])))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "certification failure" in err
 
-    # the float peak lands on the wrong side of an integer at these k, so
-    # eclass prints an m(k) one or two too high and exits 0 (ROADMAP
-    # Found 1); strict, so the fix has to drop the mark
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="float peak rounds m(k) up")
-    @pytest.mark.parametrize("k", [6500, 7868, 8006, 10029])
+    # the float peak lands on the wrong side of an integer at these k: one
+    # too high from 2480, one too low at 5443, where it certified a false
+    # member (ROADMAP Found 1), so eclass refuses them; strict, so printing
+    # the proven ceiling has to drop the mark
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="refused above k = 1000 until m(k) comes from a proven enclosure",
+    )
+    @pytest.mark.parametrize("k", [2480, 5443, 6500, 7868, 8006, 10029])
     def test_prints_the_true_ceiling(self, capsys, k):
         code, out, err = run(capsys, "eclass", "--k", str(k))
         assert code == 0
-        doc = json.loads(out)
-        assert doc["m_of_k"] == int(mpmath.ceil(mp_peak(k, doc["argmax_theta"], 80)))
+        assert json.loads(out)["m_of_k"] == proven_peak(k)[2]
 
     def test_tol_is_gone(self, capsys):
         with pytest.raises(SystemExit) as ei:
@@ -395,18 +387,13 @@ class TestScanEclass:
         assert body.startswith("k,max_threshold")
         assert len(body.splitlines()) == 3
 
-    def test_k3397_prints_the_true_ceiling(self, capsys):
-        code, out, err = run(capsys, "scan-eclass", "--k-min", "3397", "--k-max", "3397")
-        assert code == 0
-        row = out.splitlines()[1].split(",")
-        assert int(row[3]) == int(mpmath.ceil(mp_peak(3397, float(row[2]))))
-
-    def test_k12000_refuses_or_prints_the_true_ceiling(self, capsys):
-        code, out, err = run(capsys, "scan-eclass", "--k-min", "12000", "--k-max", "12000")
-        assert code in (0, 3)
-        if code == 0:
-            row = out.splitlines()[1].split(",")
-            assert int(row[3]) == int(mpmath.ceil(mp_peak(12000, float(row[2]))))
+    @pytest.mark.parametrize("k_min, k_max", [(3397, 3397), (12000, 12000), (1000, 1001)])
+    def test_k_above_1000_is_refused(self, capsys, k_min, k_max):
+        # one k above 1000 refuses the whole scan, with no partial table
+        code, out, err = run(capsys, "scan-eclass", "--k-min", str(k_min), "--k-max", str(k_max))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "certification failure" in err
 
     def test_tol_is_gone(self, capsys):
         with pytest.raises(SystemExit) as ei:
@@ -435,9 +422,8 @@ class TestScanEclass:
     @pytest.mark.parametrize("exp", [77, 80, 155, 400])
     @pytest.mark.parametrize("cmd", ["eclass", "scan-eclass"])
     def test_k_beyond_the_float_range_exits_three(self, capsys, cmd, exp):
-        # above about k = 1.5708e75 the lobe's sin^2(pi/(2k)) is below the
-        # least s the cell bounds accept; near 10^155 k^2 overflows a float
-        # and near 10^309 so does pi/k
+        # near 10^155 k^2 overflows a float and near 10^309 so does pi/k;
+        # the k > 1000 refusal compares integers, before any float is made
         k = str(10**exp)
         argv = ["eclass", "--k", k] if cmd == "eclass" else ["scan-eclass", "--k-min", k, "--k-max", k]
         with warnings.catch_warnings():

@@ -14,11 +14,9 @@ import unimodal_lab
 from unimodal_lab import envelope, kernels
 from unimodal_lab.certmax import certified_alpha, limit_shape
 from unimodal_lab.envelope import (
-    Inconclusive,
     MembershipCertificate,
     ThetaScan,
     ThresholdMax,
-    _decide_margin,
     _golden_max,
     _quartic_margin_small,
     defect_general,
@@ -222,10 +220,10 @@ class TestMaxThreshold:
         assert peak.max_value == pytest.approx(1280.24048, rel=1e-6)
         assert peak.min_m == 1281
 
-    @pytest.mark.parametrize("k", [30, 97, 200, 1000, 3397, 3545])
+    @pytest.mark.parametrize("k", [30, 97, 200, 1000])
     def test_peak_within_8_ulp_of_mpmath(self, k):
         # refined to float resolution, the peak is as good as the float
-        # evaluation of L; at 3397 and 3545 that decides ceil(L)
+        # evaluation of L
         peak = max_threshold(ThetaScan(k))
         exact = mp_peak(k, peak.argmax_theta)
         assert abs(mpmath.mpf(peak.max_value) - exact) <= 8 * math.ulp(peak.max_value)
@@ -284,13 +282,24 @@ class TestGoldenMax:
 class TestLobeReduction:
     """The lemmas behind max_threshold's reduction to (pi/k, 2 pi/k]."""
 
-    def test_refused_only_beyond_the_float_range(self):
-        # the reduction itself never refuses; only a lobe below the least s
-        # the cell bounds accept does, and _K_MAX is the last k inside
-        with pytest.raises(unimodal_lab.OutOfRange, match="float range"):
-            max_threshold(ThetaScan(envelope._K_MAX + 1, 1000))
-        with pytest.raises(Inconclusive):
-            max_threshold(ThetaScan(envelope._K_MAX, 1000))
+    def test_refused_only_beyond_the_verified_range(self):
+        # the reduction itself never refuses; the verdict is proven up to
+        # _K_VERIFIED, and every k above it is refused before any scan
+        assert envelope._K_VERIFIED == 1000
+        assert max_threshold(ThetaScan(1000, 1000)).min_m == 322931380716
+        with pytest.raises(unimodal_lab.OutOfRange, match="k <= 1000"):
+            max_threshold(ThetaScan(1001, 1000))
+
+    @pytest.mark.parametrize("k", [2480, 3116, 3397, 3545, 5443, 12000, 10**80])
+    def test_large_k_is_refused(self, k, monkeypatch):
+        # the float peak gives a wrong ceiling from k = 2480 (one too high
+        # there, one too low at 5443), so no k above 1000 reaches a scan
+        def forbidden(*args):
+            raise AssertionError("max_threshold scanned a refused k")
+
+        monkeypatch.setattr(kernels, "grid_max_threshold", forbidden)
+        with pytest.raises(unimodal_lab.OutOfRange):
+            max_threshold(ThetaScan(k))
 
     def test_reduction_never_consults_smooth_part(self, monkeypatch):
         # the lobe lemmas are exact, so no runtime tail check exists:
@@ -371,30 +380,18 @@ class TestMembership:
         with pytest.raises(ValueError):
             membership_certificate(2.5, peak)
 
-    def test_decide_margin_bands(self):
-        assert _decide_margin(5.0, 1.25)
-        assert _decide_margin(0.0, 1.25)
-        assert _decide_margin(-1e-12, 1.25)
-        assert not _decide_margin(-1e-9, 1.25)
-        assert not _decide_margin(-0.5, 1.25)
-        with pytest.raises(Inconclusive) as err:
-            _decide_margin(-5e-10, 1.25)
-        assert err.value.witness_theta == 1.25
-        # a certificate decides m - max_value in the same bands
-        peak = ThresholdMax(9, 9.0 + 5e-10, 1.25, 10, (9.0 + 5e-10) / 9**4, True, 1000)
-        with pytest.raises(Inconclusive) as err:
-            membership_certificate(9, peak)
-        assert err.value.witness_theta == 1.25
-
-    def test_inconclusive_payload(self):
-        err = Inconclusive(-5e-10, 1.25)
-        assert err.min_margin == -5e-10
-        assert err.witness_theta == 1.25
-        assert "inconclusive band" in str(err)
+    @pytest.mark.parametrize("top, member", [(9.0, True), (math.nextafter(9.0, 10.0), False)])
+    def test_verdict_is_the_sign_of_the_margin(self, top, member):
+        # m - max_value is decided by its sign alone, with no band
+        peak = ThresholdMax(9, top, 1.25, 10, top / 9**4, True, 1000)
+        cert = membership_certificate(9, peak)
+        assert cert.member is member
+        assert cert.min_margin == 9 - top
+        assert cert.witness_theta == 1.25
 
 
 class TestMarginShift:
-    @pytest.mark.parametrize("k", [9, 12, 30, 97, 200, 1000, 3116, 3397, 3545])
+    @pytest.mark.parametrize("k", [9, 12, 30, 97, 200, 1000])
     def test_member_flips_exactly_at_m_of_k(self, k):
         peak = _peak(k, 100_000)
         m_of_k = peak.min_m
@@ -409,63 +406,21 @@ class TestMarginShift:
         assert not membership_certificate(1, peak).member
         assert membership_certificate(10 * m_of_k, peak).member
 
-    def test_certificates_agree_with_min_m_at_every_small_k(self):
-        # max_threshold already decided min_m in the certificate's bands,
-        # and m - max_value is exact, so eclass re-checks neither certificate
-        for k in range(2, 201):
+    def test_every_verified_peak_is_far_from_an_integer(self):
+        # the facts that let max_threshold take ceil(top) and the
+        # certificates the sign of m - top: at every k <= 1000 the peak lies
+        # at least 7e-4 from its nearest integer (the least is 7.92e-4, at
+        # k = 393), far beyond its float error, on a coarse grid and on the
+        # default one, which agree on m(k)
+        for k in range(2, 1001):
+            coarse = max_threshold(ThetaScan(k, 1000))
             peak = max_threshold(ThetaScan(k))
+            for p in (coarse, peak):
+                assert abs(p.max_value - round(p.max_value)) >= 7e-4, k
+                assert not p.near_integer, k
+            assert coarse.min_m == peak.min_m, k
             assert membership_certificate(peak.min_m, peak).member, k
             assert not membership_certificate(peak.min_m - 1, peak).member, k
-
-
-class TestNearInteger:
-    """max_threshold decides a peak within 1e-6 of an integer n by the margin n - peak."""
-
-    N = 2065
-
-    def _stub_lobe(self, monkeypatch, peak_value):
-        # the lobe scan returns peak_value and the refinement finds nothing
-        # better, so the peak is exactly peak_value
-        scans = []
-
-        def scan(k, lo, hi, n):
-            scans.append((k, lo, hi, n))
-            return peak_value, 0.4934809319486516
-
-        monkeypatch.setattr(kernels, "grid_max_threshold", scan)
-        monkeypatch.setattr(envelope, "threshold_value", lambda k, theta: -math.inf)
-        return scans
-
-    @pytest.mark.parametrize(
-        "excess, min_m",
-        [
-            (2 * math.ulp(N), N),  # margin -9.1e-13, inside the member band
-            (-1e-7, N),  # peak a little below n
-            (1e-7, N + 1),  # margin -1e-7, beyond -1e-9
-        ],
-    )
-    def test_decided(self, monkeypatch, excess, min_m):
-        scans = self._stub_lobe(monkeypatch, self.N + excess)
-        peak = max_threshold(ThetaScan(9))
-        assert peak.near_integer is True
-        assert peak.min_m == min_m
-        assert membership_certificate(peak.min_m, peak).member
-        assert not membership_certificate(peak.min_m - 1, peak).member
-        assert scans == [(9, math.pi / 9, 2 * math.pi / 9, 100_000)]
-
-    @pytest.mark.parametrize(
-        "peak_value",
-        [
-            N + 1e-10,  # margin inside (-1e-9, -1e-12)
-            2.0**23,  # an integer whose float spacing 1.9e-9 exceeds the band
-        ],
-    )
-    def test_unresolved_is_inconclusive(self, monkeypatch, peak_value):
-        scans = self._stub_lobe(monkeypatch, peak_value)
-        with pytest.raises(Inconclusive) as err:
-            max_threshold(ThetaScan(9))
-        assert -1e-9 < err.value.min_margin <= 0.0
-        assert len(scans) == 1
 
 
 class TestQuarticFloor:

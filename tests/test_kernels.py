@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from rounding import count_nonneg_threshold, mp_threshold, threshold_rounding_bound
 from unimodal_lab import kernels
 from unimodal_lab.certmax import limit_shape
-from unimodal_lab.envelope import _K_MAX, denominator_gap, threshold_value
+from unimodal_lab.envelope import _K_VERIFIED, denominator_gap, threshold_value
 
 PI = math.pi
 
@@ -558,7 +558,7 @@ class TestBranchesNoInputReaches:
     """The facts that let max_threshold and limit_shape go without a branch."""
 
     @pytest.mark.parametrize("n", [1000, 100_000])
-    @pytest.mark.parametrize("k", [2, 3, _K_MAX], ids=["2", "3", "K_MAX"])
+    @pytest.mark.parametrize("k", [2, 3, _K_VERIFIED], ids=["2", "3", "K_VERIFIED"])
     def test_lobe_grid_max_is_finite_and_positive(self, k, n):
         # max_threshold refuses no grid: every lobe grid holds a point
         # where L is finite and positive

@@ -21,7 +21,7 @@ def test_version():
     assert unimodal_lab.__version__ == "0.1.0"
 
 
-_REFUSALS = [(unimodal_lab.OutOfRange, 3), (envelope.Inconclusive, 3), (thresholds.NotFoundError, 4)]
+_REFUSALS = [(unimodal_lab.OutOfRange, 3), (thresholds.NotFoundError, 4)]
 
 
 @pytest.mark.parametrize("refusal, code", _REFUSALS, ids=lambda v: getattr(v, "__name__", None))
@@ -31,7 +31,7 @@ def test_every_refusal_is_a_package_refusal(refusal, code):
     assert refusal.exit_code == code
 
 
-def test_the_package_has_three_refusals():
+def test_the_package_has_two_refusals():
     # each remaining refusal has a cause some CLI input reaches
     for layer in (certmax, envelope, exactpoly, kernels, thresholds):
         layer.__name__  # the first attribute read executes a layer
@@ -146,7 +146,8 @@ _LAYER_TABLE = [
     (["scan-eclass", "--k-min", "9", "--k-max", "10", "--grid", "20000"], 0, _GRID, False),
     (["check", "--m", "0", "--k", "3"], 1, ["exactpoly"], False),
     (["scan-theorem1", "--k-min", "2", "--k-max", "3", "--cap", "5"], 4, _EXACT, True),
-    (["eclass", "--k", "0"], 1, ["envelope", "kernels"], False),
+    (["eclass", "--k", "0"], 1, ["envelope"], False),
+    (["eclass", "--k", "1001"], 3, ["envelope"], False),
 ]
 
 
@@ -211,6 +212,7 @@ _EXITS = [
     pytest.param(["check", "--m", str(2**100), "--k", "5"], 3, id="out-of-range"),
     pytest.param(["scan-theorem1", "--k-min", "2", "--k-max", "3", "--cap", "5"], 4, id="not-found"),
     pytest.param(["eclass", "--k", "0"], 1, id="bad-k"),
+    pytest.param(["eclass", "--k", "1001"], 3, id="k-beyond-verified-range"),
     pytest.param(["eclass", "--k", str(10**80)], 3, id="k-beyond-float-range"),
 ]
 
