@@ -26,6 +26,7 @@ threshold_value and denominator_gap evaluate them on floats with libm.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import OutOfRange, exactpoly, kernels
@@ -326,8 +327,12 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
 
 
 def _check_m(m: int) -> None:
+    # the margin m - max L is a float, so m must convert to one; the
+    # int/float comparison is exact
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
+    if m > sys.float_info.max:
+        raise ValueError(f"m must be at most sys.float_info.max, got {m.bit_length()} bits")
 
 
 def membership_certificate(m: int, peak: ThresholdMax) -> MembershipCertificate:

@@ -44,7 +44,9 @@ GRID_BLOCK^2 (about 2.7e8), and one cell beyond: at k = 3 the
 tracemalloc peak is 1.9 MiB at n = 10^8 and 5.4 MiB at n = 10^9, whose
 cells are 61,036 points. grid_min_margin and grid_max_limit_shape make
 the same walk over every block of theta_blocks, with no bounds: at
-n = 10^7 each peaks at about 1.4 MiB.
+n = 10^7 each peaks at about 1.4 MiB. Neither has a caller in src/:
+perfbench/tracer.py wraps both by name. ROADMAP item 4 deletes them,
+after item 23 frees the tracer's pins.
 
 Cell bound. The grid expression is monotone in i, so the points of a
 cell lie in [a, b], between the grid angles at its two ends. On

@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 from proven_peak import proven_peak
-from unimodal_lab import envelope, kernels
+from unimodal_lab import cli, envelope, kernels
 from unimodal_lab.cli import main
 
 
@@ -562,3 +562,11 @@ def test_formats_agree_with_json(capsys, tmp_path, argv, keys):
         for shown_row in (csv_row, text_row):
             for key, shown in shown_row.items():
                 assert _same(shown, json_value(record, key)), (key, shown)
+
+
+def test_json_rejects_a_value_that_is_not_a_fraction():
+    # json.dumps hands _json_default only what it cannot encode; anything
+    # but a Fraction is an error, not a string
+    result = cli.Result(0, {"command": "x", "value": object()}, ["value"], [])
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        cli.render(result, "json")

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -229,6 +230,15 @@ class TestMaxThreshold:
         assert abs(mpmath.mpf(peak.max_value) - exact) <= 8 * math.ulp(peak.max_value)
         assert peak.min_m == int(mpmath.ceil(exact))
 
+    def test_grid_point_stays_when_the_refinement_is_worse(self, monkeypatch):
+        # the golden search keeps its better last probe, which may lie below
+        # the best grid point; max_threshold then reports the grid point
+        grid_val, grid_theta = kernels.grid_max_threshold(9, math.pi / 9, 2 * math.pi / 9, 100_000)
+        monkeypatch.setattr(envelope, "_golden_max", lambda f, a, b: (a, grid_val - 1.0))
+        peak = max_threshold(ThetaScan(9))
+        assert (peak.max_value, peak.argmax_theta) == (grid_val, grid_theta)
+        assert peak.min_m == 2065
+
     def test_million_point_scan_stays_small(self):
         # one whole-grid scan of 10^6 points peaks at about 86 MiB (some 25
         # arrays of 8 MB); the blocked scan keeps a few cache-sized arrays
@@ -379,6 +389,18 @@ class TestMembership:
             membership_certificate(0, peak)
         with pytest.raises(ValueError):
             membership_certificate(2.5, peak)
+
+    def test_m_up_to_the_largest_float(self):
+        # the margin is a float, so m must convert to one: the largest float
+        # still gets a verdict, and anything above it a ValueError naming
+        # the bound, not an OverflowError
+        peak = _peak(9)
+        top = int(sys.float_info.max)
+        cert = membership_certificate(top, peak)
+        assert cert.member and cert.min_margin == sys.float_info.max
+        for m in (top + 1, 10**400):
+            with pytest.raises(ValueError, match=r"at most sys\.float_info\.max"):
+                membership_certificate(m, peak)
 
     @pytest.mark.parametrize("top, member", [(9.0, True), (math.nextafter(9.0, 10.0), False)])
     def test_verdict_is_the_sign_of_the_margin(self, top, member):

@@ -22,7 +22,7 @@ from unimodal_lab.thresholds import central_ratio_even, central_ratio_odd
 
 
 def reference_strongly_unimodal(seq):
-    """The pure-integer loop the float filter must reproduce exactly."""
+    """The plain integer loop that is_strongly_unimodal's quotient bracket must reproduce exactly."""
     a = list(seq)
     support = [i for i, c in enumerate(a) if c != 0]
     if not support:
@@ -232,7 +232,7 @@ class TestIsStronglyUnimodal:
             assert is_unimodal(seq)[0]
 
 
-class TestFloatFilterMatchesReference:
+class TestQuotientBracketMatchesReference:
     """is_strongly_unimodal gives the reference loop's (ok, witness, reason)."""
 
     @given(st.lists(st.one_of(st.just(0), st.integers(0, 10**2000)), min_size=1, max_size=12))
@@ -276,7 +276,9 @@ class TestFloatFilterMatchesReference:
     @pytest.mark.parametrize("d", [0, -300, -309, -315, 309, 318])
     @pytest.mark.parametrize("e", [-1, 1, -(2**10), 2**10, -(2**12), 2**12])
     def test_near_tie_examples(self, e, d):
-        # 1 + e/2^60 sits inside the filter's undecided band up to |e| ~ 2^11
+        # the verdict is the sign of e, whether the quotient bracket decides
+        # it or the quotients tie (d < 0 makes both 0) and the integer
+        # comparison does
         seq = near_tie(3**500, 30, e, d)
         assert is_strongly_unimodal(seq) == (e >= 0, None if e >= 0 else 1,
                                              None if e >= 0 else "log-concavity")
@@ -296,6 +298,11 @@ class TestFloatFilterMatchesReference:
         [2, 0, 0, 10**400, 1],
         [5, 7, 0],
         [0, 7],
+        # a neighbour that is not positive
+        [-1, 2, 3],
+        [1, -2, 5],
+        [2, 3, -1],
+        [-1, 1, -2],
     ])
     def test_extreme_examples(self, seq):
         assert is_strongly_unimodal(seq) == reference_strongly_unimodal(seq)
@@ -303,6 +310,18 @@ class TestFloatFilterMatchesReference:
     @given(st.lists(st.integers(-(10**50), 10**50), min_size=1, max_size=10))
     def test_signed_entries(self, seq):
         assert is_strongly_unimodal(seq) == reference_strongly_unimodal(seq)
+
+    @pytest.mark.parametrize("seq, expect", [
+        ([2**70, 2**70 + 1, 2**70 + 2], (True, None, None)),
+        ([2**70 + 1, 2**70 + 1, 2**70 + 2], (False, 1, "log-concavity")),
+        # ratios below 2^-64, whose quotients are both 0
+        ([2**200, 2**100, 1], (True, None, None)),
+        ([2**200, 2**100, 2], (False, 1, "log-concavity")),
+    ])
+    def test_tied_quotients_go_to_the_integers(self, seq, expect):
+        a, b, c = seq
+        assert (b << 64) // a == (c << 64) // b
+        assert is_strongly_unimodal(seq) == reference_strongly_unimodal(seq) == expect
 
     def test_k88_stress_pair(self):
         member = expand_family(88 * 88 - 3, 88)
