@@ -38,10 +38,11 @@ class Refusal(Exception):
 
 
 class OutOfRange(Refusal):
-    """An input lies beyond the range a layer's verdict is proven for:
-    exactpoly.family_report at m + k >= 2^49, envelope.max_threshold at
-    k > 1000, the range its float verdict is checked over against a
-    proven enclosure of the peak."""
+    """An input lies beyond the range a layer gives a verdict for:
+    exactpoly.family_report at m + k >= 2^49 with k <= m, a bound on the
+    work of its exact scan, and envelope.max_threshold at k > 1000, the
+    range its float verdict is checked over against a proven enclosure
+    of the peak."""
 
 
 def _lazy(name: str):

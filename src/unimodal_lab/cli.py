@@ -14,10 +14,11 @@ Exit codes: 0 success, 1 usage or input error, 2 verdict mismatch,
 3 numeric certification failure, 4 nothing found below the cap. A
 layer's refusal is a unimodal_lab.Refusal, which carries its exit code
 and its stderr label; there are two: unimodal_lab.OutOfRange (3, an
-input beyond the proven range, such as eclass or scan-eclass at
-k > 1000) and thresholds.NotFoundError (4). eclass and scan-eclass also
-exit 3, with their output written, when a maximum lies outside the
-max-level alpha sandwich.
+input beyond the range a verdict is given for, such as eclass or
+scan-eclass at k > 1000, or check at m + k >= 2^49) and
+thresholds.NotFoundError (4). eclass and scan-eclass also exit 3,
+with their output written, when a maximum lies outside the max-level
+alpha sandwich.
 
 Each subcommand returns one Result, and render() writes it in one of
 three formats: json (the record, schema "unimodal-lab/1", stable key

@@ -161,6 +161,15 @@ def threshold_value(k: int, theta: float) -> float:
     curve's value, which tends logarithmically to 0 (even k) or -1
     (odd k) there.
 
+    Near theta = 0 the value loses accuracy: the numerator
+    k^2 s + log1p(-q) cancels to about L gap(s), with gap(s) ~ theta^4/32,
+    from terms of size k^2 theta^2/4, so the rounding error grows like
+    1/theta^2. At k = 9, where L(k, 0+) = -2241, it reads -2241.14 at
+    theta = 1e-6, -1262.2 at 1e-8 and +7.7e6 at 1e-10. No verdict
+    evaluates the curve outside the lobe (pi/k, 2 pi/k]: max_threshold
+    and sandwich_check scan only the lobe, and the certificates reuse
+    max_threshold's peak.
+
     L depends on theta only through sin^2(theta/2) and sin^2(k theta/2),
     both unchanged by theta -> 2 pi - theta (|f(conj z)| = |f(z)| for real
     coefficients), so L(k, theta) = L(k, 2 pi - theta) and (0, pi) is the

@@ -1,13 +1,11 @@
 """Exact coefficient sequences and unimodality predicates.
 
-Coefficients are Python ints and every verdict is exact.
-``is_strongly_unimodal`` decides in integers only. Floating point
-appears in one filter, the log-concavity scan of ``family_report``,
-which decides (1+x)^m (1+x^k) without building its row: it decides an
-index only when a derived rounding bound proves the exact comparison
-would give the same answer, and hands every other index to that exact
-comparison. Sequences are plain lists of ints indexed by degree, so
-``seq[u]`` is the coefficient of x^u.
+Coefficients are Python ints, every verdict is exact, and no function
+here does a floating-point operation. ``is_strongly_unimodal`` and
+``family_report``, which decides (1+x)^m (1+x^k) without building its
+row, bracket each ratio by an integer floor quotient and compare the
+integers themselves only where two brackets tie. Sequences are plain
+lists of ints indexed by degree, so ``seq[u]`` is the coefficient of x^u.
 """
 
 from __future__ import annotations
@@ -84,6 +82,11 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+# both bracket predicates put a ratio num/den with den > 0 in
+# [y, y + 1) / 2^_SHIFT, where y = (num << _SHIFT) // den
+_SHIFT = 64
+
+
 def is_unimodal(seq: Sequence[int]) -> tuple[bool, Optional[tuple[int, int]]]:
     """Decide unimodality: the sequence never rises again after a strict fall.
 
@@ -117,9 +120,9 @@ def is_strongly_unimodal(
     vacuously.
 
     The second check brackets each ratio in integers first. Where
-    a[i-1] > 0, q(i) = (a[i] << 64) // a[i-1] puts a[i]/a[i-1] in
-    [q(i), q(i) + 1) / 2^64. So when a[i-1] and a[i] are both positive,
-    q(i) > q(i+1) gives a[i]/a[i-1] > a[i+1]/a[i], hence (times
+    a[i-1] > 0, q(i) = (a[i] << _SHIFT) // a[i-1], with _SHIFT = 64,
+    puts a[i]/a[i-1] in [q(i), q(i) + 1) / 2^_SHIFT. So when a[i-1] and
+    a[i] are both positive, q(i) > q(i+1) gives a[i]/a[i-1] > a[i+1]/a[i], hence (times
     a[i-1] a[i] > 0) a[i]^2 > a[i-1] a[i+1], and q(i) < q(i+1) likewise
     gives a failure. Equal quotients, or a neighbour that is not
     positive, go to the integer comparison itself, so the verdict, the
@@ -136,9 +139,9 @@ def is_strongly_unimodal(
     for i in range(lo + 1, hi):
         if a[i] == 0:
             return False, i - 1, "internal-zero"
-    x = (a[lo + 1] << 64) // a[lo] if a[lo] > 0 else None
+    x = (a[lo + 1] << _SHIFT) // a[lo] if a[lo] > 0 else None
     for i in range(lo + 1, hi):
-        y = (a[i + 1] << 64) // a[i] if a[i] > 0 else None
+        y = (a[i + 1] << _SHIFT) // a[i] if a[i] > 0 else None
         if x is None or y is None or x == y:
             if a[i] * a[i] < a[i - 1] * a[i + 1]:
                 return False, i, "log-concavity"
@@ -165,11 +168,8 @@ def unimodal_report(seq: Sequence[int]) -> UnimodalReport:
     return UnimodalReport(ok_u, wit_u, ok_s, wit_s, reason)
 
 
-# family_report carries a(u) as a float times 2^(-900 j), widens its
-# filter by multiples of 2^-52, and refuses a degree N >= _N_LIMIT with
-# k <= m; its docstring derives all three
-_SCALE = 2.0**-900
-_EPS = 2.0**-52
+# family_report refuses a degree N >= _N_LIMIT with k <= m, a bound on
+# its work that its docstring derives
 _N_LIMIT = 2**49
 
 
@@ -178,8 +178,9 @@ def family_report(m: int, k: int) -> UnimodalReport:
 
     The report is the same, verdict, witness and reason, but the row of
     m + k + 1 integers of up to m bits is never built: unimodality comes
-    from the lemma below in closed form, and log-concavity from a scan of
-    O(m + k) float steps that holds O(1) numbers. Write c(u) for the
+    from the lemma below in closed form, and log-concavity from a window
+    lemma and an exact scan of the indices it leaves open, which holds
+    O(1) integers of O(k log m) bits. Write c(u) for the
     coefficients, N = m + k and h = N // 2.
 
     Closed forms. For k > m + 1, c(u) = 0 for m < u < k: the row falls
@@ -229,48 +230,46 @@ def family_report(m: int, k: int) -> UnimodalReport:
     With the closed forms above, unimodal holds exactly when m >= k^2 - 3
     for every m >= 1 and k >= 2.
 
-    Ratios. For u <= h <= m, c(u) = C(m, u) (1 + a(u)) with
-    a(u) = C(m, u-k)/C(m, u) = prod_{j<k} (u-j)/(m-u+k-j), which lies in
-    [0, 1] and is 0 for u < k. So x(u) = ((m-u+1)/u) (1+a(u))/(1+a(u-1)),
-    a(k) = prod_{i=1..k} i/(m-k+i), and a(u) = a(u-1) r(u) with
-    r(u) = (m-u+k+1) u / ((u-k) (m-u+1)) > 1 for u > k. For u < k,
-    x(u) = (m-u+1)/u falls strictly, so the row is log-concave there.
+    Ratios. For u <= m, c(u) = C(m, u) (1 + a(u)) with
+    a(u) = C(m, u-k)/C(m, u) = perm(u, k)/perm(m-u+k, k), which is 0 for
+    u < k. So x(u) = ((m-u+1)/u) (1+a(u))/(1+a(u-1)), which falls
+    strictly for u < k: the row is log-concave at 1 <= i <= k - 2. For
+    k < u <= m, a(u) = a(u-1) r(u) with r(u) = (m-u+k+1) u / ((u-k) (m-u+1))
+    and r(u) - 1 = k (m+1) / ((u-k) (m-u+1)) > 0, so a is nondecreasing.
 
-    Filter. Floats carry x(u) for k - 1 <= u <= h. The float a is a
-    times 2^(900 j): a factor of a(k) that takes it below 2^-900 scales it
-    up by 2^900 (j += 1), and a step of r that takes it above 1 while
-    j > 0 scales it back (j -= 1). Both are exact, and while j > 0,
-    a < 2^-900, so 1 + a rounds to 1 and the float used for it is 1. The
-    roundings are correctly rounded int / int divisions, products,
-    quotients and sums, all in the normal range (see Range), so
-    each multiplies its result by a factor in [phi, 1/phi],
-    phi = 1 - 2^-53. a(u) carries at most 2u of them (two per factor of
-    a(k) and per step), 1 + a(u) at most 2u + 1 (with a t for a,
-    (1 + a t)/(1 + a) lies between 1 and t), and x(u) at most E = 4h + 3.
-    So the float x^ of x satisfies x phi^E <= x^ <= x phi^-E. Let
-    s = 1 + (8h + 8) 2^-52. By Bernoulli, phi^-(2E+1) <=
-    1/(1 - (2E+1) 2^-53) <= 1 + (2E+1) 2^-52 < s, for any h below 2^48:
+    Window lemma. For 1 <= i < m let D(i) = a(i+1) - a(i) and
+    B(i) = 1 + (m+1)/(i (m-i)).
 
-    * x(i) >= x(i+1) when x^(i) >= fl(x^(i+1) s), since then
-      x(i) >= x^(i) phi^E >= x^(i+1) s phi^(E+1) >= x(i+1) s phi^(2E+1);
-    * x(i) < x(i+1) when fl(x^(i) s) < x^(i+1), since then
-      x(i) <= x^(i) phi^-E < x^(i+1) phi^-(E+1) / s <= x(i+1).
+    1. As (m-i+1)(i+1) = i (m-i) + m + 1, x(i)/x(i+1) =
+       B(i) (1+a(i))/(1+a(i+1)) (1+a(i))/(1+a(i-1)) >= B(i)/(1 + D(i)),
+       because a is nonnegative and nondecreasing. So i is log-concave
+       whenever D(i) i (m-i) <= m + 1.
+    2. D is nondecreasing. D(i) = 0 for i < k - 1, D(k-1) = a(k), and
+       for k < m, D(k) = a(k) (r(k+1) - 1) >= D(k-1) since r(k+1) - 1 =
+       k (m+1)/(m-k) >= 1. For k <= i and i + 2 <= m,
+       D(i+1) >= D(i) reads r(i+2) - 1 >= 1 - 1/r(i+1); with u = i + 1
+       that is k (m+1)/((u+1-k) (m-u)) >= k (m+1)/((m-u+k+1) u), true as
+       (m-u+k+1) u - (u+1-k) (m-u) = (k-1) (m-u) + (k+1) u >= 0.
+    3. i (m-i) is nondecreasing on 0 <= i <= m // 2, so the test of step 1
+       holds on a prefix of [k - 1, m // 2]. As D(i) = a(i) k (m+1) /
+       ((i+1-k) (m-i)), for k <= i < m it reads, in integers,
+       perm(i, k) k i <= (i+1-k) perm(m-i+k, k).
 
-    Range. The filter needs h < 2^48 and every rounding in the normal
-    range. Both hold for N < 2^49, where h < 2^48 and, as k <= m,
-    m < 2^49. A factor i/(m-k+i) of a(k) is at least 1/m > 2^-49, so the
-    scaled a stays above 2^-949; a step r(u) is below (m+1) h < 2^97, so
-    the scaled a stays below 2^97; and (m-u+1)/u lies between 1/h and m.
-    So every rounded quantity is normal. For k <= m and N >= 2^49
-    family_report raises unimodal_lab.OutOfRange before it converts
-    anything to a float: the bound s is not proven there, and the scan
-    would take about 2^48 steps anyway.
+    i0 = _window_start(m, k) is where the indices this proves end: every
+    i < i0 is log-concave, and i0 <= h, as h >= m // 2 + 1.
 
-    Every index the two tests leave open is decided in integers by
-    _log_concave_at, so the report is the exact one. The scan returns at
-    the first failure; without one before h, i = h fails exactly when
-    the row is not unimodal (x(h) < 1, step 3). Each index costs about one
-    int / int division and a few float operations.
+    Window. For i0 <= u <= h the scan carries p = perm(u, k) and
+    q = perm(m-u+k+1, k), each updated by one exact multiply and floor
+    division a step, and x(u) = num/den as in _neighbour_ratio. It
+    decides x(i) >= x(i+1) by the floor quotients (num << _SHIFT) // den,
+    as is_strongly_unimodal does, and compares the integers only where
+    two quotients are equal. The scan returns at the first failure;
+    without one before h, i = h fails exactly when the row is not
+    unimodal (x(h) < 1, step 3 of the unimodality lemma).
+
+    Work. The window can take up to h steps, so for k <= m and N >= 2^49
+    family_report raises unimodal_lab.OutOfRange, a bound on its work:
+    2^48 steps would take years.
     """
     _check_family(m, k)
     n = m + k
@@ -281,34 +280,44 @@ def family_report(m: int, k: int) -> UnimodalReport:
             return UnimodalReport(True, None, True, None, None)
         return UnimodalReport(False, (m + 1, m + 2), False, m, "log-concavity")
     if n >= _N_LIMIT:
-        raise OutOfRange(f"m + k is {n.bit_length()} bits long; the ratio scan's rounding bound "
-                         "is proven only below 2^49")
+        raise OutOfRange(f"m + k is {n.bit_length()} bits long; the exact log-concavity window "
+                         "can take (m + k) / 2 steps, so it runs only below 2^49")
     h = n // 2
     witness = None if m >= k * k - 3 else (h + n % 2, h + n % 2 + 1)
     strong = None if witness is None else h
-    am, j = 1.0, 0
-    for i in range(1, k + 1):
-        am *= i / (m - k + i)
-        if am < _SCALE:
-            am /= _SCALE
-            j += 1
-    s = 1.0 + (8 * h + 8) * _EPS
-    x0 = (m - k + 2) / (k - 1)
-    b0 = 1.0
-    for u in range(k, h + 1):
-        if u > k:
-            am *= (m - u + k + 1) * u / ((u - k) * (m - u + 1))
-            if j and am > 1.0:
-                am *= _SCALE
-                j -= 1
-        b = 1.0 if j else 1.0 + am
-        x = (m - u + 1) / u * b / b0
-        if x0 < x * s and (x0 * s < x or not _log_concave_at(m, k, u - 1)):
+    i0 = _window_start(m, k)
+    p, q = math.perm(i0, k), math.perm(m - i0 + k + 1, k)
+    prev = None
+    for u in range(i0, h + 1):
+        num, den = (m - u + k + 1) * p + (m - u + 1) * q, (u - k) * p + u * q
+        y = (num << _SHIFT) // den
+        if prev and (prev[0] < y or prev[0] == y and prev[1] * den < num * prev[2]):
             strong = u - 1
             break
-        x0, b0 = x, b
+        prev = y, num, den
+        # p is 0 only at u = k - 1, where the step would divide by 0
+        q = q * (m - u + 1) // (m - u + k + 1)
+        p = p * (u + 1) // (u + 1 - k) if p else math.perm(u + 1, k)
     return UnimodalReport(witness is None, witness, strong is None, strong,
                           None if strong is None else "log-concavity")
+
+
+def _window_start(m: int, k: int) -> int:
+    """First index of family_report's exact window, for 2 <= k <= m.
+
+    A binary search on [k, m // 2] for the first index that fails the
+    integer test of family_report's window lemma (m // 2 + 1 if none),
+    with two perm calls a probe. Every i in [k, i0) passes, and so does
+    k - 1 when k does; when k fails, the window starts at k - 1.
+    """
+    lo, hi = k, m // 2 + 1
+    while lo < hi:
+        i = (lo + hi) // 2
+        if math.perm(i, k) * k * i <= (i + 1 - k) * math.perm(m - i + k, k):
+            lo = i + 1
+        else:
+            hi = i
+    return lo if lo > k else k - 1
 
 
 def _neighbour_ratio(m: int, k: int, u: int) -> tuple[int, int]:
@@ -324,9 +333,3 @@ def _neighbour_ratio(m: int, k: int, u: int) -> tuple[int, int]:
     p, q = math.perm(u, k), math.perm(m - u + k + 1, k)
     return (m - u + k + 1) * p + (m - u + 1) * q, (u - k) * p + u * q
 
-
-def _log_concave_at(m: int, k: int, i: int) -> bool:
-    # x(i) >= x(i+1) in integers, for 1 <= i < m
-    n0, d0 = _neighbour_ratio(m, k, i)
-    n1, d1 = _neighbour_ratio(m, k, i + 1)
-    return n0 * d1 >= n1 * d0

@@ -145,8 +145,9 @@ class TestCheck:
 
     @pytest.mark.parametrize("m", [2**49, 2**100, 10**400], ids=["2^49", "2^100", "10^400"])
     def test_refuses_beyond_the_proven_range(self, capsys, m):
-        # family_report's rounding bound is proven for m + k < 2^49; beyond
-        # it the scan would not end (2^100) or overflow a float (10^400)
+        # family_report's exact window can take (m + k) / 2 steps, so it
+        # runs only for m + k < 2^49; beyond that bound on its work the
+        # scan would not end in practice (2^49, 2^100, 10^400)
         code, out, err = run(capsys, "check", "--m", str(m), "--k", "5")
         assert code == 3
         assert out == ""

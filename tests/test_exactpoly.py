@@ -1,6 +1,9 @@
+import functools
+import itertools
 import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given
@@ -232,6 +235,33 @@ class TestIsStronglyUnimodal:
             assert is_unimodal(seq)[0]
 
 
+_NEAR_TIE_D = [0, -300, -309, -315, 309, 318]
+_NEAR_TIE_E = [-1, 1, -(2**10), 2**10, -(2**12), 2**12]
+_EXTREME_EXAMPLES = [
+    [1, 10**400, 10**400],
+    [10**400, 1, 1],
+    [10**310, 1, 1],
+    [1, 1, 10**310],
+    [10**400, 10**400, 1],
+    [0, 0, 10**400, 1, 0, 0],
+    [2, 0, 0, 10**400, 1],
+    [5, 7, 0],
+    [0, 7],
+    # a neighbour that is not positive
+    [-1, 2, 3],
+    [1, -2, 5],
+    [2, 3, -1],
+    [-1, 1, -2],
+]
+_TIED_QUOTIENTS = [
+    ([2**70, 2**70 + 1, 2**70 + 2], (True, None, None)),
+    ([2**70 + 1, 2**70 + 1, 2**70 + 2], (False, 1, "log-concavity")),
+    # ratios below 2^-64, whose quotients are both 0
+    ([2**200, 2**100, 1], (True, None, None)),
+    ([2**200, 2**100, 2], (False, 1, "log-concavity")),
+]
+
+
 class TestQuotientBracketMatchesReference:
     """is_strongly_unimodal gives the reference loop's (ok, witness, reason)."""
 
@@ -273,8 +303,8 @@ class TestQuotientBracketMatchesReference:
         seq = head + near_tie(t, j, e, d) + tail
         assert is_strongly_unimodal(seq) == reference_strongly_unimodal(seq)
 
-    @pytest.mark.parametrize("d", [0, -300, -309, -315, 309, 318])
-    @pytest.mark.parametrize("e", [-1, 1, -(2**10), 2**10, -(2**12), 2**12])
+    @pytest.mark.parametrize("d", _NEAR_TIE_D)
+    @pytest.mark.parametrize("e", _NEAR_TIE_E)
     def test_near_tie_examples(self, e, d):
         # the verdict is the sign of e, whether the quotient bracket decides
         # it or the quotients tie (d < 0 makes both 0) and the integer
@@ -288,22 +318,7 @@ class TestQuotientBracketMatchesReference:
     def test_overflow_and_subnormal_ratios(self, seq):
         assert is_strongly_unimodal(seq) == reference_strongly_unimodal(seq)
 
-    @pytest.mark.parametrize("seq", [
-        [1, 10**400, 10**400],
-        [10**400, 1, 1],
-        [10**310, 1, 1],
-        [1, 1, 10**310],
-        [10**400, 10**400, 1],
-        [0, 0, 10**400, 1, 0, 0],
-        [2, 0, 0, 10**400, 1],
-        [5, 7, 0],
-        [0, 7],
-        # a neighbour that is not positive
-        [-1, 2, 3],
-        [1, -2, 5],
-        [2, 3, -1],
-        [-1, 1, -2],
-    ])
+    @pytest.mark.parametrize("seq", _EXTREME_EXAMPLES)
     def test_extreme_examples(self, seq):
         assert is_strongly_unimodal(seq) == reference_strongly_unimodal(seq)
 
@@ -311,13 +326,7 @@ class TestQuotientBracketMatchesReference:
     def test_signed_entries(self, seq):
         assert is_strongly_unimodal(seq) == reference_strongly_unimodal(seq)
 
-    @pytest.mark.parametrize("seq, expect", [
-        ([2**70, 2**70 + 1, 2**70 + 2], (True, None, None)),
-        ([2**70 + 1, 2**70 + 1, 2**70 + 2], (False, 1, "log-concavity")),
-        # ratios below 2^-64, whose quotients are both 0
-        ([2**200, 2**100, 1], (True, None, None)),
-        ([2**200, 2**100, 2], (False, 1, "log-concavity")),
-    ])
+    @pytest.mark.parametrize("seq, expect", _TIED_QUOTIENTS)
     def test_tied_quotients_go_to_the_integers(self, seq, expect):
         a, b, c = seq
         assert (b << 64) // a == (c << 64) // b
@@ -428,6 +437,72 @@ def _family_grid():
     return pairs
 
 
+def _window_grid():
+    # the family grid with k <= m, and scan-theorem1's two rows, m = k^2 - 4
+    # and k^2 - 3, for k = 77..89
+    pairs = [(m, k) for m, k in _family_grid() if k <= m]
+    return pairs + [(m, k) for k in range(77, 90) for m in (k * k - 4, k * k - 3)]
+
+
+class _WindowFacts(NamedTuple):
+    nondecreasing: bool  # D is nondecreasing on [0, min(h, m - 1)]
+    mismatches: list  # i in [k, m // 2] where the integer test differs from the real one
+    first_failing: int  # first i in [k, m // 2] failing the real test, m // 2 + 1 if none
+
+
+@functools.cache
+def _window_facts(m, k):
+    # from the exact increments D(i) = a(i+1) - a(i) with
+    # a(u) = perm(u, k)/perm(m-u+k, k), and the real test of the window
+    # lemma, D(i) i (m-i) <= m + 1. Each a(u+1) is a(u) times the factors
+    # perm(u+1, k)/perm(u, k) and perm(m-u+k, k)/perm(m-u-1+k, k), which
+    # spares Fraction a gcd of two unrelated perm values at every index;
+    # the last a is checked against its definition. Only the facts are
+    # cached, so the three tests below share one pass
+    top = min((m + k) // 2, m - 1)
+    a = [Fraction(0)] * k + [Fraction(math.perm(k, k), math.perm(m, k))]
+    for u in range(k, top + 1):
+        a.append(a[u] * Fraction((u + 1) * (m - u + k), (u + 1 - k) * (m - u)))
+    assert a[top + 1] == Fraction(math.perm(top + 1, k), math.perm(m - top - 1 + k, k))
+    d = [a[i + 1] - a[i] for i in range(top + 1)]
+    searched = range(k, m // 2 + 1)
+    passes = [d[i] * i * (m - i) <= m + 1 for i in searched]
+    integer = [math.perm(i, k) * k * i <= (i + 1 - k) * math.perm(m - i + k, k) for i in searched]
+    return _WindowFacts(
+        all(x <= y for x, y in zip(d, d[1:])),
+        [i for i, p, q in zip(searched, passes, integer) if p != q],
+        next((i for i, p in zip(searched, passes) if not p), m // 2 + 1),
+    )
+
+
+class TestWindowLemma:
+    # re-derives the window lemma in family_report's docstring in exact
+    # arithmetic: the test holds on a prefix, _window_start finds its end,
+    # and every index before it is log-concave in the expanded row
+
+    def test_increments_are_nondecreasing(self):
+        for m, k in _window_grid():
+            assert _window_facts(m, k).nondecreasing, (m, k)
+
+    def test_integer_test_is_the_window_test(self):
+        # on the range _window_start searches
+        for m, k in _window_grid():
+            assert _window_facts(m, k).mismatches == [], (m, k)
+
+    def test_window_starts_at_the_first_failing_index(self):
+        for m, k in _window_grid():
+            first = _window_facts(m, k).first_failing
+            # past m // 2 the test proves nothing: from k - 1 when k > m // 2
+            assert exactpoly._window_start(m, k) == (first if first > k else k - 1), (m, k)
+
+    def test_every_index_before_the_window_is_log_concave(self):
+        # the prefix c(0..i0) has the interior indices 1..i0-1
+        for m, k in _window_grid():
+            i0 = exactpoly._window_start(m, k)
+            assert is_strongly_unimodal(expand_family(m, k)[: i0 + 1]) == (True, None, None), (m, k)
+            assert k - 1 <= i0 <= (m + k) // 2, (m, k)
+
+
 class TestFamilyReport:
     def test_equals_the_row_and_both_predicates(self):
         for m, k in _family_grid():
@@ -435,8 +510,9 @@ class TestFamilyReport:
 
     @pytest.mark.parametrize("m", [22496, 22497, 22498])
     def test_a_below_the_float_range(self, m):
-        # a(k) = 1/C(m, k) is below the least subnormal, 2^-1074, so the
-        # scan carries it with a binary exponent
+        # a(k) = 1/C(m, k) is below the least subnormal, 2^-1074, which no
+        # float could carry; the scan holds a(u) as the integers perm(u, k)
+        # and perm(m-u+k, k)
         k = 150
         assert math.comb(m, k) > 2**1074
         assert family_report(m, k) == unimodal_report(expand_family(m, k))
@@ -451,37 +527,55 @@ class TestFamilyReport:
                 num, den = exactpoly._neighbour_ratio(m, k, u)
                 assert Fraction(num, den) == Fraction(row[u], row[u - 1]), (m, k, u)
 
-    def test_wider_filter_band_changes_nothing(self, monkeypatch):
-        # a wider band only hands more indices to the exact path, so every
-        # exact branch runs and none may change the report
-        monkeypatch.setattr(exactpoly, "_EPS", 2.0**-30)
-        for m, k in _family_grid()[::2]:
-            assert family_report(m, k) == unimodal_report(expand_family(m, k)), (m, k)
+    def test_coarse_bracket_changes_nothing(self, monkeypatch):
+        # a shift of 0 brackets each ratio by its integer part, so two
+        # neighbouring ratios with the same integer part, as near the centre
+        # of every row, tie and the integer comparison decides them; no
+        # report and no verdict may change
+        grid = _family_grid()
+        rows = [unimodal_report(expand_family(m, k)) for m, k in grid]
+        monkeypatch.setattr(exactpoly, "_SHIFT", 0)
+        for (m, k), row in zip(grid, rows):
+            assert family_report(m, k) == row, (m, k)
+        # the explicit cases of TestQuotientBracketMatchesReference, and
+        # seeded draws from its geometric and near-tie families (calling
+        # its @given tests from here would fail hypothesis's executor check)
+        cases = TestQuotientBracketMatchesReference()
+        cases.test_k88_stress_pair()
+        for k in range(3, 14):
+            cases.test_threshold_centre_plateau(k)
+        for e, d in itertools.product(_NEAR_TIE_E, _NEAR_TIE_D):
+            cases.test_near_tie_examples(e, d)
+        for seq in _EXTREME_EXAMPLES:
+            cases.test_extreme_examples(seq)
+        for seq, expect in _TIED_QUOTIENTS:
+            cases.test_tied_quotients_go_to_the_integers(seq, expect)
+        rng = random.Random(43)
+        for _ in range(200):
+            c, r, q = (rng.randint(1, 10**300) for _ in range(3))
+            n = rng.randint(3, 12)
+            geometric = [c * r**i * q ** (n - i) for i in range(n)]
+            near = near_tie(rng.randint(1, 10**400), rng.randint(0, 60), rng.randint(-(2**16), 2**16),
+                            rng.choice([0, rng.randint(-330, 330)]))
+            for seq in (geometric, near):
+                assert is_strongly_unimodal(seq) == reference_strongly_unimodal(seq), seq
 
-    def test_plateau_is_decided_by_the_lemma(self, monkeypatch):
-        # at m = k^2 - 3 the two central coefficients are equal, a tie no
-        # float filter can decide; the lemma decides unimodality there, and
-        # log-concavity needs no exact ratio at the centre
-        calls = []
-        exact = exactpoly._neighbour_ratio
-        monkeypatch.setattr(exactpoly, "_neighbour_ratio", lambda *a: calls.append(a) or exact(*a))
+    def test_plateau_is_decided_by_the_lemma(self):
+        # at m = k^2 - 3 the two central coefficients are equal; the lemma
+        # decides unimodality there, and the window ends at x(h), so it
+        # never compares the tied pair x(h), x(h+1)
         m, k = 88 * 88 - 3, 88
         assert family_report(m, k) == (True, None, True, None, None)
-        assert (m, k, (m + k) // 2) not in calls
 
-    def test_exact_ratios_only_decide_log_concavity(self, monkeypatch):
-        # with a wide band many indices go to the exact path; each
-        # _log_concave_at takes two exact neighbour ratios, and
-        # family_report takes none itself
-        monkeypatch.setattr(exactpoly, "_EPS", 2.0**-30)
+    @pytest.mark.parametrize("m, k", [(7741, 88), (999996, 1000)])
+    def test_perm_calls_only_locate_the_window(self, monkeypatch, m, k):
+        # two perm calls a probe of the binary search and two to start the
+        # window, which carries both products from index to index
         calls = []
-        for name in ("_neighbour_ratio", "_log_concave_at"):
-            fn = getattr(exactpoly, name)
-            monkeypatch.setattr(exactpoly, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
-        for m, k in _family_grid()[::4]:
-            family_report(m, k)
-        assert calls.count("_log_concave_at") > 0
-        assert calls.count("_neighbour_ratio") == 2 * calls.count("_log_concave_at")
+        perm = math.perm
+        monkeypatch.setattr(math, "perm", lambda *a: calls.append(a) or perm(*a))
+        family_report(m, k)
+        assert 0 < len(calls) <= 2 * math.ceil(math.log2((m + k) // 2)) + 4
 
     def test_neighbour_ratio_takes_two_perms(self, monkeypatch):
         calls = []
