@@ -250,22 +250,38 @@ def family_report(m: int, k: int) -> UnimodalReport:
        D(i+1) >= D(i) reads r(i+2) - 1 >= 1 - 1/r(i+1); with u = i + 1
        that is k (m+1)/((u+1-k) (m-u)) >= k (m+1)/((m-u+k+1) u), true as
        (m-u+k+1) u - (u+1-k) (m-u) = (k-1) (m-u) + (k+1) u >= 0.
-    3. i (m-i) is nondecreasing on 0 <= i <= m // 2, so the test of step 1
-       holds on a prefix of [k - 1, m // 2]. As D(i) = a(i) k (m+1) /
-       ((i+1-k) (m-i)), for k <= i < m it reads, in integers,
-       perm(i, k) k i <= (i+1-k) perm(m-i+k, k).
+    3. Let j = min(i, m // 2). Then j (m-j) >= i (m-i) and j (m-j) does
+       not decrease with i, so by step 2 the test D(i) j (m-j) <= m + 1
+       proves i log-concave and holds on a prefix of [k, h - 1], where
+       h <= m. As D(i) = a(i+1) (1 - 1/r(i+1)) = a(i+1) k (m+1) /
+       ((m-i+k) (i+1)), with u = i + 1 it reads, in integers,
+       p k j (m-j) <= u (m-u+1) q, for (p, q) = (perm(u, k),
+       perm(m-u+k+1, k)) or any pair proportional to it.
+    4. Every i < k is log-concave: x falls for u < k, and
+       c(k-1)^2 - c(k-2) c(k) = C(m, k-1) (C(m, k-1) (m+1) - k (k-1)) /
+       (k (m-k+2)) > 0, as C(m, k-1) >= m >= k.
 
-    i0 = _window_start(m, k) is where the indices this proves end: every
-    i < i0 is log-concave, and i0 <= h, as h >= m // 2 + 1.
+    Shared factor. For k <= u <= h, perm(u, k) and perm(m-u+k+1, k) are
+    the products of [u-k+1, u] and [m-u+2, m-u+k+1], which share the
+    factors [m-u+2, u] when 2u > m + 1. Divided by their product, they
+    are perm(min(u, m+1-u), e) and perm(m+k+1-u, e) with
+    e = min(k, m+k+1-2u) (_scaled_perms): about 2 (h-u) log2(m+k) bits
+    near the centre, however large k is, and k log2(m+k) bits at most.
 
-    Window. For i0 <= u <= h the scan carries p = perm(u, k) and
-    q = perm(m-u+k+1, k), each updated by one exact multiply and floor
-    division a step, and x(u) = num/den as in _neighbour_ratio. It
-    decides x(i) >= x(i+1) by the floor quotients (num << _SHIFT) // den,
-    as is_strongly_unimodal does, and compares the integers only where
-    two quotients are equal. The scan returns at the first failure;
-    without one before h, i = h fails exactly when the row is not
-    unimodal (x(h) < 1, step 3 of the unimodality lemma).
+    i0 = _window_start(m, k) is the first i in [k, h - 1] that fails the
+    test of step 3, or h if none does: every i < i0 is log-concave.
+
+    Window. For i0 <= u <= h the scan carries the pair of _scaled_perms
+    at i0, advanced by one multiply and one floor division each a step.
+    Every division is exact: the factors [m-i0+2, i0] shared at i0 lie in
+    [u-k+1, u] and in [m-u+2, m-u+k+1] for every u in the window, so the
+    pair stays (perm(u, k), perm(m-u+k+1, k)) divided by one fixed
+    integer, and x(u) = num/den as in _neighbour_ratio. It decides
+    x(i) >= x(i+1) by the floor quotients (num << _SHIFT) // den, as
+    is_strongly_unimodal does, and compares the integers only where two
+    quotients are equal. The scan returns at the first failure; without
+    one before h, i = h fails exactly when the row is not unimodal
+    (x(h) < 1, step 3 of the unimodality lemma).
 
     Work. The window can take up to h steps, so for k <= m and N >= 2^49
     family_report raises unimodal_lab.OutOfRange, a bound on its work:
@@ -286,50 +302,64 @@ def family_report(m: int, k: int) -> UnimodalReport:
     witness = None if m >= k * k - 3 else (h + n % 2, h + n % 2 + 1)
     strong = None if witness is None else h
     i0 = _window_start(m, k)
-    p, q = math.perm(i0, k), math.perm(m - i0 + k + 1, k)
+    p, q = _scaled_perms(m, k, i0)
     prev = None
     for u in range(i0, h + 1):
-        num, den = (m - u + k + 1) * p + (m - u + 1) * q, (u - k) * p + u * q
+        num, den = _neighbour_ratio(m, k, u, p, q)
         y = (num << _SHIFT) // den
         if prev and (prev[0] < y or prev[0] == y and prev[1] * den < num * prev[2]):
             strong = u - 1
             break
         prev = y, num, den
-        # p is 0 only at u = k - 1, where the step would divide by 0
-        q = q * (m - u + 1) // (m - u + k + 1)
-        p = p * (u + 1) // (u + 1 - k) if p else math.perm(u + 1, k)
+        p, q = p * (u + 1) // (u + 1 - k), q * (m - u + 1) // (m - u + k + 1)
     return UnimodalReport(witness is None, witness, strong is None, strong,
                           None if strong is None else "log-concavity")
+
+
+def _scaled_perms(m: int, k: int, u: int) -> tuple[int, int]:
+    """perm(u, k) and perm(m-u+k+1, k) over their shared factors.
+
+    For 2 <= k <= m + 1 and 1 <= u <= (m + k) // 2, as family_report's
+    docstring derives for k <= m (at k = m + 1 both pairs are
+    (0, positive)): two perm calls of min(k, m+k+1-2u) factors each.
+    """
+    e = min(k, m + k + 1 - 2 * u)
+    return math.perm(min(u, m + 1 - u), e), math.perm(m + k + 1 - u, e)
 
 
 def _window_start(m: int, k: int) -> int:
     """First index of family_report's exact window, for 2 <= k <= m.
 
-    A binary search on [k, m // 2] for the first index that fails the
-    integer test of family_report's window lemma (m // 2 + 1 if none),
-    with two perm calls a probe. Every i in [k, i0) passes, and so does
-    k - 1 when k does; when k fails, the window starts at k - 1.
+    The first i in [k, h - 1] that fails the test of step 3 of
+    family_report's window lemma, or h = (m + k) // 2 if none does. The
+    test holds on a prefix, so the search gallops down from h, doubling
+    its step while the probes fail, and bisects once one passes; each
+    probe takes the two perm calls of _scaled_perms at i + 1, whose size
+    shrinks towards h.
     """
-    lo, hi = k, m // 2 + 1
+    lo, hi, step = k, (m + k) // 2, 1
     while lo < hi:
-        i = (lo + hi) // 2
-        if math.perm(i, k) * k * i <= (i + 1 - k) * math.perm(m - i + k, k):
-            lo = i + 1
+        # the first failure lies in [lo, hi]; step is 0 once bisecting
+        i = max(lo, hi - step) if step else (lo + hi) // 2
+        j = min(i, m // 2)
+        p, q = _scaled_perms(m, k, i + 1)
+        if p * k * j * (m - j) <= (i + 1) * (m - i) * q:
+            lo, step = i + 1, 0
         else:
-            hi = i
-    return lo if lo > k else k - 1
+            hi, step = i, 2 * step
+    return lo
 
 
-def _neighbour_ratio(m: int, k: int, u: int) -> tuple[int, int]:
+def _neighbour_ratio(m: int, k: int, u: int, p: int, q: int) -> tuple[int, int]:
     """x(u) = c(u)/c(u-1) of (1+x)^m (1+x^k) as an unreduced (num, den).
 
     For 1 <= u <= m. With q(w) = perm(m-w+k, k) and p(w) = perm(w, k),
     a(w) = p(w)/q(w) and c(w) = C(m, w) (1 + a(w)) = m! (p(w) + q(w)) /
     (w! (m-w+k)!), so x(u) = (m-u+k+1) (p(u) + q(u)) / (u (p(u-1) + q(u-1))).
     As u p(u-1) = (u-k) p(u) and (m-u+k+1) q(u) = (m-u+1) q(u-1), both
-    parts come from p(u) and q(u-1) alone: two perm calls, not four, and
-    no division.
+    parts come from p = p(u) and q = q(u-1) alone, or from any pair
+    proportional to them, such as _scaled_perms(m, k, u), with no
+    division.
     """
-    p, q = math.perm(u, k), math.perm(m - u + k + 1, k)
     return (m - u + k + 1) * p + (m - u + 1) * q, (u - k) * p + u * q
 

@@ -18,6 +18,7 @@ from .exactpoly import (
     _check_family,
     _neighbour_ratio,
     _require_k,
+    _scaled_perms,
     coefficient,
     family_report,
     is_strongly_unimodal,
@@ -98,7 +99,9 @@ def ratio_vs_coefficients(m: int, k: int) -> tuple[Fraction, Fraction]:
     plateau: h = (m+k-1)//2. Both entries are exact; they must agree
     identically. The raw ratio comes from the product form of the
     coefficients (exactpoly._neighbour_ratio), so no binomial of size m
-    is built; the closed form exists only for k <= m + 1, where h <= m.
+    is built, over the factors its two products share
+    (exactpoly._scaled_perms), so no product of k factors is built
+    either; the closed form exists only for k <= m + 1, where h <= m.
     """
     d = m + k
     if d % 2 == 1:
@@ -107,7 +110,7 @@ def ratio_vs_coefficients(m: int, k: int) -> tuple[Fraction, Fraction]:
     else:
         closed = central_ratio_even(m, k)
         h = d // 2
-    num, den = _neighbour_ratio(m, k, h)
+    num, den = _neighbour_ratio(m, k, h, *_scaled_perms(m, k, h))
     return closed, Fraction(den, num)
 
 

@@ -1,5 +1,4 @@
 import functools
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -235,35 +234,18 @@ class TestIsStronglyUnimodal:
             assert is_unimodal(seq)[0]
 
 
-_NEAR_TIE_D = [0, -300, -309, -315, 309, 318]
-_NEAR_TIE_E = [-1, 1, -(2**10), 2**10, -(2**12), 2**12]
-_EXTREME_EXAMPLES = [
-    [1, 10**400, 10**400],
-    [10**400, 1, 1],
-    [10**310, 1, 1],
-    [1, 1, 10**310],
-    [10**400, 10**400, 1],
-    [0, 0, 10**400, 1, 0, 0],
-    [2, 0, 0, 10**400, 1],
-    [5, 7, 0],
-    [0, 7],
-    # a neighbour that is not positive
-    [-1, 2, 3],
-    [1, -2, 5],
-    [2, 3, -1],
-    [-1, 1, -2],
-]
-_TIED_QUOTIENTS = [
-    ([2**70, 2**70 + 1, 2**70 + 2], (True, None, None)),
-    ([2**70 + 1, 2**70 + 1, 2**70 + 2], (False, 1, "log-concavity")),
-    # ratios below 2^-64, whose quotients are both 0
-    ([2**200, 2**100, 1], (True, None, None)),
-    ([2**200, 2**100, 2], (False, 1, "log-concavity")),
-]
-
-
 class TestQuotientBracketMatchesReference:
     """is_strongly_unimodal gives the reference loop's (ok, witness, reason)."""
+
+    @pytest.fixture(autouse=True, scope="class", params=[64, 0], ids=["shift64", "shift0"])
+    def shift(self, request):
+        # every case again with a shift of 0, whose brackets are the integer
+        # parts of the ratios, so far more pairs tie and go to the exact
+        # comparison; class scope, as hypothesis refuses function-scoped
+        # fixtures
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exactpoly, "_SHIFT", request.param)
+            yield
 
     @given(st.lists(st.one_of(st.just(0), st.integers(0, 10**2000)), min_size=1, max_size=12))
     def test_huge_entries(self, seq):
@@ -303,8 +285,8 @@ class TestQuotientBracketMatchesReference:
         seq = head + near_tie(t, j, e, d) + tail
         assert is_strongly_unimodal(seq) == reference_strongly_unimodal(seq)
 
-    @pytest.mark.parametrize("d", _NEAR_TIE_D)
-    @pytest.mark.parametrize("e", _NEAR_TIE_E)
+    @pytest.mark.parametrize("d", [0, -300, -309, -315, 309, 318])
+    @pytest.mark.parametrize("e", [-1, 1, -(2**10), 2**10, -(2**12), 2**12])
     def test_near_tie_examples(self, e, d):
         # the verdict is the sign of e, whether the quotient bracket decides
         # it or the quotients tie (d < 0 makes both 0) and the integer
@@ -318,7 +300,22 @@ class TestQuotientBracketMatchesReference:
     def test_overflow_and_subnormal_ratios(self, seq):
         assert is_strongly_unimodal(seq) == reference_strongly_unimodal(seq)
 
-    @pytest.mark.parametrize("seq", _EXTREME_EXAMPLES)
+    @pytest.mark.parametrize("seq", [
+        [1, 10**400, 10**400],
+        [10**400, 1, 1],
+        [10**310, 1, 1],
+        [1, 1, 10**310],
+        [10**400, 10**400, 1],
+        [0, 0, 10**400, 1, 0, 0],
+        [2, 0, 0, 10**400, 1],
+        [5, 7, 0],
+        [0, 7],
+        # a neighbour that is not positive
+        [-1, 2, 3],
+        [1, -2, 5],
+        [2, 3, -1],
+        [-1, 1, -2],
+    ])
     def test_extreme_examples(self, seq):
         assert is_strongly_unimodal(seq) == reference_strongly_unimodal(seq)
 
@@ -326,7 +323,13 @@ class TestQuotientBracketMatchesReference:
     def test_signed_entries(self, seq):
         assert is_strongly_unimodal(seq) == reference_strongly_unimodal(seq)
 
-    @pytest.mark.parametrize("seq, expect", _TIED_QUOTIENTS)
+    @pytest.mark.parametrize("seq, expect", [
+        ([2**70, 2**70 + 1, 2**70 + 2], (True, None, None)),
+        ([2**70 + 1, 2**70 + 1, 2**70 + 2], (False, 1, "log-concavity")),
+        # ratios below 2^-64, whose quotients are both 0
+        ([2**200, 2**100, 1], (True, None, None)),
+        ([2**200, 2**100, 2], (False, 1, "log-concavity")),
+    ])
     def test_tied_quotients_go_to_the_integers(self, seq, expect):
         a, b, c = seq
         assert (b << 64) // a == (c << 64) // b
@@ -401,9 +404,9 @@ class TestUnimodalityLemma:
                 ties.append((k * k - 3, (k - 2) * (k + 2) * (k * k + 7), 32))
             for m, num, gap in ties:
                 h = (m + k) // 2
-                x_num, x_den = exactpoly._neighbour_ratio(m, k, h)
+                x_num, x_den = exactpoly._neighbour_ratio(m, k, h, *exactpoly._scaled_perms(m, k, h))
                 assert x_num == x_den, (m, k)
-                x_num, x_den = exactpoly._neighbour_ratio(m, k, h - 1)
+                x_num, x_den = exactpoly._neighbour_ratio(m, k, h - 1, *exactpoly._scaled_perms(m, k, h - 1))
                 assert Fraction(x_den, x_num) == Fraction(num, den), (m, k)
                 assert den - num == gap
 
@@ -446,32 +449,38 @@ def _window_grid():
 
 class _WindowFacts(NamedTuple):
     nondecreasing: bool  # D is nondecreasing on [0, min(h, m - 1)]
-    mismatches: list  # i in [k, m // 2] where the integer test differs from the real one
-    first_failing: int  # first i in [k, m // 2] failing the real test, m // 2 + 1 if none
+    mismatches: list  # i in [k, h - 1] where the integer test differs from the real one
+    first_failing: int  # first i in [k, h - 1] failing the real test, h if none
 
 
 @functools.cache
 def _window_facts(m, k):
     # from the exact increments D(i) = a(i+1) - a(i) with
     # a(u) = perm(u, k)/perm(m-u+k, k), and the real test of the window
-    # lemma, D(i) i (m-i) <= m + 1. Each a(u+1) is a(u) times the factors
-    # perm(u+1, k)/perm(u, k) and perm(m-u+k, k)/perm(m-u-1+k, k), which
-    # spares Fraction a gcd of two unrelated perm values at every index;
-    # the last a is checked against its definition. Only the facts are
-    # cached, so the three tests below share one pass
-    top = min((m + k) // 2, m - 1)
+    # lemma, D(i) j (m-j) <= m + 1 with j = min(i, m // 2). Each a(u+1) is
+    # a(u) times the factors perm(u+1, k)/perm(u, k) and
+    # perm(m-u+k, k)/perm(m-u-1+k, k), which spares Fraction a gcd of two
+    # unrelated perm values at every index; the last a is checked against
+    # its definition. Only the facts are cached, so the three tests below
+    # share one pass
+    h = (m + k) // 2
+    top = min(h, m - 1)
     a = [Fraction(0)] * k + [Fraction(math.perm(k, k), math.perm(m, k))]
     for u in range(k, top + 1):
         a.append(a[u] * Fraction((u + 1) * (m - u + k), (u + 1 - k) * (m - u)))
     assert a[top + 1] == Fraction(math.perm(top + 1, k), math.perm(m - top - 1 + k, k))
     d = [a[i + 1] - a[i] for i in range(top + 1)]
-    searched = range(k, m // 2 + 1)
-    passes = [d[i] * i * (m - i) <= m + 1 for i in searched]
-    integer = [math.perm(i, k) * k * i <= (i + 1 - k) * math.perm(m - i + k, k) for i in searched]
+    searched = range(k, h)
+    passes, integer = [], []
+    for i in searched:
+        j = min(i, m // 2)
+        passes.append(d[i] * j * (m - j) <= m + 1)
+        p, q = exactpoly._scaled_perms(m, k, i + 1)
+        integer.append(p * k * j * (m - j) <= (i + 1) * (m - i) * q)
     return _WindowFacts(
         all(x <= y for x, y in zip(d, d[1:])),
         [i for i, p, q in zip(searched, passes, integer) if p != q],
-        next((i for i, p in zip(searched, passes) if not p), m // 2 + 1),
+        next((i for i, p in zip(searched, passes) if not p), h),
     )
 
 
@@ -491,16 +500,26 @@ class TestWindowLemma:
 
     def test_window_starts_at_the_first_failing_index(self):
         for m, k in _window_grid():
-            first = _window_facts(m, k).first_failing
-            # past m // 2 the test proves nothing: from k - 1 when k > m // 2
-            assert exactpoly._window_start(m, k) == (first if first > k else k - 1), (m, k)
+            assert exactpoly._window_start(m, k) == _window_facts(m, k).first_failing, (m, k)
 
     def test_every_index_before_the_window_is_log_concave(self):
         # the prefix c(0..i0) has the interior indices 1..i0-1
         for m, k in _window_grid():
             i0 = exactpoly._window_start(m, k)
             assert is_strongly_unimodal(expand_family(m, k)[: i0 + 1]) == (True, None, None), (m, k)
-            assert k - 1 <= i0 <= (m + k) // 2, (m, k)
+            assert k <= i0 <= (m + k) // 2, (m, k)
+
+    def test_scaled_perms_divide_out_the_shared_factors(self):
+        # the products of [u-k+1, u] and [m-u+2, m-u+k+1] over that of
+        # [m-u+2, u], on both sides of 2u = m + 1 and at the centre; also
+        # at k = m + 1, where ratio_vs_coefficients calls it
+        for m, k in _window_grid()[::4] + [(m, m + 1) for m in range(1, 40)]:
+            h = (m + k) // 2
+            for u in {1, k - 1, k, k + 1, (m + 1) // 2, (m + 1) // 2 + 1, h - 1, h} & set(range(1, h + 1)):
+                shared = math.perm(u, max(0, 2 * u - m - 1))
+                p, q = math.perm(u, k), math.perm(m - u + k + 1, k)
+                assert p % shared == q % shared == 0, (m, k, u)
+                assert exactpoly._scaled_perms(m, k, u) == (p // shared, q // shared), (m, k, u)
 
 
 class TestFamilyReport:
@@ -524,41 +543,20 @@ class TestFamilyReport:
             row = expand_family(m, k)
             h = (m + k) // 2
             for u in {1, k - 1, k, k + 1, h - 1, h, m} - {0}:
-                num, den = exactpoly._neighbour_ratio(m, k, u)
+                num, den = exactpoly._neighbour_ratio(m, k, u, math.perm(u, k), math.perm(m - u + k + 1, k))
                 assert Fraction(num, den) == Fraction(row[u], row[u - 1]), (m, k, u)
 
     def test_coarse_bracket_changes_nothing(self, monkeypatch):
         # a shift of 0 brackets each ratio by its integer part, so two
         # neighbouring ratios with the same integer part, as near the centre
         # of every row, tie and the integer comparison decides them; no
-        # report and no verdict may change
+        # report may change (TestQuotientBracketMatchesReference runs
+        # is_strongly_unimodal at both shifts)
         grid = _family_grid()
         rows = [unimodal_report(expand_family(m, k)) for m, k in grid]
         monkeypatch.setattr(exactpoly, "_SHIFT", 0)
         for (m, k), row in zip(grid, rows):
             assert family_report(m, k) == row, (m, k)
-        # the explicit cases of TestQuotientBracketMatchesReference, and
-        # seeded draws from its geometric and near-tie families (calling
-        # its @given tests from here would fail hypothesis's executor check)
-        cases = TestQuotientBracketMatchesReference()
-        cases.test_k88_stress_pair()
-        for k in range(3, 14):
-            cases.test_threshold_centre_plateau(k)
-        for e, d in itertools.product(_NEAR_TIE_E, _NEAR_TIE_D):
-            cases.test_near_tie_examples(e, d)
-        for seq in _EXTREME_EXAMPLES:
-            cases.test_extreme_examples(seq)
-        for seq, expect in _TIED_QUOTIENTS:
-            cases.test_tied_quotients_go_to_the_integers(seq, expect)
-        rng = random.Random(43)
-        for _ in range(200):
-            c, r, q = (rng.randint(1, 10**300) for _ in range(3))
-            n = rng.randint(3, 12)
-            geometric = [c * r**i * q ** (n - i) for i in range(n)]
-            near = near_tie(rng.randint(1, 10**400), rng.randint(0, 60), rng.randint(-(2**16), 2**16),
-                            rng.choice([0, rng.randint(-330, 330)]))
-            for seq in (geometric, near):
-                assert is_strongly_unimodal(seq) == reference_strongly_unimodal(seq), seq
 
     def test_plateau_is_decided_by_the_lemma(self):
         # at m = k^2 - 3 the two central coefficients are equal; the lemma
@@ -569,21 +567,40 @@ class TestFamilyReport:
 
     @pytest.mark.parametrize("m, k", [(7741, 88), (999996, 1000)])
     def test_perm_calls_only_locate_the_window(self, monkeypatch, m, k):
-        # two perm calls a probe of the binary search and two to start the
+        # two perm calls a probe, at most ceil(log2 h) + 1 probes to gallop
+        # down from h and ceil(log2 h) to bisect, and two to start the
         # window, which carries both products from index to index
         calls = []
         perm = math.perm
         monkeypatch.setattr(math, "perm", lambda *a: calls.append(a) or perm(*a))
         family_report(m, k)
-        assert 0 < len(calls) <= 2 * math.ceil(math.log2((m + k) // 2)) + 4
+        assert 0 < len(calls) <= 4 * math.ceil(math.log2((m + k) // 2)) + 4
+
+    @pytest.mark.parametrize("m, k", [
+        (10**5, 5 * 10**4), (10**6, 500001), (10**6, 6 * 10**5), (10**6, 10**6 - 1),
+        (10**6, 10**6), (2**48, 2**47 + 1), (2**48 - 1, 2**48 - 1),
+    ])
+    def test_window_is_short_when_k_exceeds_half_m(self, monkeypatch, m, k):
+        # r(u) - 1 >= 4 k (m+1)/(m+1-k)^2, about 8 or more here, so a(u)
+        # shrinks by a factor r(u) a step away from the centre and the
+        # window lemma leaves O(log m) indices open; the scan evaluates one
+        # ratio an index
+        calls = []
+        ratio = exactpoly._neighbour_ratio
+        monkeypatch.setattr(exactpoly, "_neighbour_ratio", lambda *a: calls.append(a) or ratio(*a))
+        report = family_report(m, k)
+        assert report.strong_witness is not None
+        assert 0 < len(calls) <= math.log2(m), (m, k, len(calls))
 
     def test_neighbour_ratio_takes_two_perms(self, monkeypatch):
+        # the central ratio as ratio_vs_coefficients takes it, k = m + 1
+        # included
         calls = []
         perm = math.perm
         monkeypatch.setattr(math, "perm", lambda *a: calls.append(a) or perm(*a))
-        for m, k, u in ((7741, 88, 3914), (999996, 1000, 500498), (30, 40, 3)):
+        for m, k, u in ((7741, 88, 3914), (999996, 1000, 500498), (30, 31, 30)):
             calls.clear()
-            exactpoly._neighbour_ratio(m, k, u)
+            exactpoly._neighbour_ratio(m, k, u, *exactpoly._scaled_perms(m, k, u))
             assert len(calls) == 2
 
     @pytest.mark.parametrize("m", [2**49 - 5, 2**100, 10**400], ids=["N=2^49", "2^100", "10^400"])
