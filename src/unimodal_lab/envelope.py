@@ -289,20 +289,25 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
     z = k theta/2: then k^2 sin^2(theta/2) < z^2 < 2.47, while
     |cos z| <= |z - pi/2| <= 1.6e-8 gives ln cos^2 z < -35.9, so the
     numerator of L is negative and, the gap being positive, L < 0. The
-    computed value keeps the sign: 1 - q^ is within (17.01 + z) u of
-    cos^2 z (kernels, Rounding), so log1p(-q^) < -33, or q^ rounds to 1
-    and L is the -inf sentinel.
+    computed value keeps the sign. With u = 2^-53, and sin within 4 ulp
+    (relative 8u) in libm and NumPy, q^ = fl(sin(fl(z))^2) is within
+    17.01 u of sin^2 fl(z), and fl(z) moves sin^2, whose slope is at most
+    1, by at most u z; so 1 - q^ is within (17.01 + z) u < 2.1e-15 of
+    cos^2 z, and log1p(-q^) < -33, or q^ rounds to 1 and L is the -inf
+    sentinel.
 
-    Every lobe grid of n >= 1000 points at 2 <= k <= _K_VERIFIED holds a
-    point where the computed L is finite and positive, so the grid maximum
-    is never the -inf sentinel and the peak is positive. For k >= 3 the
-    last grid point is 2 pi/k to within an ulp: there s^ = sin^2(pi/k)
-    lies in [9.8e-6, 3/4], so the gap is a positive normal float, and q^
-    is about 1.5e-32, so L is smooth_part(k, 2 pi/k) > 0 to rounding. At
-    k = 2 that point is pi, where s^ rounds to 1 (the sentinel), but on
-    [3 pi/4, pi) the numerator 4 s + ln cos^2 theta exceeds
-    4 sin^2(3 pi/8) - ln 2 > 2.7, and the grid step pi/(2n) <= pi/2000
-    puts grid points in [3 pi/4, pi - pi/2000], where s^ < 1.
+    The grid peak, kernels.grid_max_threshold, is never the -inf sentinel
+    and is positive: its zoom returns at least every value it evaluates,
+    and on n >= 1000 points at 2 <= k <= _K_VERIFIED its first samples
+    hold a point where the computed L is finite and positive. They
+    include index n, for k >= 3 the angle 2 pi/k to within an ulp: there
+    s^ = sin^2(pi/k) lies in [9.8e-6, 3/4], so the gap is a positive
+    normal float, and q^ is about 1.5e-32, so L is smooth_part(k, 2 pi/k)
+    > 0 to rounding. At k = 2 index n is pi, where s^ rounds to 1 (the
+    sentinel), but the first samples step by a power of two h with
+    (n - 1)/64 <= h < (n - 1)/32 + 2, so the third sample from the end
+    lies in (pi - pi/16, pi - pi/128), where s^ < 1 and the numerator
+    4 s + ln cos^2 theta exceeds 4 sin^2(3 pi/8) - ln 2 > 2.7.
 
     min_m = ceil(max L) is the least integer m that is a member, proven
     for 2 <= k <= _K_VERIFIED = 1000 only; above it unimodal_lab.OutOfRange

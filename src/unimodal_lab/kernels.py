@@ -28,62 +28,49 @@ singular angle at the left end of the lobe, the computed L is negative
 or the -inf sentinel, so it never holds the lobe peak
 (envelope.max_threshold proves it).
 
-grid_max_threshold is a branch-and-bound over cells of
-max(GRID_CELL, ceil(n / GRID_BLOCK)) consecutive grid indices, so one
-array of at most GRID_BLOCK bounds covers any grid. It bounds every
-cell from above (the lemma below holds for any cell), seeds a running
-best from the cell with the largest finite bound, then walks, in index
-order and in blocks of whole cells, every cell whose bound is not
-strictly below that best, always including the cells whose bound is
-not finite. A later point replaces the running (value, theta) only if
-strictly larger. A skipped cell holds only values below a value the
-walk finds, so the result, NaN and -inf sentinels and ties on the first
-index included, is bit for bit that of the whole-grid argmax, whatever
-the cell size. A block is at most GRID_BLOCK points until n =
-GRID_BLOCK^2 (about 2.7e8), and one cell beyond: at k = 3 the
-tracemalloc peak is 1.9 MiB at n = 10^8 and 5.4 MiB at n = 10^9, whose
-cells are 61,036 points. grid_min_margin and grid_max_limit_shape make
-the same walk over every block of theta_blocks, with no bounds: at
-n = 10^7 each peaks at about 1.4 MiB. Neither has a caller in src/:
+Lemma: L is unimodal on the lobe (pi/k, 2 pi/k] at every k >= 2. Write
+L = N/G with N = k^2 s + ln cos^2(k theta/2), G = gap(s) and
+s = sin^2(theta/2). Inside the lobe:
+  * N' = (k^2/2) sin theta - k tan(k theta/2) > 0, since the tangent is
+    negative for k theta/2 in (pi/2, pi), and
+    N'' = (k^2/2)(cos theta - sec^2(k theta/2)) < 0;
+  * G > 0, G' = sin^3(theta/2)/cos(theta/2) > 0 and
+    G'' = (sec^2(theta/2) - cos theta)/2 > 0.
+Where N < 0, L' = (N'G - NG')/G^2 > 0. N rises from -inf at pi/k, so
+N >= 0 on a right part of the lobe, and there P = N'G - NG' has
+P' = N''G - NG'' < 0, so P, and with it L', changes sign at most once,
+from + to -. Hence L rises strictly to its peak and falls strictly after
+it (a fall that may be empty), and so do its exact values on any grid
+inside the lobe: before the first largest index p they rise strictly,
+and from p on they do not rise.
+
+grid_max_threshold finds the first largest value of a lobe grid by a
+zoom over grid indices. Each round evaluates the indices a, a + h,
+a + 2h, ... below b, and b itself, of a window [a, b] that starts as
+[1, n], with h the least power of two at least (b - a)/_ZOOM, and keeps
+the window between the neighbours of the first best sample; a last
+window of at most _ZOOM + 1 indices is evaluated whole, and the result
+is its first largest value. On exact values the zoom is exact: if p lay
+at or left of the best sample's left neighbour, both would lie where
+the values do not rise, so the neighbour would be at least as large; if
+p lay right of its right neighbour, both would lie where the values
+rise strictly, so the neighbour would be larger. Either contradicts a
+first best sample, so every window holds p, and the last one's first
+largest index is p. On computed values, whose last bits need not rise
+and fall with L, that the result equals the whole-grid argmax bit for
+bit is checked, not proven: CI compares the two at every k <= 1000 on
+10^3 and 10^5 points and at every 10th k from 100 on 10^6 points.
+Each h divides the one before, and a round's best index is an end of
+the next window or h past its left end, so the next round samples it
+too: the result is at least every value the zoom evaluates. A round
+evaluates at most _ZOOM + 1 points and shrinks the window about
+_ZOOM/2-fold: n = 10^9 takes 6 evaluations of at most 65 points.
+
+grid_min_margin and grid_max_limit_shape walk every block of
+theta_blocks, GRID_BLOCK consecutive grid indices at a time: at
+n = 10^7 each peaks at about 1.1 MiB. Neither has a caller in src/:
 perfbench/tracer.py wraps both by name. ROADMAP item 4 deletes them,
 after item 23 frees the tracer's pins.
-
-Cell bound. The grid expression is monotone in i, so the points of a
-cell lie in [a, b], between the grid angles at its two ends. On
-[a, b] inside [0, pi], s = sin^2(theta/2) and gap(s) increase, and
-ln(1 - q) = ln cos^2(k theta/2) is at most 0; if [a, b] holds no
-multiple of 2 pi/k it lies between two of them, where cos^2(k theta/2)
-falls to 0 at the odd multiple of pi/k and rises again, so ln(1 - q)
-is at most its larger end value. Hence, with N+ = k^2 s(b) plus that
-maximum, L <= N+ / gap(s(a)), or N+ / gap(s(b)) when N+ < 0.
-
-Rounding. The bound must cover the computed values. Let u = 2^-53,
-assume NumPy's sin, log and log1p are within 4 ulp (relative 8u), and
-let r = _CELL_SLACK = 2^-40 = 8192 u. At a grid point theta:
-  * s^ = fl(sin(theta/2)^2) is within 17.01 u of s, relative;
-  * 1 - q^ is within (17.01 + k theta/2) u of cos^2(k theta/2), absolute
-    (q^ as s^, and fl(k theta/2) moves the argument of sin^2, whose
-    slope is at most 1, by at most u k theta/2);
-  * the computed gap of x is within 1810 u of gap(x), relative: the
-    series branch has positive terms, at most 24 u including the
-    dropped tail; the log branch errs by at most 9 u (gap + x) + u gap,
-    and x <= 200 gap(x) for x >= 1e-2;
-  * the computed log1p(-q^) is at most (1 - 8u) ln(1 - q^) <= 0;
-  * the product k^2 s^, its sum with the log term and the final
-    quotient add u each, relative.
-The bound therefore widens each piece by r: s_lo = min end s^ times
-(1 - r) and s_hi = max end s^ times (1 + r) enclose every s^ in the
-cell; the computed gap at s_lo times (1 - r), and at s_hi times
-(1 + r), enclose every computed gap; the log piece is 0 when [a, b] may
-hold a multiple of 2 pi/k (tested with r of room) and otherwise
-(1 - r) log(min(1, max end (1 - q^) + r (1 + k b/2))); N+ gains
-r (k^2 s_hi + |log piece|), and the quotient U gains r |U|. Each
-widening exceeds the error it covers by at least a factor 2 (the
-largest, 2 x 1810 u against r), which leaves room for the float
-operations of the bound itself, each of relative error u. The
-computed L is -inf where s^ or q^ rounds to 1, below any bound. Below
-s = 1e-150 (theta < 2e-75) the gap nears the subnormal range, where
-relative errors are unbounded, so those cells get no finite bound.
 """
 
 from __future__ import annotations
@@ -165,14 +152,6 @@ def gap(s, ops):
     return ops.select(s < GAP_SERIES_BELOW, series, lambda s: -ops.log1p(-s) - s, s)
 
 
-def _sines(k, theta, ops):
-    """(s, q) = (sin^2(theta/2), sin^2(k theta/2)), the two pieces of L."""
-    half = 0.5 * theta
-    s = ops.sin(half)
-    sk = ops.sin(k * half)
-    return s * s, sk * sk
-
-
 def _diverged(*args):
     # the sentinel of a curve at a point where it diverges
     return -math.inf
@@ -183,7 +162,10 @@ def threshold(k, theta, ops):
 
     s = sin^2(theta/2) and q = sin^2(k theta/2).
     """
-    s, q = _sines(k, theta, ops)
+    half = 0.5 * theta
+    s = ops.sin(half)
+    sk = ops.sin(k * half)
+    s, q = s * s, sk * sk
 
     def formula(s, q):
         return ((k * k) * s + ops.log1p(-q)) / gap(s, ops)
@@ -222,36 +204,15 @@ def theta_grid(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 GRID_BLOCK = 16_384
-GRID_CELL = 128
-
-
-def _cell_size(n):
-    # at most GRID_BLOCK cells cover the n grid points
-    return max(GRID_CELL, -(-n // GRID_BLOCK))
-
-
-def _cell_blocks(lo, width, n, size, cells):
-    # grid angles of the ascending cells, cell c holding the indices
-    # c size + 1 .. min(c size + size, n), max(1, GRID_BLOCK // size)
-    # cells to a block
-    import numpy as np
-
-    offsets = np.arange(1, size + 1, dtype=np.float64)
-    per = max(1, GRID_BLOCK // size)
-    for start in range(0, len(cells), per):
-        i = (cells[start : start + per, None] * size + offsets).ravel()
-        if i[-1] > n:
-            i = i[i <= n]
-        yield _grid_angles(lo, width, i, n)
 
 
 def theta_blocks(lo: float, hi: float, n: int) -> Iterator[np.ndarray]:
-    """theta_grid(lo, hi, n), bit for bit, in blocks of whole grid cells:
-    at most GRID_BLOCK points each up to n = GRID_BLOCK^2, one cell beyond."""
+    """theta_grid(lo, hi, n), bit for bit, in blocks of at most GRID_BLOCK points."""
     import numpy as np
 
-    size = _cell_size(n)
-    return _cell_blocks(lo, hi - lo, n, size, np.arange(-(-n // size)))
+    for start in range(1, n + 1, GRID_BLOCK):
+        i = np.arange(start, min(start + GRID_BLOCK, n + 1), dtype=np.float64)
+        yield _grid_angles(lo, hi - lo, i, n)
 
 
 def threshold_values(k: int, theta: np.ndarray) -> np.ndarray:
@@ -262,46 +223,6 @@ def threshold_values(k: int, theta: np.ndarray) -> np.ndarray:
 def limit_shape_values(z: np.ndarray) -> np.ndarray:
     """D(z) elementwise."""
     return limit_shape(z, _array_ops())
-
-
-# relative slack of the cell bounds, 2^-40 = 8192 u (u = 2^-53), and the
-# least s they accept: above it gap(s) > s^2/2 stays a normal float
-_CELL_SLACK = 2.0**-40
-_S_NORMAL = 1e-150
-
-
-def _cell_bounds(k, ends):
-    """Upper bounds on threshold_values over the grid cells between ends.
-
-    Cell c lies between ends[c] and ends[c + 1]; see the module docstring
-    for the proof. A cell gets +inf, so that it is always walked, when
-    its ends leave [0, pi] or are NaN, when the widened s leaves
-    [_S_NORMAL, 1), or when the gap bound is not positive.
-    """
-    import numpy as np
-
-    ops = _array_ops()
-    r = _CELL_SLACK
-    s, q = _sines(k, ends, ops)
-    a = np.minimum(ends[:-1], ends[1:])
-    b = np.maximum(ends[:-1], ends[1:])
-    s_lo = np.minimum(s[:-1], s[1:]) * (1.0 - r)
-    s_hi = np.maximum(s[:-1], s[1:]) * (1.0 + r)
-    ok = (a >= 0.0) & (b <= math.pi) & (s_lo >= _S_NORMAL) & (s_hi < 1.0)
-    s_hi = np.where(ok, s_hi, 0.5)
-    # ln(1 - q) is at most 0, and at most its larger end value unless
-    # [a, b] may hold a multiple of 2 pi/k
-    w = k / (2.0 * math.pi)
-    holds = np.floor(b * w * (1.0 + r)) >= a * w * (1.0 - r)
-    c = 1.0 - q
-    c = np.maximum(c[:-1], c[1:]) + r * (1.0 + 0.5 * k * b)
-    log_top = np.where(holds, 0.0, np.log(np.minimum(c, 1.0)) * (1.0 - r))
-    ks = (k * k) * s_hi
-    num = (ks + log_top) + r * (ks - log_top)
-    g = np.where(num >= 0.0, gap(s_lo, ops) * (1.0 - r), gap(s_hi, ops) * (1.0 + r))
-    ok &= g > 0.0
-    bound = num / np.where(ok, g, 1.0)
-    return np.where(ok, bound + r * np.abs(bound), np.inf)
 
 
 def _walk(values, blocks):
@@ -323,30 +244,32 @@ def _walk(values, blocks):
     return best if math.isfinite(best[0]) else empty
 
 
-def grid_max_threshold(k: int, lo: float, hi: float, n: int) -> tuple[float, float]:
-    """Max of the threshold curve over a right-closed grid; (-inf, nan) if empty.
+# the most samples a zoom round takes is _ZOOM + 1
+_ZOOM = 64
 
-    A NaN value empties the result, as it does in np.argmax over the whole
-    grid. Only the cells whose bound does not fall below the best value
-    of the most promising cell are evaluated (module docstring).
+
+def grid_max_threshold(k: int, lo: float, hi: float, n: int) -> tuple[float, float]:
+    """Max of the threshold curve over a right-closed grid inside the lobe
+    [pi/k, 2 pi/k]; (-inf, nan) if empty.
+
+    The zoom of the module docstring, whose exactness rests on the
+    lemma there, so a window outside the lobe raises ValueError, as
+    does n < 1. A NaN value in the last window empties the result.
     """
     import numpy as np
 
+    if n < 1 or not all(math.pi / k <= x <= 2.0 * math.pi / k for x in (lo, hi)):
+        raise ValueError(f"need n >= 1 points of a window inside [pi/k, 2 pi/k], got {n}, {lo}, {hi}")
     width = hi - lo
-    size = _cell_size(n)
-    # cell c lies between the grid angles at c size and min(c size + size, n)
-    bound = _cell_bounds(
-        k, _grid_angles(lo, width, np.minimum(np.arange(-(-n // size) + 1) * size, n), n)
-    )
-    finite = np.isfinite(bound)
-    floor = -math.inf
-    values = functools.partial(threshold_values, k)
-    if finite.any():
-        seed = int(np.argmax(np.where(finite, bound, -np.inf)))
-        floor = _walk(values, _cell_blocks(lo, width, n, size, np.array([seed])))[0]
-    # a NaN bound is not below floor, so its cell is walked
-    cells = np.flatnonzero(~(bound < floor))
-    return _walk(values, _cell_blocks(lo, width, n, size, cells))
+    a, b = 1, n
+    while b - a > _ZOOM:
+        # the least power of two h with _ZOOM h >= b - a
+        h = 1 << (-(-(b - a) // _ZOOM) - 1).bit_length()
+        i = np.append(np.arange(a, b, h), b)
+        j = int(np.argmax(threshold_values(k, _grid_angles(lo, width, i, n))))
+        a, b = int(i[max(j - 1, 0)]), int(i[min(j + 1, i.size - 1)])
+    last = _grid_angles(lo, width, np.arange(a, b + 1), n)
+    return _walk(functools.partial(threshold_values, k), [last])
 
 
 def grid_min_margin(m: float, k: int, lo: float, hi: float, n: int) -> tuple[float, float]:

@@ -264,13 +264,21 @@ def test_criterion_10c_reflection_symmetry_audit():
     )
 
 
+def _grid_max(k, lo, hi, n):
+    # the first largest L over the whole right-closed grid, and its angle
+    theta = kernels.theta_grid(lo, hi, n)
+    values = kernels.threshold_values(k, theta)
+    i = int(values.argmax())
+    return float(values[i]), float(theta[i])
+
+
 def test_criterion_10d_curve_negative_before_first_singularity():
     bad = []
     for k in (9, 16, 24):
         lo = 1e-9
         hi = (math.pi / k) * (1.0 - 1e-9)
         count = count_nonneg_threshold(k, lo, hi, 100_000)
-        peak, _ = kernels.grid_max_threshold(k, math.pi / k, 2.0 * math.pi / k, 20_000)
+        peak, _ = _grid_max(k, math.pi / k, 2.0 * math.pi / k, 20_000)
         if count != 0 or not peak > 0.0:
             bad.append((k, count, peak))
     ok = not bad
@@ -281,14 +289,14 @@ def test_criterion_10d_curve_negative_before_first_singularity():
 def test_criterion_10e_first_interval_dominates():
     bad = []
     for k in (10, 16, 24):
-        m1, _ = kernels.grid_max_threshold(k, math.pi / k, 2.0 * math.pi / k, 20_000)
+        m1, _ = _grid_max(k, math.pi / k, 2.0 * math.pi / k, 20_000)
         slack = 1e-9 * max(1.0, abs(m1))
         for t in range(2, k // 2 + 1):
             lo = (2 * t - 1) * math.pi / k
             hi = min((2 * t + 1) * math.pi / k, math.pi - 1e-6)
             if lo >= hi:
                 continue
-            mt, theta_t = kernels.grid_max_threshold(k, lo, hi, 20_000)
+            mt, theta_t = _grid_max(k, lo, hi, 20_000)
             if mt > m1 + slack:
                 bad.append((k, t, mt, m1, theta_t))
     ok = not bad

@@ -251,7 +251,7 @@ class TestMaxThreshold:
         assert peak_bytes < 8e6
 
     def test_ten_million_point_scan_stays_small(self):
-        # the cell bounds are computed in chunks, so memory stays flat in n
+        # the zoom evaluates a few hundred points, so memory stays flat in n
         tracemalloc.start()
         try:
             max_threshold(ThetaScan(500, grid_points=10_000_000))

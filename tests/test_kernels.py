@@ -26,8 +26,7 @@ def _grid(lo, hi, n):
 
 
 def _whole_grid_max(k, lo, hi, n):
-    # the whole-array form of grid_max_threshold, the reference for its
-    # blocked walk
+    # the whole-grid argmax, the reference for grid_max_threshold's zoom
     theta = kernels.theta_grid(lo, hi, n)
     vals = kernels.threshold_values(k, theta)
     i = int(np.argmax(vals))
@@ -110,7 +109,6 @@ class TestBlockedGridMax:
     @pytest.mark.parametrize(
         "n, k",
         [(n, k) for n in (1, 1000, B - 1, B, B + 1, 3 * B + 7, 1_000_000) for k in (2, 3, 9, 31, 32, 97, 1000)]
-        # past GRID_CELL * GRID_BLOCK = 2,097,152 points a cell is wider than GRID_CELL
         + [(n, k) for n in (2_097_153, 3_000_001) for k in (2, 9, 97, 1000)],
     )
     def test_lobe_matches_whole_grid_bit_for_bit(self, n, k):
@@ -121,29 +119,29 @@ class TestBlockedGridMax:
         assert repr(got) == repr(_whole_grid_max(k, lo, hi, n))
 
     def test_ties_go_to_the_first_index_across_blocks(self, monkeypatch):
-        # a constant curve with constant cell bounds: no bound is strictly
-        # below the seed's value, so every cell is walked
+        # a constant curve ties at every index, in every zoom round
         monkeypatch.setattr(kernels, "threshold_values", lambda k, theta: np.full_like(theta, 7.0))
-        monkeypatch.setattr(kernels, "_cell_bounds", lambda k, ends: np.full(ends.size - 1, 7.0))
-        lo, hi, n = 0.1, 0.3, 3 * B + 7
+        lo, hi, n = PI / 9, 2 * PI / 9, 3 * B + 7
         assert kernels.grid_max_threshold(9, lo, hi, n) == (7.0, lo + (hi - lo) * (1 / n))
 
-    def test_ties_go_to_the_first_index_when_the_seed_comes_later(self, monkeypatch):
-        # the seed is the cell with the largest bound, far from index 1;
-        # its tie with every other cell still goes to the first index
-        def bounds(k, ends):
-            out = np.full(ends.size - 1, 7.0)
-            out[40] = 9.0
-            return out
-
-        monkeypatch.setattr(kernels, "threshold_values", lambda k, theta: np.full_like(theta, 7.0))
-        monkeypatch.setattr(kernels, "_cell_bounds", bounds)
-        lo, hi, n = 0.1, 0.3, 3 * B + 7
-        assert kernels.grid_max_threshold(9, lo, hi, n) == (7.0, lo + (hi - lo) * (1 / n))
+    @pytest.mark.parametrize("n", [3 * B + 7, 10**9])
+    def test_ties_go_to_the_first_index_of_a_later_plateau(self, monkeypatch, n):
+        # a curve that rises, then stays constant from an angle inside the
+        # lobe: the zoom keeps the plateau's first index
+        lo, hi = PI / 9, 2 * PI / 9
+        start = lo + 0.3 * (hi - lo)
+        monkeypatch.setattr(kernels, "threshold_values", lambda k, theta: np.minimum(theta, start))
+        v, theta = kernels.grid_max_threshold(9, lo, hi, n)
+        i = math.ceil(0.3 * n)
+        while lo + (hi - lo) * ((i - 1) / n) >= start:
+            i -= 1
+        while lo + (hi - lo) * (i / n) < start:
+            i += 1
+        assert (v, theta) == (start, lo + (hi - lo) * (i / n))
 
 
 class TestPrunedScan:
-    """The cell-pruned scan against the whole-grid argmax, bit for bit."""
+    """The lobe zoom against the whole-grid argmax, bit for bit."""
 
     @pytest.mark.parametrize("k", range(2, 1001, 37))
     def test_lobe_every_37th_k(self, k):
@@ -158,41 +156,39 @@ class TestPrunedScan:
         got = kernels.grid_max_threshold(k, lo, hi, n)
         assert repr(got) == repr(_whole_grid_max(k, lo, hi, n))
 
-    @pytest.mark.parametrize("k", [2, 3, 9, 97, 1000])
-    @pytest.mark.parametrize("rel_gap", [0.0, 1e-8, None])
-    def test_full_interval(self, k, rel_gap):
-        # a grid of step pi/n over (0, pi), shifted so that a point lies 0,
-        # 1e-8 pi/k or 1e-3 past each multiple of pi/k: on and next to the
-        # angles where the curve diverges, which the scan does not skip
-        gap = 1e-3 if rel_gap is None else rel_gap * PI / k
-        n = k * (100_000 // k)
-        lo, hi = gap, gap + PI * ((n - 1) / n)
-        got = kernels.grid_max_threshold(k, lo, hi, n - 1)
-        assert repr(got) == repr(_whole_grid_max(k, lo, hi, n - 1))
+    @settings(max_examples=200)
+    @given(st.floats(0.3, 9.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(1, 200_000))
+    def test_random_windows(self, log_k, a, b, n):
+        # log-uniform k to 10^9 and a window of the lobe, either way round;
+        # pi/k (1 + f) never rounds past 2 pi/k, which is exactly 2 (pi/k)
+        k = max(2, int(10**log_k))
+        lo, hi = (PI / k) * (1.0 + a), (PI / k) * (1.0 + b)
+        got = kernels.grid_max_threshold(k, lo, hi, n)
+        assert repr(got) == repr(_whole_grid_max(k, lo, hi, n))
 
-    @pytest.mark.parametrize("k", [10, 16, 24])
-    def test_later_lobes(self, k):
-        # the windows of acceptance check 10e
-        for t in range(2, k // 2 + 1):
-            lo = (2 * t - 1) * PI / k
-            hi = min((2 * t + 1) * PI / k, PI - 1e-6)
-            got = kernels.grid_max_threshold(k, lo, hi, 20_000)
-            assert repr(got) == repr(_whole_grid_max(k, lo, hi, 20_000)), t
+    @pytest.mark.parametrize("k", [2, 9, 1000])
+    def test_window_outside_the_lobe_raises(self, k):
+        lo, hi = PI / k, 2 * PI / k
+        windows = [
+            (1e-6, PI - 1e-6),
+            (1e-9, lo * (1.0 - 1e-9)),
+            (3 * lo, min(5 * lo, PI)),
+            (math.nextafter(lo, 0.0), hi),
+            (lo, math.nextafter(hi, 4.0)),
+            (hi, lo * 0.5),
+            (math.nan, hi),
+        ]
+        for window in windows:
+            with pytest.raises(ValueError, match="inside"):
+                kernels.grid_max_threshold(k, *window, 1000)
 
-    @pytest.mark.parametrize("k", [9, 16, 24])
-    def test_before_the_first_singularity(self, k):
-        # L cancels to noise at tiny theta, and the scan still matches it
-        lo, hi = 1e-9, (PI / k) * (1.0 - 1e-9)
-        got = kernels.grid_max_threshold(k, lo, hi, 20_000)
-        assert repr(got) == repr(_whole_grid_max(k, lo, hi, 20_000))
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_fewer_than_one_point_raises(self, n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            kernels.grid_max_threshold(9, PI / 9, 2 * PI / 9, n)
 
-    @pytest.mark.parametrize("k", [2, 9, 97, 1000])
-    def test_cells_wider_than_grid_cell(self, monkeypatch, k):
-        # with at most 256 cells, 200,001 points make cells of 782 points,
-        # one to a walk block, on either direction of grid
-        monkeypatch.setattr(kernels, "GRID_BLOCK", 2 * kernels.GRID_CELL)
-        windows = ((PI / k, 2 * PI / k), (1e-6, PI - 1e-6), (PI - 1e-6, 1e-6))
-        want = [repr(_whole_grid_max(k, lo, hi, 200_001)) for lo, hi in windows]
+    @pytest.mark.parametrize("k", [2, 9, 1000, 10**9])
+    def test_evaluation_budget_on_a_billion_point_lobe(self, monkeypatch, k):
         sizes = []
 
         def spy(k, theta, _fn=kernels.threshold_values):
@@ -200,57 +196,9 @@ class TestPrunedScan:
             return _fn(k, theta)
 
         monkeypatch.setattr(kernels, "threshold_values", spy)
-        assert [repr(kernels.grid_max_threshold(k, lo, hi, 200_001)) for lo, hi in windows] == want
-        assert max(sizes) == 782
-
-    @settings(max_examples=200)
-    @given(
-        st.floats(0.3, 9.0),
-        st.floats(-12.0, math.log10(PI)),
-        st.floats(0.0, 1.0),
-        st.integers(1, 200_000),
-    )
-    def test_random_windows(self, log_k, log_lo, frac, n):
-        # log-uniform k to 10^9 and lo down to 1e-12, lo < hi <= pi
-        k = max(2, int(10**log_k))
-        lo = 10**log_lo
-        hi = min(PI, 10 ** (log_lo + frac * (math.log10(PI) - log_lo)))
-        assume(lo < hi)
-        got = kernels.grid_max_threshold(k, lo, hi, n)
-        assert repr(got) == repr(_whole_grid_max(k, lo, hi, n))
-
-    @staticmethod
-    def _assert_bounds_cover(k, lo, hi, n):
-        S = kernels.GRID_CELL
-        i = np.minimum(np.arange(-(-n // S) + 1) * S, n).astype(np.float64)
-        bounds = kernels._cell_bounds(k, lo + (hi - lo) * (i / n))
-        vals = kernels.threshold_values(k, kernels.theta_grid(lo, hi, n))
-        vals = np.concatenate([vals, np.full(-n % S, -np.inf)]).reshape(-1, S)
-        assert bounds.shape == (vals.shape[0],)
-        assert (vals.max(axis=1) <= bounds).all()
-
-    @settings(max_examples=200)
-    @given(
-        st.floats(0.3, 9.0),
-        st.floats(-12.0, math.log10(PI)),
-        st.floats(0.0, 1.0),
-        st.integers(1, 20_000),
-    )
-    def test_cell_bounds_cover_every_value(self, log_k, log_lo, frac, n):
-        # the lemma itself: no computed value of a cell exceeds its bound
-        k = max(2, int(10**log_k))
-        lo = 10**log_lo
-        hi = min(PI, 10 ** (log_lo + frac * (math.log10(PI) - log_lo)))
-        assume(lo < hi)
-        self._assert_bounds_cover(k, lo, hi, n)
-
-    @pytest.mark.parametrize("k", [3, 9, 97])
-    @pytest.mark.parametrize("n", [128, 1000])
-    @pytest.mark.parametrize("shrink", [0.0, 1e-3])
-    def test_cell_bounds_cover_an_interior_multiple_of_2pi_over_k(self, k, n, shrink):
-        # cells from near one singular angle past 2 pi/k, where cos^2(k theta/2)
-        # peaks at 1 inside the cell and not at either end
-        self._assert_bounds_cover(k, PI / k * (1 + shrink), 3 * PI / k * (1 - shrink), n)
+        v, theta = kernels.grid_max_threshold(k, PI / k, 2 * PI / k, 10**9)
+        assert v > 0.0 and PI / k < theta < 2 * PI / k
+        assert len(sizes) <= 7 and max(sizes) <= 129, sizes
 
     def test_evaluates_a_few_percent_of_a_million_point_lobe(self, monkeypatch):
         from unimodal_lab.envelope import ThetaScan, max_threshold
@@ -499,6 +447,42 @@ class TestAgainstMpmath:
         assert worst <= 2e-14
 
 
+class TestLobeLemma:
+    """The derivatives and signs of the kernels docstring's lemma, that L
+    rises to one peak and then falls on the lobe, in mpmath at 40 digits."""
+
+    @pytest.mark.parametrize("k", [2, 3, 9, 1000, 10**6])
+    def test_derivatives_and_their_signs(self, k):
+        sin, cos, sec = mpmath.sin, mpmath.cos, mpmath.sec
+        with mpmath.workdps(40):
+            def N(t):
+                return k * k * sin(t / 2) ** 2 + mpmath.log(cos(k * t / 2) ** 2)
+
+            def G(t):
+                return -mpmath.log(cos(t / 2) ** 2) - sin(t / 2) ** 2
+
+            for j in range(1, 12):
+                t = mpmath.pi / k * (1 + mpmath.mpf(j) / 12)
+                # (function, order, closed form, sign of the closed form)
+                for f, order, want, sign in (
+                    (N, 1, k * k / 2 * sin(t) - k * mpmath.tan(k * t / 2), 1),
+                    (G, 1, sin(t / 2) ** 3 / cos(t / 2), 1),
+                    (N, 2, k * k / 2 * (cos(t) - sec(k * t / 2) ** 2), -1),
+                    (G, 2, (sec(t / 2) ** 2 - cos(t)) / 2, 1),
+                ):
+                    got = mpmath.diff(f, t, order)
+                    assert sign * want > 0, (f.__name__, order, j)
+                    assert abs(got - want) <= 1e-25 * abs(want), (f.__name__, order, j)
+
+    @pytest.mark.parametrize("k", [2, 3, 9, 1000, 10**6])
+    def test_curve_rises_then_falls_on_a_lobe_grid(self, k):
+        values = [mp_threshold(k, t) for t in _grid(PI / k, 2 * PI / k, 2_000)]
+        steps = [b - a for a, b in zip(values, values[1:])]
+        top = next(i for i, d in enumerate(steps) if not d > 0)
+        assert 0 < top < len(steps)
+        assert all(d < 0 for d in steps[top:]), k
+
+
 class TestEdgeContracts:
     def test_all_sentinel_window_is_empty(self):
         # the one grid point is theta = pi, where s rounds to 1 and L is
@@ -514,12 +498,11 @@ class TestEdgeContracts:
 
     def test_all_nan_window_is_empty(self):
         # on (0, 1e-300] the gap underflows to 0 and so does the numerator,
-        # so every L is NaN; a NaN empties the result, as np.argmax and
-        # np.argmin over the whole grid would
+        # so every L is NaN; a NaN empties the result, as np.argmin over
+        # the whole grid would
         k, lo, hi, n = 9, 0.0, 1e-300, 5
         with np.errstate(all="ignore"):
             assert np.isnan(kernels.threshold_values(k, kernels.theta_grid(lo, hi, n))).all()
-            assert repr(kernels.grid_max_threshold(k, lo, hi, n)) == "(-inf, nan)"
             assert repr(kernels.grid_min_margin(5.0, k, lo, hi, n)) == "(inf, nan)"
 
     def test_lobe_max_over_every_point(self):
