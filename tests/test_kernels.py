@@ -166,6 +166,42 @@ class TestPrunedScan:
         got = kernels.grid_max_threshold(k, lo, hi, n)
         assert repr(got) == repr(_whole_grid_max(k, lo, hi, n))
 
+    @pytest.mark.parametrize("k", [2, 3, 9, 97, 1000])
+    @pytest.mark.parametrize("rel_gap", [0.0, 1e-8, 1e-3])
+    def test_window_from_the_singular_end(self, k, rel_gap):
+        # a window that starts on pi/k, where L is the -inf sentinel, or just
+        # past it, where L is far below 0, walked away from it and towards it
+        n = k * (100_000 // k) - 1
+        near, far = (PI / k) * (1.0 + rel_gap), 2 * PI / k
+        for lo, hi in ((near, far), (far, near)):
+            got = kernels.grid_max_threshold(k, lo, hi, n)
+            assert repr(got) == repr(_whole_grid_max(k, lo, hi, n)), (lo, hi)
+
+    @pytest.mark.parametrize("k", [2, 9, 97, 1000])
+    @pytest.mark.parametrize("side", ["rising", "falling"])
+    def test_window_on_one_side_of_the_peak(self, k, side):
+        # the first best sample of every round is an end of the window, and
+        # the maximum is the grid point nearest the peak
+        _, peak = _whole_grid_max(k, PI / k, 2 * PI / k, 100_000)
+        if side == "rising":
+            lo, hi = PI / k, PI / k + 0.5 * (peak - PI / k)
+            want = hi
+        else:
+            lo, hi = peak + 0.5 * (2 * PI / k - peak), 2 * PI / k
+            want = lo + (hi - lo) * (1 / 100_000)
+        got = kernels.grid_max_threshold(k, lo, hi, 100_000)
+        assert repr(got) == repr(_whole_grid_max(k, lo, hi, 100_000))
+        assert got[1] == want
+
+    @pytest.mark.parametrize("n", [2, 64, 65, 66, 129, 130, 64 * 65, 64 * 65 + 1])
+    def test_grid_sizes_around_the_sample_count(self, n):
+        # n - 1 = 64 is the largest span left to the last window, and the
+        # first round's step doubles past each 64 (2^j) span
+        for k in (2, 9, 1000):
+            for lo, hi in ((PI / k, 2 * PI / k), (2 * PI / k, PI / k)):
+                got = kernels.grid_max_threshold(k, lo, hi, n)
+                assert repr(got) == repr(_whole_grid_max(k, lo, hi, n)), (k, lo, hi)
+
     @pytest.mark.parametrize("k", [2, 9, 1000])
     def test_window_outside_the_lobe_raises(self, k):
         lo, hi = PI / k, 2 * PI / k
