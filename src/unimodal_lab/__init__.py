@@ -9,8 +9,10 @@ Three layers:
 * certmax: a certified enclosure of the limit-shape constant that
   governs the min_m ~ alpha k^4 growth law.
 
-Grid scans run on NumPy in unimodal_lab.kernels, which loads it on the
-first grid call, so importing the package does not import NumPy. The
+Every printed float comes from libm. NumPy only counts the sandwich
+violations of eclass, in unimodal_lab.kernels, which loads it on the
+first array-lane call, so importing the package does not import NumPy,
+and no other command does either. The
 package exports only its layer modules, __version__, Refusal and
 OutOfRange; each layer's public names are read from the layer.
 

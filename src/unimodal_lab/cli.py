@@ -31,7 +31,7 @@ A process enters through entry(), which the package's __main__ and the
 installed unimodal-lab script both call; main() itself has no
 process-level effect, so it can run in-process. entry() freezes the heap
 at exit, so the interpreter's final collections do not walk the module
-graph (NumPy's too, after a grid command) just before the OS reclaims
+graph (NumPy's too, after eclass) just before the OS reclaims
 it. json is imported only for json output; json.dumps walks the record
 itself, and its default hook writes each Fraction as "p/q".
 ThreadPoolExecutor is a bare class, not concurrent.futures' pool: no
@@ -153,10 +153,12 @@ def render(result: Result, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _k_range(args: argparse.Namespace) -> list[int]:
+def _k_range(args: argparse.Namespace) -> range:
+    # a range, not a list: a scan past the proven range refuses at its
+    # first such k without building every k first
     if args.k_min < 2 or args.k_max < args.k_min:
         raise ValueError(f"need 2 <= k-min <= k-max, got {args.k_min}, {args.k_max}")
-    return list(range(args.k_min, args.k_max + 1))
+    return range(args.k_min, args.k_max + 1)
 
 
 def cmd_check(args: argparse.Namespace) -> Result:

@@ -289,18 +289,19 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
     z = k theta/2: then k^2 sin^2(theta/2) < z^2 < 2.47, while
     |cos z| <= |z - pi/2| <= 1.6e-8 gives ln cos^2 z < -35.9, so the
     numerator of L is negative and, the gap being positive, L < 0. The
-    computed value keeps the sign. With u = 2^-53, and sin within 4 ulp
-    (relative 8u) in libm and NumPy, q^ = fl(sin(fl(z))^2) is within
-    17.01 u of sin^2 fl(z), and fl(z) moves sin^2, whose slope is at most
-    1, by at most u z; so 1 - q^ is within (17.01 + z) u < 2.1e-15 of
-    cos^2 z, and log1p(-q^) < -33, or q^ rounds to 1 and L is the -inf
-    sentinel.
+    computed value keeps the sign. The scan and the refinement compute
+    every value in libm, so only libm is assumed accurate: with
+    u = 2^-53, and sin within 4 ulp (relative 8u),
+    q^ = fl(sin(fl(z))^2) is within 17.01 u of sin^2 fl(z), and fl(z)
+    moves sin^2, whose slope is at most 1, by at most u z; so 1 - q^ is
+    within (17.01 + z) u < 2.1e-15 of cos^2 z, and log1p(-q^) < -33, or
+    q^ rounds to 1 and L is the -inf sentinel.
 
     The grid peak, kernels.grid_max_threshold, is never the -inf sentinel
     and is positive: its zoom returns at least every value it evaluates,
     and on n >= 1000 points at 2 <= k <= _K_VERIFIED its first samples
-    hold a point where the computed L is finite and positive. They
-    include index n, for k >= 3 the angle 2 pi/k to within an ulp: there
+    hold a point where libm's L is finite and positive. They include
+    index n, for k >= 3 the angle 2 pi/k to within an ulp: there
     s^ = sin^2(pi/k) lies in [9.8e-6, 3/4], so the gap is a positive
     normal float, and q^ is about 1.5e-32, so L is smooth_part(k, 2 pi/k)
     > 0 to rounding. At k = 2 index n is pi, where s^ rounds to 1 (the
@@ -317,7 +318,7 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
     nearest integer (the least is at k = 393, on grids of 10^3, 10^5 and
     10^6 points), while its float error is at most 4.4 % of that distance
     (the most at k = 756: 4.4e-5 against 9.9e-4). So a last-bit change in
-    libm or NumPy cannot move min_m, and near_integer, a peak within 1e-6
+    libm cannot move min_m, and near_integer, a peak within 1e-6
     of an integer, is false at every such k. Above k = 1000 the float
     peak is off by a few ulp of max L, and from k = 2480 that moves
     ceil(max L).

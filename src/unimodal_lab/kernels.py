@@ -1,17 +1,22 @@
-"""The threshold curve, the denominator gap and the limit shape, and the
-NumPy grid kernels that scan them.
+"""The threshold curve, the denominator gap and the limit shape, the lobe
+zoom that finds the curve's grid peak, and the NumPy grid kernels.
 
 Each formula is written once, as a function of its argument and an ops
 namespace that supplies sin, cos, log, log1p and select: SCALAR_OPS
-(libm through math) for the scalar evaluators
-envelope.threshold_value, envelope.denominator_gap and
-certmax.limit_shape, which drive the golden-section and bisection
-refinements, and ARRAY_OPS (NumPy) for the grids. The lanes stay apart
-because NumPy's log1p and libm's differ in the last bit on some inputs,
-and the CLI prints scalar results to 17 digits. NumPy is imported on
-the first grid call, not with this module, so the commands that scan
-no grid start without it; ARRAY_OPS is built then, once, and every
-access returns that one namespace.
+(libm through math) and ARRAY_OPS (NumPy). The lane rule: every float
+a command prints comes from SCALAR_OPS. That lane serves the lobe zoom
+grid_max_threshold and the scalar evaluators envelope.threshold_value,
+envelope.denominator_gap and certmax.limit_shape, which drive the
+golden-section and bisection refinements, so the peak, its angle, the
+margins and the alpha bounds are libm's. ARRAY_OPS only counts
+(envelope.sandwich_check's violations) and serves grid_min_margin and
+grid_max_limit_shape. The lanes stay apart because NumPy's log1p and
+libm's differ in the last bit on some inputs, and the CLI prints
+scalar results to 17 digits. NumPy is imported on the first
+array-lane call, not with this module, so every command but eclass,
+whose sandwich count is the one such call, starts without it;
+ARRAY_OPS is built then, once, and every access returns that one
+namespace.
 
 select(c, a, b, *args) is the one branch: a(*args) where c holds and
 b(*args) where it does not. The scalar lane calls one branch. The array
@@ -45,26 +50,27 @@ inside the lobe: before the first largest index p they rise strictly,
 and from p on they do not rise.
 
 grid_max_threshold finds the first largest value of a lobe grid by a
-zoom over grid indices. Each round evaluates the indices a, a + h,
-a + 2h, ... below b, and b itself, of a window [a, b] that starts as
-[1, n], with h the least power of two at least (b - a)/_ZOOM, and keeps
-the window between the neighbours of the first best sample; a last
-window of at most _ZOOM + 1 indices is evaluated whole, and the result
-is its first largest value. On exact values the zoom is exact: if p lay
-at or left of the best sample's left neighbour, both would lie where
-the values do not rise, so the neighbour would be at least as large; if
-p lay right of its right neighbour, both would lie where the values
-rise strictly, so the neighbour would be larger. Either contradicts a
+zoom over grid indices, in libm. Each round evaluates the indices a,
+a + h, a + 2h, ... below b, and b itself, of a window [a, b] that
+starts as [1, n], with h the least power of two at least (b - a)/_ZOOM,
+and keeps the window between the neighbours of the first best sample;
+a last window of at most _ZOOM + 1 indices is evaluated whole (h = 1),
+and the result is its first largest value. On exact values the zoom is
+exact: if p lay at or left of the best sample's left neighbour, both
+would lie where the values do not rise, so the neighbour would be at
+least as large; if p lay right of its right neighbour, both would lie
+where the values rise strictly, so the neighbour would be larger. Either contradicts a
 first best sample, so every window holds p, and the last one's first
 largest index is p. On computed values, whose last bits need not rise
 and fall with L, that the result equals the whole-grid argmax bit for
-bit is checked, not proven: CI compares the two at every k <= 1000 on
-10^3 and 10^5 points and at every 10th k from 100 on 10^6 points.
+bit is checked, not proven: CI compares it with the first largest libm
+value of the whole grid at every k <= 1000 on 10^3 and 10^5 points and
+at every 10th k from 100 on 10^6 points.
 Each h divides the one before, and a round's best index is an end of
 the next window or h past its left end, so the next round samples it
 too: the result is at least every value the zoom evaluates. A round
 evaluates at most _ZOOM + 1 points and shrinks the window about
-_ZOOM/2-fold: n = 10^9 takes 6 evaluations of at most 65 points.
+_ZOOM/2-fold: n = 10^9 takes 6 rounds, 354 evaluations of L.
 
 grid_min_margin and grid_max_limit_shape walk every block of
 theta_blocks, GRID_BLOCK consecutive grid indices at a time: at
@@ -109,7 +115,7 @@ SCALAR_OPS = SimpleNamespace(
 
 @functools.cache
 def _array_ops():
-    # the array lane, built once, on the first grid call
+    # the array lane, built once, on its first call
     import numpy as np
 
     return SimpleNamespace(
@@ -252,24 +258,27 @@ def grid_max_threshold(k: int, lo: float, hi: float, n: int) -> tuple[float, flo
     """Max of the threshold curve over a right-closed grid inside the lobe
     [pi/k, 2 pi/k]; (-inf, nan) if empty.
 
-    The zoom of the module docstring, whose exactness rests on the
-    lemma there, so a window outside the lobe raises ValueError, as
-    does n < 1. A NaN value in the last window empties the result.
+    The zoom of the module docstring, in libm, whose exactness rests on
+    the lemma there, so a window outside the lobe raises ValueError, as
+    does n < 1. No lobe value is NaN, so Python's max orders them all:
+    where s and q round below 1, log1p(-q) and k^2 s are finite and the
+    gap is a positive normal float, about s^2/2 or more with
+    s >= sin^2(pi/(2k)), for every k below 10^76; elsewhere L is the
+    -inf sentinel, and a window of sentinels gives (-inf, nan).
     """
-    import numpy as np
-
     if n < 1 or not all(math.pi / k <= x <= 2.0 * math.pi / k for x in (lo, hi)):
         raise ValueError(f"need n >= 1 points of a window inside [pi/k, 2 pi/k], got {n}, {lo}, {hi}")
     width = hi - lo
-    a, b = 1, n
-    while b - a > _ZOOM:
-        # the least power of two h with _ZOOM h >= b - a
-        h = 1 << (-(-(b - a) // _ZOOM) - 1).bit_length()
-        i = np.append(np.arange(a, b, h), b)
-        j = int(np.argmax(threshold_values(k, _grid_angles(lo, width, i, n))))
-        a, b = int(i[max(j - 1, 0)]), int(i[min(j + 1, i.size - 1)])
-    last = _grid_angles(lo, width, np.arange(a, b + 1), n)
-    return _walk(functools.partial(threshold_values, k), [last])
+    a, b, h = 1, n, 2
+    while h > 1:
+        # the least power of two h with _ZOOM h >= b - a; the round at
+        # h = 1 evaluates its window whole and is the last
+        h = 1 << (max(b - a - 1, 0) // _ZOOM).bit_length()
+        i = [*range(a, b, h), b]
+        vals = [threshold(k, _grid_angles(lo, width, x, n), SCALAR_OPS) for x in i]
+        j = vals.index(max(vals))
+        a, b = i[max(j - 1, 0)], i[min(j + 1, len(i) - 1)]
+    return (vals[j], _grid_angles(lo, width, i[j], n)) if vals[j] > -math.inf else (-math.inf, math.nan)
 
 
 def grid_min_margin(m: float, k: int, lo: float, hi: float, n: int) -> tuple[float, float]:

@@ -328,6 +328,16 @@ class TestEclass:
         assert code == 0
         assert json.loads(out)["m_of_k"] == proven_peak(k)[2]
 
+    @pytest.mark.parametrize("k_max", [10**18, 10**20])
+    def test_a_huge_k_range_is_refused_at_its_first_k(self, capsys, k_max):
+        # the scan walks its k range and refuses at k = 1001, without first
+        # building a list of every k (MemoryError at 10^18 k, OverflowError
+        # at 10^20)
+        code, out, err = run(capsys, "scan-eclass", "--k-min", "1001", "--k-max", str(k_max))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "certification failure" in err
+
     def test_tol_is_gone(self, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["eclass", "--k", "9", "--tol", "1e-10"])

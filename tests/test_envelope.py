@@ -230,6 +230,30 @@ class TestMaxThreshold:
         assert abs(mpmath.mpf(peak.max_value) - exact) <= 8 * math.ulp(peak.max_value)
         assert peak.min_m == int(mpmath.ceil(exact))
 
+    @pytest.mark.parametrize("k, n, value, theta", [
+        (2, 1000, 2.6912538551839913, 2.2115443826802474),
+        (2, 100000, 2.6912538551839913, 2.2115443756759294),
+        (2, 1000000, 2.691253855183991, 2.2115443867979905),
+        (3, 1000, 20.34055642593183, 1.4796604227105665),
+        (3, 100000, 20.340556425931833, 1.4796604141003533),
+        (3, 1000000, 20.340556425931826, 1.4796604277590597),
+        (9, 1000, 2064.934451864477, 0.49348093908476903),
+        (9, 100000, 2064.9344518644757, 0.4934809319486516),
+        (9, 1000000, 2064.9344518644766, 0.4934809333724114),
+        (1000, 1000, 322931380715.128, 0.004441350951020606),
+        (1000, 100000, 322931380715.12787, 0.004441350939929861),
+        (1000, 1000000, 322931380715.128, 0.004441350955939681),
+    ])
+    def test_peak_comes_from_libm_alone(self, monkeypatch, k, n, value, theta):
+        # the values a zoom over NumPy samples gave, bit for bit, with the
+        # array lane unusable: no float of the peak comes from NumPy
+        def no_array_lane():
+            raise AssertionError("max_threshold reached the array lane")
+
+        monkeypatch.setattr(kernels, "_array_ops", no_array_lane)
+        peak = max_threshold(ThetaScan(k, grid_points=n))
+        assert repr((peak.max_value, peak.argmax_theta)) == repr((value, theta))
+
     def test_grid_point_stays_when_the_refinement_is_worse(self, monkeypatch):
         # the golden search keeps its better last probe, which may lie below
         # the best grid point; max_threshold then reports the grid point

@@ -25,15 +25,34 @@ def _grid(lo, hi, n):
     return [lo + (hi - lo) * (i / n) for i in range(1, n + 1)]
 
 
+def _scalar_grid_max(k, lo, hi, n, indices):
+    # the first largest scalar value of L over the given grid indices, in
+    # increasing order, and its angle; (-inf, nan) if it is the sentinel
+    best = (float("-inf"), float("nan"))
+    for i in indices:
+        theta = lo + (hi - lo) * (i / n)
+        v = threshold_value(k, theta)
+        if v > best[0]:
+            best = (v, theta)
+    return best
+
+
+def _near_the_array_max(k, lo, hi, n):
+    # the grid indices whose array value lies within 1e-9 relative of the
+    # largest array value
+    vals = kernels.threshold_values(k, kernels.theta_grid(lo, hi, n))
+    top = vals.max()
+    return (np.flatnonzero(vals >= top - 1e-9 * abs(top)) + 1).tolist()
+
+
 def _whole_grid_max(k, lo, hi, n):
-    # the whole-grid argmax, the reference for grid_max_threshold's zoom
-    theta = kernels.theta_grid(lo, hi, n)
-    vals = kernels.threshold_values(k, theta)
-    i = int(np.argmax(vals))
-    v = float(vals[i])
-    if not math.isfinite(v):
-        return float("-inf"), float("nan")
-    return v, float(theta[i])
+    # the first largest scalar value over the whole grid, the reference for
+    # grid_max_threshold's zoom. Above 2*10^5 points only the indices near
+    # the array maximum are evaluated: both lanes lie within
+    # tests/rounding.py's bound, about 1e-15 relative near the peak, so no
+    # index 1e-9 below the array maximum can hold the scalar one
+    indices = range(1, n + 1) if n <= 200_000 else _near_the_array_max(k, lo, hi, n)
+    return _scalar_grid_max(k, lo, hi, n, indices)
 
 
 B = kernels.GRID_BLOCK
@@ -120,7 +139,7 @@ class TestBlockedGridMax:
 
     def test_ties_go_to_the_first_index_across_blocks(self, monkeypatch):
         # a constant curve ties at every index, in every zoom round
-        monkeypatch.setattr(kernels, "threshold_values", lambda k, theta: np.full_like(theta, 7.0))
+        monkeypatch.setattr(kernels, "threshold", lambda k, theta, ops: 7.0)
         lo, hi, n = PI / 9, 2 * PI / 9, 3 * B + 7
         assert kernels.grid_max_threshold(9, lo, hi, n) == (7.0, lo + (hi - lo) * (1 / n))
 
@@ -130,7 +149,7 @@ class TestBlockedGridMax:
         # lobe: the zoom keeps the plateau's first index
         lo, hi = PI / 9, 2 * PI / 9
         start = lo + 0.3 * (hi - lo)
-        monkeypatch.setattr(kernels, "threshold_values", lambda k, theta: np.minimum(theta, start))
+        monkeypatch.setattr(kernels, "threshold", lambda k, theta, ops: min(theta, start))
         v, theta = kernels.grid_max_threshold(9, lo, hi, n)
         i = math.ceil(0.3 * n)
         while lo + (hi - lo) * ((i - 1) / n) >= start:
@@ -225,29 +244,40 @@ class TestPrunedScan:
 
     @pytest.mark.parametrize("k", [2, 9, 1000, 10**9])
     def test_evaluation_budget_on_a_billion_point_lobe(self, monkeypatch, k):
-        sizes = []
+        lanes = []
 
-        def spy(k, theta, _fn=kernels.threshold_values):
-            sizes.append(theta.size)
-            return _fn(k, theta)
+        def spy(k, theta, ops, _fn=kernels.threshold):
+            lanes.append(ops)
+            return _fn(k, theta, ops)
 
-        monkeypatch.setattr(kernels, "threshold_values", spy)
+        monkeypatch.setattr(kernels, "threshold", spy)
         v, theta = kernels.grid_max_threshold(k, PI / k, 2 * PI / k, 10**9)
         assert v > 0.0 and PI / k < theta < 2 * PI / k
-        assert len(sizes) <= 7 and max(sizes) <= 129, sizes
+        assert 0 < len(lanes) <= 7 * 129
+        assert all(ops is kernels.SCALAR_OPS for ops in lanes)
 
     def test_evaluates_a_few_percent_of_a_million_point_lobe(self, monkeypatch):
         from unimodal_lab.envelope import ThetaScan, max_threshold
 
-        points = []
+        lanes = []
 
-        def spy(k, theta, _fn=kernels.threshold_values):
-            points.append(theta.size)
-            return _fn(k, theta)
+        def spy(k, theta, ops, _fn=kernels.threshold):
+            lanes.append(ops)
+            return _fn(k, theta, ops)
 
-        monkeypatch.setattr(kernels, "threshold_values", spy)
+        monkeypatch.setattr(kernels, "threshold", spy)
         max_threshold(ThetaScan(500, grid_points=1_000_000))
-        assert 0 < sum(points) < 0.03 * 1_000_000
+        assert 0 < len(lanes) < 0.03 * 1_000_000
+        assert all(ops is kernels.SCALAR_OPS for ops in lanes)
+
+    @pytest.mark.parametrize("k, n", [(2, 100_000), (3, 99_999), (9, 100_000), (1000, 65_537), (10**6, 100_000)])
+    def test_windowed_reference_equals_the_whole_grid(self, k, n):
+        # _whole_grid_max evaluates only the indices near the array maximum
+        # above 2*10^5 points; on smaller grids that gives the whole grid's
+        lo, hi = PI / k, 2 * PI / k
+        window = _near_the_array_max(k, lo, hi, n)
+        assert len(window) < n
+        assert repr(_scalar_grid_max(k, lo, hi, n, window)) == repr(_whole_grid_max(k, lo, hi, n))
 
 
 class TestSelect:
