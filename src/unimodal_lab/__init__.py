@@ -41,8 +41,8 @@ class Refusal(Exception):
 
 class OutOfRange(Refusal):
     """An input lies beyond the range a layer gives a verdict for:
-    exactpoly.family_report at m + k >= 2^49 with k <= m, a bound on the
-    work of its exact scan, and envelope.max_threshold at k > 1000, the
+    exactpoly.check_window at m + k >= 2^49, a bound on the work of
+    family_report's exact scan, and envelope.max_threshold at k > 1000, the
     range its float verdict is checked over against a proven enclosure
     of the peak."""
 

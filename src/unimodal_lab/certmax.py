@@ -48,13 +48,6 @@ class Interval(_IntervalFields):
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
 
 class CertifiedMax(NamedTuple):
     """Enclosure of the limit-shape maximum on (pi/2, pi)."""

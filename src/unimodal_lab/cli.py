@@ -15,7 +15,9 @@ Exit codes: 0 success, 1 usage or input error, 2 verdict mismatch,
 layer's refusal is a unimodal_lab.Refusal, which carries its exit code
 and its stderr label; there are two: unimodal_lab.OutOfRange (3, an
 input beyond the range a verdict is given for, such as eclass or
-scan-eclass at k > 1000, or check at m + k >= 2^49) and
+scan-eclass at k > 1000, check at m + k >= 2^49 with k <= m < k^2 - 3
+or at k^2 - 3 + k >= 2^49, or scan-theorem1 over a k range that
+reaches that bound, refused before its first k) and
 thresholds.NotFoundError (4). eclass and scan-eclass also exit 3,
 with their output written, when a maximum lies outside the max-level
 alpha sandwich.
@@ -58,6 +60,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
+import math
 import sys
 from typing import TYPE_CHECKING, NamedTuple, NoReturn, Optional
 
@@ -207,6 +210,12 @@ def cmd_check(args: argparse.Namespace) -> Result:
 
 def cmd_scan_theorem1(args: argparse.Namespace) -> Result:
     ks = _k_range(args)
+    # family_report's window refuses from some k on, and the scan decides
+    # k only while k^2 - 3 <= cap, so the last such k in the range refuses
+    # if any does: refuse before the first k, not after deciding the rest
+    last = ks[-1] if args.cap is None else min(ks[-1], math.isqrt(max(args.cap + 3, 0)))
+    if last >= ks[0]:
+        exactpoly.check_window(thresholds.predicted_threshold(last) + last)
     results = [thresholds.scan_thresholds(k, args.cap) for k in ks]
     header = ["k", "min_m_strong", "min_m_unimodal", "predicted", "match"]
     rows = [[r.k, r.min_m_strong, r.min_m_unimodal, r.predicted, r.match] for r in results]

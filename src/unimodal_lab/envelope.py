@@ -8,6 +8,8 @@ Functions with H(f) >= 0 everywhere form the class of interest; V is
 additive over products and H obeys a two-term product identity, so the
 normalized family f(z) = ((1+z)/2)^m (1+z^k)/2 reduces to a scalar
 curve: H >= 0 at theta exactly when m >= threshold_value(k, theta).
+No command evaluates V or H: they, the product identity and the
+quartic floor are checked in tests/oracles.py.
 The family has real coefficients, so |f(conj z)| = |f(z)|, and the curve
 is symmetric under theta -> 2 pi - theta: L(k, theta) = L(k, 2 pi - theta).
 Membership is therefore the one comparison m >= max L over (0, pi).
@@ -20,135 +22,28 @@ L(k, 0+) = -(k^4 + 2 k^2)/3, while L(k, pi-) tends (logarithmically)
 to 0 for even k and to -1 for odd k.
 
 The curve and its denominator gap are written once, in kernels;
-threshold_value and denominator_gap evaluate them on floats with libm.
+threshold_value evaluates the curve on floats with libm.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
-from . import OutOfRange, exactpoly, kernels
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from . import OutOfRange, kernels
 
 __all__ = [
     "ThetaScan",
     "ThresholdMax",
     "MembershipCertificate",
     "SandwichReport",
-    "variance",
-    "poly_eval_circle",
-    "envelope_defect",
-    "defect_general",
-    "product_identity_residual",
-    "denominator_gap",
-    "smooth_part",
     "threshold_value",
     "max_threshold",
     "membership_certificate",
-    "quartic_floor_check",
     "sandwich_bounds",
     "sandwich_check",
 ]
-
-
-def _normalized(coeffs: Sequence) -> tuple:
-    # the exact coefficients scaled to f(1) = 1; fractions is imported
-    # here, so the grid commands, which call no exact helper, never load it
-    from fractions import Fraction
-
-    vals = [Fraction(c) for c in coeffs]
-    total = sum(vals)
-    if total == 0:
-        raise ValueError("cannot normalize: coefficients sum to 0")
-    return tuple(c / total for c in vals)
-
-
-def variance(coeffs: Sequence) -> Fraction:
-    """V(f) = f''(1) + f'(1) - f'(1)^2, exact, for f = sum c_u z^u
-    normalized to f(1) = 1.
-
-    It is m/4 for ((1+z)/2)^m and k^2/4 for (1+z^k)/2, and additive over
-    products of normalized factors.
-    """
-    c = _normalized(coeffs)
-    d1 = sum(u * x for u, x in enumerate(c))
-    d2 = sum(u * (u - 1) * x for u, x in enumerate(c))
-    return d2 + d1 - d1 * d1
-
-
-def poly_eval_circle(coeffs: Sequence[float], theta: float) -> complex:
-    """Evaluate sum c_u z^u at z = exp(i theta) by Horner."""
-    import cmath
-
-    z = cmath.exp(1j * theta)
-    acc = 0j
-    for c in reversed(list(coeffs)):
-        acc = acc * z + complex(c)
-    return acc
-
-
-def envelope_defect(m: int, k: int, theta: float) -> float:
-    """H for the normalized family ((1+z)/2)^m (1+z^k)/2 at angle theta.
-
-    Equals exp(-(k^2 + m) sin^2(theta/2)) - cos^2(k theta/2)
-    (cos^2(theta/2))^m; nonnegative exactly when m >= threshold_value.
-    """
-    s = math.sin(0.5 * theta) ** 2
-    c2 = math.cos(0.5 * theta) ** 2
-    ck2 = math.cos(0.5 * k * theta) ** 2
-    return math.exp(-(k * k + m) * s) - ck2 * c2**m
-
-
-def defect_general(coeffs: Sequence[float], theta: float) -> float:
-    """H for an arbitrary coefficient vector (normalized to f(1) = 1)."""
-    c = _normalized(coeffs)
-    v = float(variance(c))
-    w = 4.0 * math.sin(0.5 * theta) ** 2
-    val = poly_eval_circle([float(x) for x in c], theta)
-    return math.exp(-v * w) - abs(val) ** 2
-
-
-def product_identity_residual(
-    f: Sequence[float], g: Sequence[float], theta: float
-) -> float:
-    """Relative residual of H(fg) = exp(-V(f)|1-z|^2) H(g) + |g|^2 H(f).
-
-    Inputs are normalized internally; the residual is scaled by the
-    largest term magnitude (floor 1), so ~1e-16 means exact to noise.
-    """
-    fn = [float(c) for c in _normalized(f)]
-    gn = [float(c) for c in _normalized(g)]
-    h_fg = defect_general(exactpoly.poly_mul(fn, gn), theta)
-    w = 4.0 * math.sin(0.5 * theta) ** 2
-    vf = float(variance(fn))
-    t1 = math.exp(-vf * w) * defect_general(gn, theta)
-    t2 = abs(poly_eval_circle(gn, theta)) ** 2 * defect_general(fn, theta)
-    scale = max(1.0, abs(h_fg), abs(t1), abs(t2))
-    return abs(h_fg - (t1 + t2)) / scale
-
-
-def denominator_gap(s: float) -> float:
-    """-log1p(-s) - s, via a series tail for small s; inf for s >= 1."""
-    if s >= 1.0:
-        return float("inf")
-    return kernels.gap(s, kernels.SCALAR_OPS)
-
-
-def smooth_part(k: int, theta: float) -> float:
-    """k^2 sin^2(theta/2) / denominator_gap; strictly decreasing in theta.
-
-    threshold_value adds ln cos^2(k theta/2) / denominator_gap, which is
-    <= 0, to this, so threshold_value <= smooth_part, with equality at
-    the multiples of 2 pi/k.
-    """
-    s = math.sin(0.5 * theta) ** 2
-    if s >= 1.0:
-        return 0.0
-    return k * k * s / denominator_gap(s)
 
 
 def threshold_value(k: int, theta: float) -> float:
@@ -275,11 +170,12 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
       k^2 sin^2(theta/2) + ln cos^2 x is negative, since
       k^2 sin^2(theta/2) < x^2 <= -ln cos^2 x by cos x <= exp(-x^2/2).
     * On (2 pi/k, pi),
-      L <= smooth_part(k, theta) < smooth_part(k, 2 pi/k) = L(k, 2 pi/k),
-      because the log part is <= 0, vanishes at 2 pi/k (ln cos^2 pi = 0),
-      and s/gap(s) = 1/sum_{n>=2} s^(n-1)/n decreases in
-      s = sin^2(theta/2). The point 2 pi/k lies in the right-closed lobe,
-      so the tail never beats the lobe maximum. The tail is empty at k = 2.
+      L <= k^2 s/gap(s) < k^2 s1/gap(s1) = L(k, 2 pi/k), with
+      s = sin^2(theta/2) and s1 = sin^2(pi/k), because the log part is
+      <= 0, vanishes at 2 pi/k (ln cos^2 pi = 0), and
+      s/gap(s) = 1/sum_{n>=2} s^(n-1)/n decreases in s. The point
+      2 pi/k lies in the right-closed lobe, so the tail never beats the
+      lobe maximum. The tail is empty at k = 2.
 
     Neither lemma needs k to be large, so the reduction is exact at every
     k >= 2.
@@ -303,8 +199,8 @@ def max_threshold(scan: ThetaScan) -> ThresholdMax:
     hold a point where libm's L is finite and positive. They include
     index n, for k >= 3 the angle 2 pi/k to within an ulp: there
     s^ = sin^2(pi/k) lies in [9.8e-6, 3/4], so the gap is a positive
-    normal float, and q^ is about 1.5e-32, so L is smooth_part(k, 2 pi/k)
-    > 0 to rounding. At k = 2 index n is pi, where s^ rounds to 1 (the
+    normal float, and q^ is about 1.5e-32, so L is k^2 s^/gap(s^) > 0 to
+    rounding. At k = 2 index n is pi, where s^ rounds to 1 (the
     sentinel), but the first samples step by a power of two h with
     (n - 1)/64 <= h < (n - 1)/32 + 2, so the third sample from the end
     lies in (pi - pi/16, pi - pi/128), where s^ < 1 and the numerator
@@ -366,46 +262,6 @@ def membership_certificate(m: int, peak: ThresholdMax) -> MembershipCertificate:
     return MembershipCertificate(
         m, peak.k, margin >= 0.0, margin, peak.argmax_theta, peak.grid_points
     )
-
-
-def _quartic_margin_small(psi: float) -> float:
-    # series for denominator_gap(sin^2 psi) - psi^4/2; the psi^4 and psi^6
-    # orders cancel identically, so the difference is computed term-grouped
-    # (leading survivor psi^8/60) instead of by subtraction
-    p2 = psi * psi
-    eps = p2 * p2 * (2.0 / 45.0 + p2 * (-1.0 / 315.0 + p2 * (2.0 / 14175.0)))
-    delta = -p2 / 3.0 + eps  # sin^2 psi = psi^2 (1 + delta)
-    one = 1.0 + delta
-    cube_rest = delta * (3.0 + delta * (3.0 + delta))  # (1+delta)^3 - 1
-    p4 = p2 * p2
-    p6 = p4 * p2
-    return (
-        p4 * eps
-        + 0.5 * p4 * delta * delta
-        + p6 * cube_rest / 3.0
-        + p6 * p2 * one**4 / 4.0
-        + p6 * p4 * one**5 / 5.0
-        + p6 * p6 * one**6 / 6.0
-        + p6 * p6 * p2 * one**7 / 7.0
-    )
-
-
-def quartic_floor_check(psi: float) -> tuple[bool, float]:
-    """Check denominator_gap(sin^2 psi) >= psi^4 / 2 and return the margin.
-
-    The floor is the small-angle workhorse; it is asserted on
-    (0, 1/(2 sqrt 2)] and in fact persists well past that. The margin is
-    of order psi^8 near zero, far below the noise of direct subtraction,
-    so small psi take a dedicated cancellation-free series.
-    """
-    if not 0.0 < psi <= 0.5 * math.pi:
-        raise ValueError(f"psi must lie in (0, pi/2], got {psi}")
-    if psi < 0.05:
-        margin = _quartic_margin_small(psi)
-    else:
-        s = math.sin(psi) ** 2
-        margin = denominator_gap(s) - 0.5 * psi**4
-    return margin >= 0.0, margin
 
 
 class SandwichReport(NamedTuple):

@@ -17,14 +17,13 @@ from . import OutOfRange
 
 __all__ = [
     "UnimodalReport",
-    "binomial",
-    "coefficient",
     "expand_family",
     "poly_mul",
     "is_unimodal",
     "is_strongly_unimodal",
     "unimodal_report",
     "family_report",
+    "check_window",
 ]
 
 
@@ -37,17 +36,6 @@ def _check_family(m: int, k: int) -> None:
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
     _require_k(k)
-
-
-def binomial(n: int, r: int) -> int:
-    """C(n, r), with the convention that out-of-range r gives 0."""
-    return math.comb(n, r) if r >= 0 else 0
-
-
-def coefficient(m: int, k: int, u: int) -> int:
-    """Coefficient of x^u in (1+x)^m (1+x^k): C(m, u) + C(m, u-k)."""
-    _check_family(m, k)
-    return binomial(m, u) + binomial(m, u - k)
 
 
 def expand_family(m: int, k: int) -> list[int]:
@@ -168,11 +156,6 @@ def unimodal_report(seq: Sequence[int]) -> UnimodalReport:
     return UnimodalReport(ok_u, wit_u, ok_s, wit_s, reason)
 
 
-# family_report refuses a degree N >= _N_LIMIT with k <= m, a bound on
-# its work that its docstring derives
-_N_LIMIT = 2**49
-
-
 def family_report(m: int, k: int) -> UnimodalReport:
     """unimodal_report(expand_family(m, k)), decided without building the row.
 
@@ -283,9 +266,18 @@ def family_report(m: int, k: int) -> UnimodalReport:
     one before h, i = h fails exactly when the row is not unimodal
     (x(h) < 1, step 3 of the unimodality lemma).
 
-    Work. The window can take up to h steps, so for k <= m and N >= 2^49
-    family_report raises unimodal_lab.OutOfRange, a bound on its work:
-    2^48 steps would take years.
+    Members. A positive log-concave sequence stays log-concave when
+    multiplied by 1 + x (the product of log-concave sequences without
+    internal zeros is log-concave, and (1, 1) is one), and the row for
+    m + 1 is the row for m times 1 + x. So for k <= m and m > k^2 - 3 the
+    row is strongly unimodal once the row at k^2 - 3 is (at k = 2 that
+    row is 1, 1, 1, 1), and unimodal by the lemma above: both witnesses
+    are null, and the scan runs at k^2 - 3, not at m. Theorem 1 says the
+    row at k^2 - 3 always passes; should it fail, the scan runs at m.
+
+    Work. The window can take up to h steps, so for k <= m the scan runs
+    only at N < 2^49 (check_window), a bound on its work: 2^48 steps
+    would take years. A member needs only k^2 - 3 + k < 2^49.
     """
     _check_family(m, k)
     n = m + k
@@ -295,9 +287,9 @@ def family_report(m: int, k: int) -> UnimodalReport:
         if m == 1:
             return UnimodalReport(True, None, True, None, None)
         return UnimodalReport(False, (m + 1, m + 2), False, m, "log-concavity")
-    if n >= _N_LIMIT:
-        raise OutOfRange(f"m + k is {n.bit_length()} bits long; the exact log-concavity window "
-                         "can take (m + k) / 2 steps, so it runs only below 2^49")
+    if m > k * k - 3 and family_report(k * k - 3, k).strongly_unimodal:
+        return UnimodalReport(True, None, True, None, None)
+    check_window(n)
     h = n // 2
     witness = None if m >= k * k - 3 else (h + n % 2, h + n % 2 + 1)
     strong = None if witness is None else h
@@ -314,6 +306,14 @@ def family_report(m: int, k: int) -> UnimodalReport:
         p, q = p * (u + 1) // (u + 1 - k), q * (m - u + 1) // (m - u + k + 1)
     return UnimodalReport(witness is None, witness, strong is None, strong,
                           None if strong is None else "log-concavity")
+
+
+def check_window(n: int) -> None:
+    """Raise unimodal_lab.OutOfRange unless n = m + k < 2^49, the bound on
+    the work of family_report's exact window that its docstring derives."""
+    if n >= 2**49:
+        raise OutOfRange(f"m + k is {n.bit_length()} bits long; the exact log-concavity window "
+                         "can take (m + k) / 2 steps, so it runs only below 2^49")
 
 
 def _scaled_perms(m: int, k: int, u: int) -> tuple[int, int]:

@@ -3,20 +3,20 @@ zoom that finds the curve's grid peak, and the NumPy grid kernels.
 
 Each formula is written once, as a function of its argument and an ops
 namespace that supplies sin, cos, log, log1p and select: SCALAR_OPS
-(libm through math) and ARRAY_OPS (NumPy). The lane rule: every float
-a command prints comes from SCALAR_OPS. That lane serves the lobe zoom
-grid_max_threshold and the scalar evaluators envelope.threshold_value,
-envelope.denominator_gap and certmax.limit_shape, which drive the
+(libm through math) and the array lane _array_ops() (NumPy). The lane
+rule: every float a command prints comes from SCALAR_OPS. That lane
+serves the lobe zoom grid_max_threshold and the scalar evaluators
+envelope.threshold_value and certmax.limit_shape, which drive the
 golden-section and bisection refinements, so the peak, its angle, the
-margins and the alpha bounds are libm's. ARRAY_OPS only counts
+margins and the alpha bounds are libm's. The array lane only counts
 (envelope.sandwich_check's violations) and serves grid_min_margin and
 grid_max_limit_shape. The lanes stay apart because NumPy's log1p and
 libm's differ in the last bit on some inputs, and the CLI prints
 scalar results to 17 digits. NumPy is imported on the first
 array-lane call, not with this module, so every command but eclass,
 whose sandwich count is the one such call, starts without it;
-ARRAY_OPS is built then, once, and every access returns that one
-namespace.
+_array_ops builds the array lane then, once, and returns that one
+namespace on every call.
 
 select(c, a, b, *args) is the one branch: a(*args) where c holds and
 b(*args) where it does not. The scalar lane calls one branch. The array
@@ -127,14 +127,6 @@ def _array_ops():
     )
 
 
-def __getattr__(name):
-    # ARRAY_OPS is served on access (PEP 562), so importing this module
-    # does not import NumPy
-    if name == "ARRAY_OPS":
-        return _array_ops()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 GAP_SERIES_BELOW = 1e-2
 
 
@@ -202,18 +194,12 @@ def _grid_angles(lo, width, i, n):
     return lo + width * (i / n)
 
 
-def theta_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """Right-closed grid lo + (hi - lo) * (i / n) for i = 1..n."""
-    import numpy as np
-
-    return _grid_angles(lo, hi - lo, np.arange(1, n + 1, dtype=np.float64), n)
-
-
 GRID_BLOCK = 16_384
 
 
 def theta_blocks(lo: float, hi: float, n: int) -> Iterator[np.ndarray]:
-    """theta_grid(lo, hi, n), bit for bit, in blocks of at most GRID_BLOCK points."""
+    """The right-closed grid _grid_angles(lo, hi - lo, i, n), i = 1..n, in
+    blocks of at most GRID_BLOCK points."""
     import numpy as np
 
     for start in range(1, n + 1, GRID_BLOCK):

@@ -3,8 +3,9 @@
 The coefficient sequence of (1+x)^m (1+x^k) is strongly unimodal exactly
 when m is large enough; this module locates that threshold exactly and
 provides the rational quantities (central ratios, neighbor ratios, the
-log-concavity defect beta) that certify it. All values are Fractions or
-ints, never floats.
+binomial part of the log-concavity defect beta) that certify it. All
+values are Fractions or ints, never floats. The reference forms of
+beta, c+ and c- are tests/oracles.py's.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .exactpoly import (
     _neighbour_ratio,
     _require_k,
     _scaled_perms,
-    coefficient,
     family_report,
     is_strongly_unimodal,
     poly_mul,
@@ -28,16 +28,12 @@ from .exactpoly import (
 __all__ = [
     "NotFoundError",
     "ThresholdResult",
-    "BetaProbe",
     "InequalityProbe",
     "predicted_threshold",
     "central_ratio_odd",
     "central_ratio_even",
     "ratio_vs_coefficients",
     "a_of_u",
-    "c_plus",
-    "c_minus",
-    "beta_exact",
     "inequality_one_probe",
     "inequality_probes",
     "case_polynomial_probe",
@@ -129,75 +125,17 @@ def a_of_u(k: int, u: int) -> Fraction:
 
 
 def _c_terms(k: int, u: int) -> tuple[int, int, int, int]:
-    # (P+, Q+, P-, Q-) with c_plus = P+/Q+ and c_minus = P-/Q-, unreduced;
-    # both denominators are positive for k <= u <= k^2 - 4
+    # (P+, Q+, P-, Q-), unreduced, with the one-step factors at m = k^2 - 3
+    # a(u+1)/a(u) = c+ = P+/Q+ and a(u-1)/a(u) = c- = P-/Q-; both
+    # denominators are positive for k <= u <= k^2 - 4
     q_plus = (u - k + 1) * (k * k - 3 - u)
     q_minus = u * (k * k - u + k - 2)
     return (u + 1) * (k * k + k - 3 - u), q_plus, q_minus - k * (k * k - 2), q_minus
 
 
-def _require_interior(k: int, u: int) -> None:
-    _require_k(k)
-    if u < k or u > k * k - 4:
-        raise ValueError(f"u must lie in [{k}, {k * k - 4}] for k={k}, got {u}")
-
-
-def c_plus(k: int, u: int) -> Fraction:
-    """One-step growth factor a(u+1)/a(u) at m = k^2 - 3, in closed form."""
-    _require_interior(k, u)
-    p, q, _, _ = _c_terms(k, u)
-    return Fraction(p, q)
-
-
-def c_minus(k: int, u: int) -> Fraction:
-    """One-step decay factor a(u-1)/a(u) at m = k^2 - 3, in closed form.
-
-    Equals 1 - k(k^2-2) / (u (k^2-u+k-2)), and vanishes at u = k, where
-    a(k-1) = 0.
-    """
-    _require_interior(k, u)
-    _, _, p, q = _c_terms(k, u)
-    return Fraction(p, q)
-
-
 def _b_factor(k: int, u: int) -> Fraction:
     # binomial part of beta at m = k^2 - 3; positive for 1 <= u <= k^2 - 4
     return Fraction((k * k - 2 - u) * (u + 1), (k * k - 3 - u) * u)
-
-
-class BetaProbe(NamedTuple):
-    """Log-concavity defect beta(u) and its two-factor decomposition."""
-
-    k: int
-    u: int
-    beta: Fraction
-    b_factor: Optional[Fraction]
-    a_factor: Optional[Fraction]
-    factorization_ok: Optional[bool]
-
-
-def beta_exact(k: int, u: int) -> BetaProbe:
-    """beta(u) = c(u)^2 / (c(u+1) c(u-1)) for the family at m = k^2 - 3.
-
-    For 1 <= u <= k^2 - 4 the decomposition beta = B * A is also computed,
-    where B is the pure binomial ratio and A = (1+a(u))^2 / ((1+a(u+1))
-    (1+a(u-1))); factorization_ok records whether the product reproduces
-    beta exactly.
-    """
-    _require_k(k)
-    m = k * k - 3
-    if u < 1 or u > m + k - 1:
-        raise ValueError(f"u must lie in [1, {m + k - 1}] for k={k}, got {u}")
-    cu = coefficient(m, k, u)
-    cp = coefficient(m, k, u + 1)
-    cm = coefficient(m, k, u - 1)
-    beta = Fraction(cu * cu, cp * cm)
-    if u <= m - 1:
-        b = _b_factor(k, u)
-        one = Fraction(1)
-        a = (one + a_of_u(k, u)) ** 2 / ((one + a_of_u(k, u + 1)) * (one + a_of_u(k, u - 1)))
-        return BetaProbe(k, u, beta, b, a, b * a == beta)
-    return BetaProbe(k, u, beta, None, None, None)
 
 
 class InequalityProbe(NamedTuple):
@@ -250,7 +188,7 @@ def inequality_probes(k: int) -> list[InequalityProbe]:
     """inequality_one_probe(k, u) for every u in u_range(k), in order.
 
     a(u) is built once, at the first u, and carried to the next row by
-    a(u+1) = a(u) c_plus(u) instead of being rebuilt from its k-term
+    a(u+1) = a(u) c+(u) instead of being rebuilt from its k-term
     product. Empty for k = 2, whose u_range is empty.
     """
     us = u_range(k)
@@ -296,15 +234,10 @@ class ThresholdResult(NamedTuple):
 def minimal_m(k: int, mode: str = "strong", cap: Optional[int] = None) -> int:
     """Smallest m >= 1 whose coefficient sequence passes the given predicate.
 
-    mode is "strong" or "unimodal". Both predicates are monotone in m,
-    because the sequence for m + 1 is the sequence for m convolved with
-    (1, 1), which is log-concave:
-
-    * a log-concave sequence with no internal zeros stays so when
-      multiplied by 1 + x (the product of log-concave sequences without
-      internal zeros is log-concave);
-    * a unimodal sequence convolved with a log-concave one stays
-      unimodal (Ibragimov 1956; Keilson and Gerber 1971).
+    mode is "strong" or "unimodal". The strong predicate is monotone in
+    m: the sequence for m + 1 is the sequence for m times 1 + x, which
+    keeps a positive sequence log-concave (the member lemma in
+    exactpoly.family_report).
 
     Unimodal mode scans nothing: the lemma in exactpoly.family_report
     proves that the family is unimodal exactly when m >= k^2 - 3, so the

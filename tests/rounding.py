@@ -7,8 +7,8 @@ import math
 import mpmath
 import numpy as np
 
-from unimodal_lab.envelope import denominator_gap
-from unimodal_lab.kernels import GAP_SERIES_BELOW, theta_grid, threshold_values
+from oracles import denominator_gap, theta_grid
+from unimodal_lab.kernels import GAP_SERIES_BELOW, threshold_values
 
 U = 2.0**-53  # unit roundoff of a double
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -143,16 +144,31 @@ class TestCheck:
         assert code == 1
         assert "error" in err
 
-    @pytest.mark.parametrize("m", [2**49, 2**100, 10**400], ids=["2^49", "2^100", "10^400"])
-    def test_refuses_beyond_the_proven_range(self, capsys, m):
+    @pytest.mark.parametrize("m, k", [(2**49, 2**25), (2**100, 2**50 + 1), (10**400, 10**200 + 1)],
+                             ids=["2^49", "2^100", "10^400"])
+    def test_refuses_beyond_the_proven_range(self, capsys, m, k):
         # family_report's exact window can take (m + k) / 2 steps, so it
         # runs only for m + k < 2^49; beyond that bound on its work the
-        # scan would not end in practice (2^49, 2^100, 10^400)
-        code, out, err = run(capsys, "check", "--m", str(m), "--k", "5")
+        # scan would not end in practice. A member is decided at k^2 - 3,
+        # so only a non-member, k just above sqrt(m + 3), reaches the bound
+        code, out, err = run(capsys, "check", "--m", str(m), "--k", str(k))
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("unimodal-lab: certification failure: ")
+
+    @pytest.mark.parametrize("m", [10**12, 2**60, 10**400], ids=["10^12", "2^60", "10^400"])
+    def test_a_member_is_decided_at_k2_minus_3(self, capsys, m):
+        # every m >= k^2 - 3 is a member once k^2 - 3 is, so the cost of a
+        # member does not grow with m: these took hours before
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "check", "--m", str(m), "--k", "5", "--format", "json")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["unimodal"] and doc["strongly_unimodal"] and doc["predicted_member"] and doc["agree"]
+        assert doc["unimodal_witness"] is None and doc["strong_witness"] is None
+        assert doc["central_ratio_matches"] is True
 
 
 class TestScanTheorem1:
@@ -188,6 +204,24 @@ class TestScanTheorem1:
     def test_bad_range_exits_one(self, capsys):
         code, out, err = run(capsys, "scan-theorem1", "--k-min", "5", "--k-max", "3")
         assert code == 1
+
+    @pytest.mark.parametrize("k_min, cap, code", [
+        (2, None, 3), (30_000_000, None, 3), (2, 10**15, 3), (2, 10**20, 3), (2, 5, 4),
+    ])
+    def test_a_range_beyond_the_proven_range_is_refused_up_front(self, capsys, k_min, cap, code):
+        # family_report refuses from k of about 2.37*10^7 on, where k^2 - 3
+        # is about 5.6*10^14; the scan refuses before its first k instead
+        # of deciding every k below that. A cap stops the scan at the first
+        # k with k^2 - 3 > cap (exit 4), so it keeps that refusal when it
+        # comes first
+        argv = ["scan-theorem1", "--k-min", str(k_min), "--k-max", "100000000"]
+        t0 = time.perf_counter()
+        code_got, out, err = run(capsys, *argv, *(["--cap", str(cap)] if cap else []))
+        assert time.perf_counter() - t0 < 1.0
+        assert code_got == code
+        assert out == ""
+        assert err.count("\n") == 1
+        assert ("certification failure" if code == 3 else "not found") in err
 
     def test_zero_cap_exits_one(self, capsys):
         code, out, err = run(
@@ -344,9 +378,10 @@ class TestEclass:
         assert ei.value.code == 1
 
     def test_verdict_ignores_smooth_part(self, capsys, monkeypatch):
-        # the lobe reduction is exact, so a broken smooth_part changes nothing
+        # the lobe reduction is exact, so a broken smooth_part changes
+        # nothing; envelope defines none since it moved to tests/oracles.py
         want = run(capsys, "eclass", "--k", "30")
-        monkeypatch.setattr(envelope, "smooth_part", lambda k, theta: float("inf"))
+        monkeypatch.setattr(envelope, "smooth_part", lambda k, theta: float("inf"), raising=False)
         assert run(capsys, "eclass", "--k", "30") == want
         assert want[0] == 0
 
@@ -426,7 +461,7 @@ class TestScanEclass:
 
     def test_verdicts_ignore_smooth_part(self, capsys, monkeypatch):
         want = run(capsys, "scan-eclass", "--k-min", "9", "--k-max", "10")
-        monkeypatch.setattr(envelope, "smooth_part", lambda k, theta: float("inf"))
+        monkeypatch.setattr(envelope, "smooth_part", lambda k, theta: float("inf"), raising=False)
         assert run(capsys, "scan-eclass", "--k-min", "9", "--k-max", "10") == want
         assert want[0] == 0
 

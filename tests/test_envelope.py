@@ -10,6 +10,19 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import (
+    _quartic_margin_small,
+    binomial,
+    defect_general,
+    denominator_gap,
+    envelope_defect,
+    poly_eval_circle,
+    product_identity_residual,
+    quartic_floor_check,
+    smooth_part,
+    theta_grid,
+    variance,
+)
 from rounding import mp_peak
 import unimodal_lab
 from unimodal_lab import envelope, kernels
@@ -19,22 +32,13 @@ from unimodal_lab.envelope import (
     ThetaScan,
     ThresholdMax,
     _golden_max,
-    _quartic_margin_small,
-    defect_general,
-    denominator_gap,
-    envelope_defect,
     max_threshold,
     membership_certificate,
-    poly_eval_circle,
-    product_identity_residual,
-    quartic_floor_check,
     sandwich_bounds,
     sandwich_check,
-    smooth_part,
     threshold_value,
-    variance,
 )
-from unimodal_lab.exactpoly import binomial, expand_family, poly_mul
+from unimodal_lab.exactpoly import expand_family, poly_mul
 
 
 class TestVariance:
@@ -343,7 +347,7 @@ class TestLobeReduction:
         def forbidden(k, theta):
             raise AssertionError("max_threshold called smooth_part")
 
-        monkeypatch.setattr(envelope, "smooth_part", forbidden)
+        monkeypatch.setattr(envelope, "smooth_part", forbidden, raising=False)
         assert max_threshold(ThetaScan(30, grid_points=20_000)) == want
 
     @pytest.mark.parametrize("k", [3, 4, 5, 9, 12, 30, 97, 200, 1000, 3397])
@@ -352,8 +356,8 @@ class TestLobeReduction:
         # (2 pi/k, pi - 1e-6], on a NumPy grid and a scalar grid
         lobe_lo, lobe_hi = math.pi / k, 2.0 * math.pi / k
         tail = smooth_part(k, lobe_hi)
-        head = kernels.theta_grid(1e-6, lobe_lo, 20_000)[:-1]
-        rest = kernels.theta_grid(lobe_hi, math.pi - 1e-6, 20_000)
+        head = theta_grid(1e-6, lobe_lo, 20_000)[:-1]
+        rest = theta_grid(lobe_hi, math.pi - 1e-6, 20_000)
         assert (kernels.threshold_values(k, head) < 0.0).all()
         assert (kernels.threshold_values(k, rest) <= tail).all()
         for i in range(1, 500):

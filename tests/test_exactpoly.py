@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import binomial, coefficient
 import unimodal_lab
 from unimodal_lab import exactpoly
 from unimodal_lab.exactpoly import (
-    binomial,
-    coefficient,
     expand_family,
     family_report,
     is_strongly_unimodal,
@@ -603,10 +602,35 @@ class TestFamilyReport:
             exactpoly._neighbour_ratio(m, k, u, *exactpoly._scaled_perms(m, k, u))
             assert len(calls) == 2
 
-    @pytest.mark.parametrize("m", [2**49 - 5, 2**100, 10**400], ids=["N=2^49", "2^100", "10^400"])
-    def test_refuses_beyond_the_proven_range(self, m):
+    @pytest.mark.parametrize("m, k", [(2**49 - 2**25, 2**25), (2**100, 2**50 + 1), (10**400, 10**200 + 1)],
+                             ids=["N=2^49", "2^100", "10^400"])
+    def test_refuses_beyond_the_proven_range(self, m, k):
+        # non-members, k just above sqrt(m + 3): a member is decided at
+        # k^2 - 3 and answers at any m
+        assert m < k * k - 3
         with pytest.raises(unimodal_lab.OutOfRange):
-            family_report(m, 5)
+            family_report(m, k)
+
+    @pytest.mark.parametrize("m", [2**49 - 5, 2**100, 10**400], ids=["N=2^49", "2^100", "10^400"])
+    def test_a_member_answers_at_any_m(self, m):
+        assert family_report(m, 5) == (True, None, True, None, None)
+
+    def test_a_member_whose_k2_minus_3_is_beyond_the_range_is_refused(self):
+        k = 2**25
+        with pytest.raises(unimodal_lab.OutOfRange):
+            family_report(10**400, k)
+
+    def test_members_answer_as_the_scan_at_m(self, monkeypatch):
+        # the report at m > k^2 - 3 comes from the row at k^2 - 3; with that
+        # row made to fail, family_report falls back to the scan at m,
+        # which must give the same report
+        want = {(m, k): family_report(m, k) for k in range(2, 61) for m in range(k * k - 3, k * k + 51)}
+        real = family_report
+        monkeypatch.setattr(exactpoly, "family_report",
+                            lambda m, k: exactpoly.UnimodalReport(True, None, False, 1, "log-concavity"))
+        for (m, k), report in want.items():
+            assert real(m, k) == report, (m, k)
+        assert all(report == (True, None, True, None, None) for report in want.values())
 
     def test_closed_forms_hold_at_any_size(self):
         # k > m + 1 and k = m + 1 round nothing, so no range applies

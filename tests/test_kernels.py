@@ -13,10 +13,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import denominator_gap, theta_grid
 from rounding import count_nonneg_threshold, mp_threshold, threshold_rounding_bound
 from unimodal_lab import kernels
 from unimodal_lab.certmax import limit_shape
-from unimodal_lab.envelope import _K_VERIFIED, denominator_gap, threshold_value
+from unimodal_lab.envelope import _K_VERIFIED, threshold_value
 
 PI = math.pi
 
@@ -40,7 +41,7 @@ def _scalar_grid_max(k, lo, hi, n, indices):
 def _near_the_array_max(k, lo, hi, n):
     # the grid indices whose array value lies within 1e-9 relative of the
     # largest array value
-    vals = kernels.threshold_values(k, kernels.theta_grid(lo, hi, n))
+    vals = kernels.threshold_values(k, theta_grid(lo, hi, n))
     top = vals.max()
     return (np.flatnonzero(vals >= top - 1e-9 * abs(top)) + 1).tolist()
 
@@ -284,7 +285,7 @@ class TestSelect:
     def test_ops_hold_exactly_the_five_entries(self):
         want = {"sin", "cos", "log", "log1p", "select"}
         assert set(vars(kernels.SCALAR_OPS)) == want
-        assert set(vars(kernels.ARRAY_OPS)) == want
+        assert set(vars(kernels._array_ops())) == want
 
     # limit_shape has no branch: no double's cosine is 0
     @pytest.mark.parametrize("name, selects", [("threshold", 1), ("gap", 1), ("limit_shape", 0)],
@@ -305,7 +306,7 @@ class TestSelect:
             series = (series + 1.0 / n) * s
         series = series * s
         want = np.where(s < cut, series, -np.log1p(-s) - s)
-        assert np.array_equal(kernels.gap(s, kernels.ARRAY_OPS), want)
+        assert np.array_equal(kernels.gap(s, kernels._array_ops()), want)
 
     def test_runs_only_the_branches_needed(self):
         # a uniform c runs one branch on the whole arrays; a mixed c runs
@@ -322,7 +323,7 @@ class TestSelect:
 
             return branch
 
-        select = kernels.ARRAY_OPS.select
+        select = kernels._array_ops().select
         x, y = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])
         got = select(np.array([True, False, True]), spy(np.add), spy(np.subtract), x, y)
         assert got.tolist() == [5.0, -3.0, 9.0]
@@ -341,7 +342,7 @@ class TestSelect:
 
 
 _LANES = {
-    "array": (kernels.ARRAY_OPS, np.where),
+    "array": (kernels._array_ops(), np.where),
     "scalar": (kernels.SCALAR_OPS, lambda c, a, b: a if c else b),
 }
 
@@ -394,9 +395,9 @@ class TestThresholdClamps:
 
         def select(c, a, b, *args):
             calls.append((a.__name__, b.__name__, c.size, int(c.sum())))
-            return kernels.ARRAY_OPS.select(c, a, b, *args)
+            return kernels._array_ops().select(c, a, b, *args)
 
-        ops = SimpleNamespace(**{**vars(kernels.ARRAY_OPS), "select": select})
+        ops = SimpleNamespace(**{**vars(kernels._array_ops()), "select": select})
         with np.errstate(all="raise"):
             kernels.threshold(k, theta, ops)
         assert calls[0] == ("_diverged", "formula", theta.size, 0)
@@ -406,9 +407,9 @@ class TestThresholdClamps:
     @pytest.mark.parametrize("k", [2, 3, 9, 88, 500])
     def test_grid_with_pi_and_singular_angles_keeps_the_clamped_values(self, k):
         theta = np.concatenate([
-            kernels.theta_grid(0.0, PI, 64 * k),
+            theta_grid(0.0, PI, 64 * k),
             [(2 * j + 1) * PI / k for j in range(k)],
-            kernels.theta_grid(PI / k, 2 * PI / k, 1000),
+            theta_grid(PI / k, 2 * PI / k, 1000),
         ])
         assert theta.max() >= PI and PI in theta
         assert np.isneginf(_clamped(k, theta, *_LANES["array"])[0]).any()
@@ -417,7 +418,7 @@ class TestThresholdClamps:
 
 def _whole_grid_min_margin(m, k, lo, hi, n):
     # the whole-array form of grid_min_margin, the reference for its walk
-    theta = kernels.theta_grid(lo, hi, n)
+    theta = theta_grid(lo, hi, n)
     margin = m - kernels.threshold_values(k, theta)
     i = int(np.argmin(margin))
     v = float(margin[i])
@@ -428,7 +429,7 @@ def _whole_grid_min_margin(m, k, lo, hi, n):
 
 def _whole_grid_max_limit_shape(lo, hi, n):
     # the whole-array form of grid_max_limit_shape, the reference for its walk
-    z = kernels.theta_grid(lo, hi, n)
+    z = theta_grid(lo, hi, n)
     vals = kernels.limit_shape_values(z)
     j = int(np.argmax(vals))
     v = float(vals[j])
@@ -503,7 +504,7 @@ class TestAgainstMpmath:
         s = [math.exp(rng.uniform(math.log(1e-6), math.log(0.5))) for _ in range(20_000)]
         cut = kernels.GAP_SERIES_BELOW
         s += [cut * (1.0 + j * 1e-6) for j in range(-20, 21)]
-        grid = kernels.gap(np.array(s), kernels.ARRAY_OPS).tolist()
+        grid = kernels.gap(np.array(s), kernels._array_ops()).tolist()
         worst = 0.0
         with mpmath.workdps(40):
             for x, g in zip(s, grid):
@@ -568,7 +569,7 @@ class TestEdgeContracts:
         # the whole grid would
         k, lo, hi, n = 9, 0.0, 1e-300, 5
         with np.errstate(all="ignore"):
-            assert np.isnan(kernels.threshold_values(k, kernels.theta_grid(lo, hi, n))).all()
+            assert np.isnan(kernels.threshold_values(k, theta_grid(lo, hi, n))).all()
             assert repr(kernels.grid_min_margin(5.0, k, lo, hi, n)) == "(inf, nan)"
 
     def test_lobe_max_over_every_point(self):
@@ -585,7 +586,7 @@ class TestEdgeContracts:
         v, t = kernels.grid_max_threshold(k, 0.4, theta, 1)
         assert t == theta
         assert v == pytest.approx(threshold_value(k, theta), rel=1e-12)
-        assert kernels.theta_grid(0.4, theta, 7)[-1] == theta
+        assert theta_grid(0.4, theta, 7)[-1] == theta
 
     @pytest.mark.parametrize("k", [9, 16, 24])
     def test_count_zero_before_first_singularity(self, k):

@@ -2,20 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import BetaProbe, beta_exact, binomial, c_minus, c_plus
 from unimodal_lab import exactpoly, thresholds
 from unimodal_lab.exactpoly import (
-    binomial,
     expand_family,
     is_strongly_unimodal,
     is_unimodal,
 )
 from unimodal_lab.thresholds import (
-    BetaProbe,
     NotFoundError,
     a_of_u,
-    beta_exact,
-    c_minus,
-    c_plus,
     case_polynomial_probe,
     central_ratio_even,
     central_ratio_odd,
